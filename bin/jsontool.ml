@@ -15,16 +15,26 @@
 
 open Core
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* An unreadable input or schema file ends the run with one line on stderr
+   and this exit code (sysexits' EX_NOINPUT), which no verdict uses:
+   [check] answers 0/1/2, the other subcommands fail with 1. *)
+let exit_unreadable = 66
 
-let read_input = function
-  | "-" -> In_channel.input_all In_channel.stdin
-  | path -> read_file path
+let read_input path =
+  try
+    if path = "-" then In_channel.input_all In_channel.stdin
+    else In_channel.with_open_bin path In_channel.input_all
+  with Sys_error reason ->
+    (* [Sys_error] messages lead with the path; name it once *)
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix reason then
+        String.sub reason (String.length prefix)
+          (String.length reason - String.length prefix)
+      else reason
+    in
+    Printf.eprintf "jsontool: cannot read %s: %s\n" path reason;
+    exit exit_unreadable
 
 (* All raw text enters through the resilient layer; the classic subcommands
    use its strict (fail-fast) mode, [ingest] uses full quarantine. The depth

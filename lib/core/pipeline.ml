@@ -26,7 +26,8 @@ let infer ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?(jobs = 1)
 type engine = [ `Tree | `Streaming ]
 
 (* one token-level fold instance per shard: the factory shape matches
-   [Parallel.ingest_with], so the interning scratch stays domain-local *)
+   [Parallel.ingest_with], so the interning scratch and the shape cache stay
+   domain-local *)
 let streaming_infer_doc ~equiv () =
   let scratch = Inference.Streaming.scratch () in
   fun ~options ~telemetry src ~pos ->

@@ -71,35 +71,38 @@ let token_name = function
 
 let is_digit c = c >= '0' && c <= '9'
 
+(* The scanners below are written as loops over local refs rather than local
+   recursive functions: without flambda, a local function that captures
+   [lx] is a closure allocated on every call, which on a token-per-call
+   path is most of the lexer's allocation. *)
+
 let skip_ws lx =
-  let n = String.length lx.src in
-  let rec go () =
-    if lx.pos < n then
-      match lx.src.[lx.pos] with
-      | ' ' | '\t' | '\r' -> lx.pos <- lx.pos + 1; go ()
-      | '\n' ->
-          lx.pos <- lx.pos + 1;
-          lx.line <- lx.line + 1;
-          lx.bol <- lx.pos;
-          go ()
-      | _ -> ()
-  in
-  go ()
+  let src = lx.src in
+  let n = String.length src in
+  let p = ref lx.pos in
+  let more = ref true in
+  while !more && !p < n do
+    match String.unsafe_get src !p with
+    | ' ' | '\t' | '\r' -> incr p
+    | '\n' ->
+        incr p;
+        lx.line <- lx.line + 1;
+        lx.bol <- !p
+    | _ -> more := false
+  done;
+  lx.pos <- !p
 
 let expect_keyword lx word token =
   let n = String.length word in
   let src = lx.src in
   let start = lx.pos in
-  let matches =
-    start + n <= String.length src
-    && (let rec eq i =
-          i >= n
-          || (String.unsafe_get src (start + i) = String.unsafe_get word i
-              && eq (i + 1))
-        in
-        eq 0)
-  in
-  if matches then begin
+  let fits = start + n <= String.length src in
+  let i = ref 0 in
+  if fits then
+    while !i < n && String.unsafe_get src (start + !i) = String.unsafe_get word !i do
+      incr i
+    done;
+  if fits && !i = n then begin
     lx.pos <- start + n;
     token
   end
@@ -212,75 +215,73 @@ let read_string lx =
    far, and every malformed-input case raises the same error at the same
    position, so a skimming parse fails exactly where a materializing parse
    would. Returns the decoded (unescaped) byte length. *)
+let utf8_width u = if u < 0x80 then 1 else if u < 0x800 then 2 else 3
+
 let skim_string lx =
-  let n = String.length lx.src in
+  let src = lx.src in
+  let n = String.length src in
   let start = lx.pos in
   lx.pos <- lx.pos + 1; (* opening quote *)
   lx.str_start <- lx.pos;
   lx.str_escaped <- false;
+  let limit = match lx.max_string_bytes with Some l -> l | None -> max_int in
   let len = ref 0 in
-  let check_budget () =
-    match lx.max_string_bytes with
-    | Some limit when !len > limit ->
-        raise
-          (Limit_error
-             ( position_at lx start,
-               Printf.sprintf "string literal exceeds %d bytes" limit ))
-    | _ -> ()
-  in
-  let utf8_width u = if u < 0x80 then 1 else if u < 0x800 then 2 else 3 in
-  let rec go () =
-    check_budget ();
-    if lx.pos >= n then error lx start "unterminated string"
-    else
-      match lx.src.[lx.pos] with
-      | '"' -> lx.pos <- lx.pos + 1
-      | '\\' ->
-          lx.str_escaped <- true;
-          lx.pos <- lx.pos + 1;
-          if lx.pos >= n then error lx start "unterminated string";
-          (match lx.src.[lx.pos] with
-           | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
-               incr len;
-               lx.pos <- lx.pos + 1
-           | 'u' ->
-               lx.pos <- lx.pos + 1;
-               let u = read_hex4 lx in
-               if u >= 0xD800 && u <= 0xDBFF then begin
-                 if lx.pos + 2 <= n && lx.src.[lx.pos] = '\\' && lx.src.[lx.pos + 1] = 'u'
-                 then begin
-                   lx.pos <- lx.pos + 2;
-                   let lo = read_hex4 lx in
-                   if lo >= 0xDC00 && lo <= 0xDFFF then len := !len + 4
-                   else error lx lx.pos "invalid low surrogate"
-                 end
-                 else error lx lx.pos "unpaired high surrogate"
-               end
-               else if u >= 0xDC00 && u <= 0xDFFF then
-                 error lx lx.pos "unpaired low surrogate"
-               else len := !len + utf8_width u
-           | c -> error lx lx.pos (Printf.sprintf "invalid escape '\\%c'" c));
-          go ()
-      | c when Char.code c < 0x20 ->
-          error lx lx.pos "unescaped control character in string"
-      | _ ->
-          (* Run of plain bytes: consume the whole stretch in one tight
-             loop. The budget is re-tested at the top of [go] before the
-             stopping byte is examined, so a budget kill still wins over
-             any later syntax error, exactly as in the per-byte loop. *)
-          let p = ref (lx.pos + 1) in
-          while
-            !p < n
-            && (let c = String.unsafe_get lx.src !p in
-                c <> '"' && c <> '\\' && Char.code c >= 0x20)
-          do
-            incr p
-          done;
-          len := !len + (!p - lx.pos);
-          lx.pos <- !p;
-          go ()
-  in
-  go ();
+  let closed = ref false in
+  while not !closed do
+    if !len > limit then
+      raise
+        (Limit_error
+           ( position_at lx start,
+             Printf.sprintf "string literal exceeds %d bytes" limit ));
+    if lx.pos >= n then error lx start "unterminated string";
+    match String.unsafe_get src lx.pos with
+    | '"' ->
+        lx.pos <- lx.pos + 1;
+        closed := true
+    | '\\' -> (
+        lx.str_escaped <- true;
+        lx.pos <- lx.pos + 1;
+        if lx.pos >= n then error lx start "unterminated string";
+        match String.unsafe_get src lx.pos with
+        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+            incr len;
+            lx.pos <- lx.pos + 1
+        | 'u' ->
+            lx.pos <- lx.pos + 1;
+            let u = read_hex4 lx in
+            if u >= 0xD800 && u <= 0xDBFF then begin
+              if lx.pos + 2 <= n && src.[lx.pos] = '\\' && src.[lx.pos + 1] = 'u'
+              then begin
+                lx.pos <- lx.pos + 2;
+                let lo = read_hex4 lx in
+                if lo >= 0xDC00 && lo <= 0xDFFF then len := !len + 4
+                else error lx lx.pos "invalid low surrogate"
+              end
+              else error lx lx.pos "unpaired high surrogate"
+            end
+            else if u >= 0xDC00 && u <= 0xDFFF then
+              error lx lx.pos "unpaired low surrogate"
+            else len := !len + utf8_width u
+        | c -> error lx lx.pos (Printf.sprintf "invalid escape '\\%c'" c))
+    | c when Char.code c < 0x20 ->
+        error lx lx.pos "unescaped control character in string"
+    | _ ->
+        (* Run of plain bytes: consume the whole stretch in one tight
+           loop. The budget is re-tested at the top of the outer loop
+           before the stopping byte is examined, so a budget kill still
+           wins over any later syntax error, exactly as in the per-byte
+           loop. *)
+        let p = ref (lx.pos + 1) in
+        while
+          !p < n
+          && (let c = String.unsafe_get src !p in
+              c <> '"' && c <> '\\' && Char.code c >= 0x20)
+        do
+          incr p
+        done;
+        len := !len + (!p - lx.pos);
+        lx.pos <- !p
+  done;
   lx.str_stop <- lx.pos - 1;
   !len
 
@@ -336,7 +337,7 @@ let skim_number lx =
    [skim] is [next_skimming] stripped for fused hot loops: every token is an
    immediate constant, the start offset is latched in [tok_start] (a
    position record is built only on demand via [tok_pos]), string contents
-   stay in the source (recoverable through [last_string_span] /
+   stay in the source (recoverable through [last_string_start] /
    [string_of_last]), and numbers are classified int-vs-float without
    materializing a value. Scanning, budgets, and every malformed-input
    error are shared with the materializing paths, so a skim loop fails at
@@ -377,6 +378,13 @@ let skim_name = function
    back to [Number.parse] on the substring so classification and error
    messages match [skim_number] exactly (overflow to infinity is a parse
    error, so it must not be classified blindly as a float). *)
+let number_kind_fallback lx start =
+  let literal = String.sub lx.src start (lx.pos - start) in
+  match Number.parse literal with
+  | Ok (Number.Int_lit _) -> S_int
+  | Ok (Number.Float_lit _) -> S_float
+  | Error msg -> error lx start msg
+
 let skim_number_kind lx =
   let n = String.length lx.src in
   let start = lx.pos in
@@ -416,16 +424,10 @@ let skim_number_kind lx =
     && ((not has_frac) || !frac_digits > 0)
     && ((not has_exp) || !exp_digits > 0)
   in
-  let fallback () =
-    let literal = String.sub lx.src start (lx.pos - start) in
-    match Number.parse literal with
-    | Ok (Number.Int_lit _) -> S_int
-    | Ok (Number.Float_lit _) -> S_float
-    | Error msg -> error lx start msg
-  in
-  if not well_formed then fallback ()
+  if not well_formed then number_kind_fallback lx start
   else if (not has_frac) && not has_exp then
-    if ndigits <= max_safe_int_digits then S_int else fallback ()
+    if ndigits <= max_safe_int_digits then S_int
+    else number_kind_fallback lx start
   else begin
     (* magnitude < 10^(integer digits + signed exponent); safe when that
        bound stays below 10^308 <= DBL_MAX. *)
@@ -434,7 +436,7 @@ let skim_number_kind lx =
       else if !exp_digits > 5 then false
       else ndigits + (if !exp_neg then - !exp_val else !exp_val) <= 308
     in
-    if safe then S_float else fallback ()
+    if safe then S_float else number_kind_fallback lx start
   end
 
 let skim lx =
@@ -469,7 +471,9 @@ let tok_start lx = lx.tok_start
    position can be reconstructed lazily. *)
 let tok_pos lx = position_at lx lx.tok_start
 
-let last_string_span lx = (lx.str_start, lx.str_stop, lx.str_escaped)
+let last_string_start lx = lx.str_start
+let last_string_stop lx = lx.str_stop
+let last_string_escaped lx = lx.str_escaped
 
 let string_of_last lx =
   if not lx.str_escaped then

@@ -69,7 +69,7 @@ val token_name : token -> string
     GC pressure when the consumer only branches on the token's kind. [skim]
     returns an immediate constant instead: numbers are classified
     int-vs-float in place, string contents stay in the source (recover them
-    with {!last_string_span} / {!string_of_last}), and the token's start
+    with {!last_string_start} / {!string_of_last}), and the token's start
     offset is latched on the lexer ({!tok_start}, {!tok_pos}). Scanning,
     budgets, and malformed-input errors are shared with {!next}, so a skim
     loop fails at exactly the byte a materializing lex would. *)
@@ -106,10 +106,15 @@ val tok_pos : t -> position
 (** Position where the last {!skim}med token starts — built on demand, for
     error paths only. *)
 
-val last_string_span : t -> int * int * bool
-(** [(start, stop, escaped)] for the last [S_string]: the contents span
-    (exclusive of quotes) in the source, and whether it contains backslash
-    escapes (in which case the raw span is not the decoded contents). *)
+val last_string_start : t -> int
+val last_string_stop : t -> int
+(** The contents span [start, stop) of the last [S_string], exclusive of
+    its quotes, in the source. Separate accessors rather than one tuple so
+    a per-key caller allocates nothing. *)
+
+val last_string_escaped : t -> bool
+(** Whether the last [S_string] contains backslash escapes, in which case
+    its raw span is not its decoded contents. *)
 
 val string_of_last : t -> string
 (** Decoded contents of the last [S_string] token: a direct substring when

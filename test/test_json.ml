@@ -534,6 +534,37 @@ let prop_paths_count_bounded =
   QCheck2.Test.make ~name:"paths <= size" ~count:300 gen_value (fun v ->
       List.length (Json.Value.paths v) <= Json.Value.size v)
 
+(* [Lexer.skim] is the token source of the fused engines: on escape-free
+   input every token must come back without a single minor-heap word —
+   no per-call closures in the whitespace, keyword, string and number
+   scanners. The measurement's own overhead (boxing the float counter) is
+   taken from an empty run and subtracted. *)
+let skim_fixture =
+  String.concat "\n"
+    [ {|{"id": 123456789, "ratio": -0.25, "exp": 6.02e23, "neg": -1E-7,|};
+      {|  "ok": true, "no": false, "none": null, "zero": 0, "big": 999999999999999999,|};
+      "\t\"text\": \"" ^ String.make 200 'x' ^ "\", \"utf8\": \"caf\xc3\xa9 \xe2\x82\xac\",";
+      {|  "list": [1, 2.5, "", [], {}, [[null]]]}|};
+      {|[true, false, null, 42, 4.2, "s"]|};
+      {|"top" 7 -3.5e-2|} ]
+
+let rec skim_count lx n =
+  match Json.Lexer.skim lx with
+  | Json.Lexer.S_eof -> n
+  | _ -> skim_count lx (n + 1)
+
+let test_skim_allocation_free () =
+  List.iter
+    (fun max_string_bytes ->
+      let lx = Json.Lexer.create ?max_string_bytes skim_fixture in
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      let n = skim_count lx 0 in
+      let w2 = Gc.minor_words () in
+      Alcotest.(check int) "tokens" 83 n;
+      Alcotest.(check (float 0.0)) "minor words per skim loop" (w1 -. w0) (w2 -. w1))
+    [ None; Some 4096 ]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "json"
@@ -569,6 +600,8 @@ let () =
          Alcotest.test_case "index overflow" `Quick test_pointer_index_overflow;
          Alcotest.test_case "set" `Quick test_pointer_set ]);
       ("jsonpath", [ Alcotest.test_case "eval" `Quick test_jsonpath ]);
+      ("lexer",
+       [ Alcotest.test_case "skim allocation-free" `Quick test_skim_allocation_free ]);
       ("stream",
        [ Alcotest.test_case "events" `Quick test_stream_events;
          Alcotest.test_case "errors" `Quick test_stream_errors;

@@ -352,7 +352,7 @@ let test_chunked_error_boundaries () =
 
 (* The fused engine's lexer latches escape-free string payloads as raw
    spans on the lexer state instead of materializing them ([Lexer.skim] /
-   [last_string_span]). Feed [Streaming.infer_tokens] through the refill
+   [last_string_start]). Feed [Streaming.infer_tokens] through the refill
    discipline of [Stream.fold_documents_chunked] — accept a document only
    when it ends strictly before the buffered frontier (or at eof), grow
    and re-lex on anything else — so every retry re-skims a string whose
@@ -557,6 +557,230 @@ let prop_skim_chunked =
       infer_whole ~equiv:Jtype.Merge.Kind text
       = infer_chunked ~equiv:Jtype.Merge.Kind text size)
 
+(* --- shape cache ---------------------------------------------------------
+
+   [infer_tokens] types each distinct document shape once per scratch and
+   answers repeats from a cache. The cache must be invisible: every
+   document's result equals the tree engine's typing of its tree parse,
+   whatever shapes the scratch has seen before, under both equivalences
+   and all four duplicate-key policies. *)
+
+(* A document with its scalar payloads (and key spellings) left open. *)
+type template =
+  | T_null
+  | T_bool
+  | T_int
+  | T_float of int (* spelling: 0 like 1.0, 1 like 1e2, 2 like -2.5E-3 *)
+  | T_str
+  | T_arr of template list
+  | T_obj of (int * template) list (* index into [template_keys] *)
+
+let template_keys = [| "a"; "b"; "ab"; "q\"t" |]
+
+(* one key, spelled raw or entirely with \u escapes *)
+let spell_key st b k =
+  let escape_all = Random.State.bool st in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      if escape_all then Printf.bprintf b "\\u%04x" (Char.code c)
+      else if c = '"' then Buffer.add_string b "\\\""
+      else Buffer.add_char b c)
+    k;
+  Buffer.add_char b '"'
+
+let rec render st b t =
+  let int bound = Random.State.int st bound in
+  if Random.State.bool st then Buffer.add_char b ' ';
+  match t with
+  | T_null -> Buffer.add_string b "null"
+  | T_bool -> Buffer.add_string b (if Random.State.bool st then "true" else "false")
+  | T_int -> Printf.bprintf b "%d" (int 2000 - 1000)
+  | T_float 0 -> Printf.bprintf b "%d.%d" (int 100) (int 10)
+  | T_float 1 -> Printf.bprintf b "%de%d" (1 + int 9) (int 5)
+  | T_float _ -> Printf.bprintf b "-%d.%dE-%d" (int 10) (int 100) (int 9)
+  | T_str ->
+      Buffer.add_string b
+        [| {|""|}; {|"x"|}; {|"two\nlines"|}; {|"été"|}; {|"plain text"|} |].(int 5)
+  | T_arr items ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char b ',';
+          render st b item)
+        items;
+      Buffer.add_char b ']'
+  | T_obj members ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          spell_key st b template_keys.(k);
+          Buffer.add_char b ':';
+          render st b v)
+        members;
+      Buffer.add_char b '}'
+
+let render_doc st t =
+  let b = Buffer.create 64 in
+  render st b t;
+  Buffer.contents b
+
+(* shapes every corpus repeats: 1 / 1.0 / 1e2 under one key, a duplicate
+   key, empty containers, an array mixing kinds *)
+let fixed_templates =
+  [ T_obj [ (0, T_int) ];
+    T_obj [ (0, T_float 0) ];
+    T_obj [ (0, T_float 1) ];
+    T_obj [ (0, T_int); (1, T_str); (0, T_float 0) ];
+    T_obj [ (3, T_obj [ (3, T_null); (3, T_bool) ]); (2, T_arr []); (1, T_obj []) ];
+    T_arr [ T_int; T_str; T_null; T_arr [ T_bool ]; T_obj [ (0, T_float 1) ]; T_float 2 ] ]
+
+let gen_template : template QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let scalar =
+    oneof
+      [ return T_null; return T_bool; return T_int;
+        map (fun s -> T_float s) (int_range 0 2); return T_str ]
+  in
+  int_range 0 3
+  >>= fix (fun self n ->
+          if n <= 0 then scalar
+          else
+            frequency
+              [ (2, scalar);
+                (1, map (fun l -> T_arr l) (list_size (int_range 0 3) (self (n - 1))));
+                ( 2,
+                  map
+                    (fun l -> T_obj l)
+                    (list_size (int_range 0 4)
+                       (pair (int_range 0 (Array.length template_keys - 1)) (self (n - 1))))
+                ) ])
+
+let dup_policies =
+  Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ]
+
+(* the tree engine's answer for one document *)
+let tree_typed ~options ~equiv doc =
+  match Json.Parser.parse_substring ~options doc ~pos:0 with
+  | Ok (v, stop) ->
+      Ok ((Jtype.Types.of_value v, Jtype.Counting.of_value ~equiv v), stop)
+  | Error e -> Error e
+
+let same_typing ?telemetry ~scratch ~options ~equiv doc =
+  match
+    ( Inference.Streaming.infer_tokens ?telemetry ~scratch ~options ~equiv doc
+        ~pos:0,
+      tree_typed ~options ~equiv doc )
+  with
+  | Ok ((t, c), stop), Ok ((t', c'), stop') ->
+      Jtype.Types.equal t t' && c = c' && stop = stop'
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+let prop_shape_cache_exact =
+  QCheck2.Test.make ~name:"shape cache = tree typing" ~count:(count 150)
+    QCheck2.Gen.(pair (list_size (int_range 0 5) gen_template) int)
+    (fun (random_templates, seed) ->
+      let pool = Array.of_list (fixed_templates @ random_templates) in
+      let st = Random.State.make [| seed |] in
+      let docs =
+        List.init 40 (fun _ ->
+            render_doc st pool.(Random.State.int st (Array.length pool)))
+      in
+      (* one scratch for every document under every configuration *)
+      let scratch = Inference.Streaming.scratch () in
+      List.for_all
+        (fun doc ->
+          List.for_all
+            (fun equiv ->
+              List.for_all
+                (fun dup_keys ->
+                  let options = { Json.Parser.default_options with dup_keys } in
+                  same_typing ~scratch ~options ~equiv doc)
+                dup_policies)
+            equivs)
+        docs)
+
+let counter sink name =
+  Option.value ~default:0
+    (List.assoc_opt name (Telemetry.snapshot sink).Telemetry.counters)
+
+(* a cached shape never lets a later document of the same shape past a
+   budget it breaks *)
+let test_shape_cache_budgets () =
+  let small = {|{"a": "x", "b": [1, 2.5]}|} in
+  let large = {|{"a": "|} ^ String.make 200 'y' ^ {|", "b": [1, 2.5]}|} in
+  List.iter
+    (fun (label, options) ->
+      let scratch = Inference.Streaming.scratch () in
+      let sink = Telemetry.create () in
+      let check doc =
+        Alcotest.(check bool) label true
+          (same_typing ~telemetry:sink ~scratch ~options ~equiv:Jtype.Merge.Kind doc)
+      in
+      check small;
+      check small;
+      Alcotest.(check int) (label ^ ": cached") 1 (counter sink "stream.shape.hits");
+      check large;
+      Alcotest.(check bool) (label ^ ": large fails") true
+        (Result.is_error (tree_typed ~options ~equiv:Jtype.Merge.Kind large));
+      check small;
+      Alcotest.(check int) (label ^ ": still cached") 2 (counter sink "stream.shape.hits"))
+    [ ("max_doc_bytes", { Json.Parser.default_options with max_doc_bytes = Some 64 });
+      ("max_string_bytes", { Json.Parser.default_options with max_string_bytes = Some 16 }) ]
+
+(* A corpus of distinct shapes switches the cache off for the rest of the
+   scratch's life; later repeats are typed from their shapes, still
+   exactly. The per-document counters the cache sits beside keep their
+   meaning: one token per skim, one interning reuse per key occurrence
+   after its first. *)
+let test_shape_cache_switch_off () =
+  let options = Json.Parser.default_options and equiv = Jtype.Merge.Label in
+  let scratch = Inference.Streaming.scratch () in
+  let distinct = List.init 1500 (fun i -> Printf.sprintf {|{"k%d": %d, "v": [%d]}|} i i i) in
+  let repeats =
+    List.init 300 (fun i ->
+        Printf.sprintf {|{"v": [%d], "k%d": "%d"}|} i (i mod 3) i)
+  in
+  let parse_counters sink =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"parse." k)
+      (Telemetry.snapshot sink).Telemetry.counters
+  in
+  let run docs =
+    let sink = Telemetry.create () and tree_sink = Telemetry.create () in
+    List.iter
+      (fun doc ->
+        Alcotest.(check bool) doc true
+          (same_typing ~telemetry:sink ~scratch ~options ~equiv doc);
+        ignore (Json.Parser.parse_substring ~options ~telemetry:tree_sink doc ~pos:0))
+      docs;
+    Alcotest.(check (list (pair string int))) "parse.* as the tree parser's"
+      (parse_counters tree_sink) (parse_counters sink);
+    sink
+  in
+  let first = run distinct in
+  Alcotest.(check int) "distinct: no hits" 0 (counter first "stream.shape.hits");
+  Alcotest.(check int) "distinct: all misses" 1500 (counter first "stream.shape.misses");
+  Alcotest.(check int) "distinct: tokens" (1500 * 11) (counter first "stream.tokens");
+  Alcotest.(check int) "distinct: reuse" 1499 (counter first "stream.scratch.reuse");
+  let after = run repeats in
+  Alcotest.(check int) "switched off: no hits" 0 (counter after "stream.shape.hits");
+  Alcotest.(check int) "switched off: misses" 300 (counter after "stream.shape.misses");
+  Alcotest.(check int) "repeats: reuse" 600 (counter after "stream.scratch.reuse");
+  (* the same repeats through a fresh scratch: three shapes, cached *)
+  let fresh = Inference.Streaming.scratch () in
+  let sink = Telemetry.create () in
+  List.iter
+    (fun doc ->
+      Alcotest.(check bool) doc true
+        (same_typing ~telemetry:sink ~scratch:fresh ~options ~equiv doc))
+    repeats;
+  Alcotest.(check int) "fresh: hits" 297 (counter sink "stream.shape.hits");
+  Alcotest.(check int) "fresh: misses" 3 (counter sink "stream.shape.misses");
+  Alcotest.(check int) "fresh: reuse" (600 - 4) (counter sink "stream.scratch.reuse")
+
 let () =
   let prop p =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| fuzz_seed |]) p
@@ -584,6 +808,11 @@ let () =
             test_chunked_error_boundaries;
           Alcotest.test_case "skim spans split anywhere" `Quick
             test_skim_one_byte_chunks ] );
+      ( "shape-cache",
+        [ Alcotest.test_case "budgets after a hit" `Quick
+            test_shape_cache_budgets;
+          Alcotest.test_case "switch-off" `Quick test_shape_cache_switch_off;
+          prop prop_shape_cache_exact ] );
       ( "properties",
         [ prop prop_infer_differential;
           prop prop_validate_differential;
