@@ -20,21 +20,32 @@ open Core
    [check] answers 0/1/2, the other subcommands fail with 1. *)
 let exit_unreadable = 66
 
+(* An output file the CLI cannot write ends the run the same way, with
+   sysexits' EX_CANTCREAT. Every caller writes its files before anything
+   reaches stdout. *)
+let exit_unwritable = 73
+
+(* [Sys_error] messages lead with the path; name it once *)
+let sys_reason path reason =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix reason then
+    String.sub reason (String.length prefix)
+      (String.length reason - String.length prefix)
+  else reason
+
 let read_input path =
   try
     if path = "-" then In_channel.input_all In_channel.stdin
     else In_channel.with_open_bin path In_channel.input_all
   with Sys_error reason ->
-    (* [Sys_error] messages lead with the path; name it once *)
-    let prefix = path ^ ": " in
-    let reason =
-      if String.starts_with ~prefix reason then
-        String.sub reason (String.length prefix)
-          (String.length reason - String.length prefix)
-      else reason
-    in
-    Printf.eprintf "jsontool: cannot read %s: %s\n" path reason;
+    Printf.eprintf "jsontool: cannot read %s: %s\n" path (sys_reason path reason);
     exit exit_unreadable
+
+let write_output path with_open f =
+  try with_open path f
+  with Sys_error reason ->
+    Printf.eprintf "jsontool: cannot write %s: %s\n" path (sys_reason path reason);
+    exit exit_unwritable
 
 (* All raw text enters through the resilient layer; the classic subcommands
    use its strict (fail-fast) mode, [ingest] uses full quarantine. The depth
@@ -314,19 +325,17 @@ let ingest_cmd =
       | Some o -> Chaos.attribute o r.Resilient.dead
       | None -> r.Resilient.dead
     in
-    (if quarantine <> "" then begin
-       let oc = open_out quarantine in
-       (* one buffer reused across the NDJSON emit loop *)
-       let buf = Buffer.create 4096 in
-       List.iter
-         (fun dl ->
-           Buffer.clear buf;
-           Json.Printer.to_buffer buf (Resilient.dead_letter_to_json dl);
-           Buffer.add_char buf '\n';
-           Buffer.output_buffer oc buf)
-         dead;
-       close_out oc
-     end);
+    if quarantine <> "" then
+      write_output quarantine Out_channel.with_open_text (fun oc ->
+          (* one buffer reused across the NDJSON emit loop *)
+          let buf = Buffer.create 4096 in
+          List.iter
+            (fun dl ->
+              Buffer.clear buf;
+              Json.Printer.to_buffer buf (Resilient.dead_letter_to_json dl);
+              Buffer.add_char buf '\n';
+              Buffer.output_buffer oc buf)
+            dead);
     let report_fields =
       match r.Resilient.report |> Resilient.report_to_json with
       | Json.Value.Object fields -> (
@@ -652,11 +661,8 @@ let translate_cmd =
     let bytes =
       match target with `Avro -> tr.Pipeline.avro_bytes | `Columnar -> tr.Pipeline.columnar_bytes
     in
-    (if out <> "" then begin
-       let oc = open_out_bin out in
-       output_string oc bytes;
-       close_out oc
-     end);
+    if out <> "" then
+      write_output out Out_channel.with_open_bin (fun oc -> output_string oc bytes);
     Printf.printf "json: %d bytes; %s: %d bytes (%.1f%%)\n" tr.Pipeline.json_bytes
       (match target with `Avro -> "avro" | `Columnar -> "columnar")
       (String.length bytes)
@@ -806,24 +812,26 @@ let normalize_cmd =
   let run outdir file =
     let docs = or_die (load_documents file) in
     let r = Inference.Relational.normalize ~name:"root" docs in
+    let csvs = Translate.Csv_export.result_to_csvs r in
+    let written =
+      if outdir = "" then []
+      else
+        List.map
+          (fun (name, csv) ->
+            let path = Filename.concat outdir (name ^ ".csv") in
+            write_output path Out_channel.with_open_text (fun oc ->
+                output_string oc csv);
+            path)
+          csvs
+    in
     Printf.printf "cells: %d -> %d (%.1f%% of original)\n" r.Inference.Relational.cells_before
       r.Inference.Relational.cells_after
       (100.0
       *. float_of_int r.Inference.Relational.cells_after
       /. float_of_int (max 1 r.Inference.Relational.cells_before));
-    List.iter
-      (fun (name, csv) ->
-        if outdir = "" then begin
-          Printf.printf "-- %s --\n%s" name csv
-        end
-        else begin
-          let path = Filename.concat outdir (name ^ ".csv") in
-          let oc = open_out path in
-          output_string oc csv;
-          close_out oc;
-          Printf.printf "wrote %s\n" path
-        end)
-      (Translate.Csv_export.result_to_csvs r)
+    if outdir = "" then
+      List.iter (fun (name, csv) -> Printf.printf "-- %s --\n%s" name csv) csvs
+    else List.iter (Printf.printf "wrote %s\n") written
   in
   Cmd.v (Cmd.info "normalize" ~doc:"Normalize nested JSON into relational CSVs.")
     Term.(const run $ outdir $ input_arg)

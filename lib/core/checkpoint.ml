@@ -150,27 +150,32 @@ let emit ~buf oc json =
 let start ~path ~resume ~job ~engine ~input =
   let input_fp = fingerprint input in
   let buf = Buffer.create 4096 in
-  let fresh () =
+  (* (re)write the journal: the header, then [entries] *)
+  let write entries =
     let oc = open_out_bin path in
-    emit ~buf oc (header_json ~job ~engine ~input_fp);
-    Ok ({ oc; buf }, [])
+    match
+      emit ~buf oc (header_json ~job ~engine ~input_fp);
+      List.iter (fun e -> emit ~buf oc (entry_to_json e)) entries
+    with
+    | () -> Ok ({ oc; buf }, entries)
+    | exception (Sys_error _ as exn) ->
+        close_out_noerr oc;
+        raise exn
   in
-  if not (resume && Sys.file_exists path) then fresh ()
-  else
-    match read_lines path with
-    | [] -> fresh ()
-    | header_line :: entry_lines -> (
-        match Json.Parser.parse header_line with
-        | Error _ -> Error "checkpoint: unreadable journal header"
-        | Ok header ->
-            let* () = check_header ~job ~engine ~input_fp header in
-            let entries = decode_entries entry_lines in
-            (* rewrite rather than append: scrubs any torn tail so the
-               journal on disk is exactly the entries we trusted *)
-            let oc = open_out_bin path in
-            emit ~buf oc (header_json ~job ~engine ~input_fp);
-            List.iter (fun e -> emit ~buf oc (entry_to_json e)) entries;
-            Ok ({ oc; buf }, entries))
+  try
+    if not (resume && Sys.file_exists path) then write []
+    else
+      match read_lines path with
+      | [] -> write []
+      | header_line :: entry_lines -> (
+          match Json.Parser.parse header_line with
+          | Error _ -> Error "checkpoint: unreadable journal header"
+          | Ok header ->
+              let* () = check_header ~job ~engine ~input_fp header in
+              (* rewrite rather than append: scrubs any torn tail so the
+                 journal on disk is exactly the entries we trusted *)
+              write (decode_entries entry_lines))
+  with Sys_error reason -> Error ("checkpoint: cannot open journal " ^ reason)
 
 let record j e = emit ~buf:j.buf j.oc (entry_to_json e)
 

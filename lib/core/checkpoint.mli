@@ -47,7 +47,8 @@ val start :
     fingerprint (mismatch is an [Error] — never silently recompute against
     the wrong journal or mix engines), load every decodable entry, drop
     the torn tail, and rewrite the file to exactly the trusted entries
-    before returning them. *)
+    before returning them. A journal that cannot be opened, read or
+    written is an [Error] as well. *)
 
 val record : journal -> entry -> unit
 (** Append one completed-shard entry and flush. *)

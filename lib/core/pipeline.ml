@@ -34,19 +34,55 @@ let streaming_infer_doc ~equiv () =
     Inference.Streaming.infer_tokens ~options ~telemetry ~scratch ~equiv src
       ~pos
 
-(* Reduce the per-document (type, counting) pairs exactly as the tree
-   engine reduces its per-document [of_value] results — same merge
-   functions, same document order, so the same hash-consed result. The
-   telemetry mirrors the tree path's sequential shape: [infer.merge_ops]
-   counts both folds, [infer.union_width] samples the final type. *)
-let merge_streamed ~equiv ~telemetry pairs =
-  let t =
-    Telemetry.span telemetry "infer" (fun () ->
-        Jtype.Merge.merge_all ~equiv (List.map fst pairs))
+(* A type whose documents count in many ways (arrays of many lengths) keeps
+   only its first [max_variants] counting values as group keys; the others
+   are merged one by one, as without grouping, so a lookup never costs more
+   than [max_variants] comparisons. No type of the 100k-tweet corpus has
+   more than 9. *)
+let max_variants = 16
+
+(* Reduce the per-document (type, counting) pairs by one counting fold and
+   read the type off by erasure. Documents are grouped by the interned id
+   of their type; a group member is confirmed by its counting value
+   (physically equal when the shape cache answered both documents, else
+   compared structurally: arrays of one element type can still count
+   differently), and each distinct counting value is merged once, scaled by
+   its multiplicity. That equals the per-document fold because the counting
+   merge is commutative and associative on canonical values and
+   [merge c c = scale 2 c]; erasure of the counting fold equals the [Types]
+   fold, which the tree engine still runs as the reference. Equal types
+   interned on two domains carry two ids and so form two groups, which
+   costs one extra merge and changes nothing else. *)
+let reduce_streamed ~equiv pairs =
+  let groups = Hashtbl.create 64 in
+  let distinct =
+    List.fold_left
+      (fun distinct ((t : Jtype.Types.t), c) ->
+        let id = Jtype.Types.id t in
+        let variants = Option.value (Hashtbl.find_opt groups id) ~default:[] in
+        match List.find_opt (fun (c', _) -> c' == c || c' = c) variants with
+        | Some (_, k) ->
+            incr k;
+            distinct
+        | None ->
+            let v = (c, ref 1) in
+            if List.compare_length_with variants max_variants < 0 then
+              Hashtbl.replace groups id (v :: variants);
+            v :: distinct)
+      [] pairs
   in
   let c =
-    Telemetry.span telemetry "infer" (fun () ->
-        Jtype.Counting.merge_all ~equiv (List.map snd pairs))
+    Jtype.Counting.merge_all ~equiv
+      (List.rev_map (fun (c, k) -> Jtype.Counting.scale !k c) distinct)
+  in
+  (Jtype.Counting.erase c, c)
+
+(* The telemetry keeps the tree path's sequential values: [infer.merge_ops]
+   counts the merges of both of its folds, [infer.union_width] samples the
+   final type. *)
+let merge_streamed ~equiv ~telemetry pairs =
+  let t, c =
+    Telemetry.span telemetry "infer" (fun () -> reduce_streamed ~equiv pairs)
   in
   if Telemetry.is_recording telemetry then begin
     Telemetry.count telemetry "infer.merge_ops"
@@ -415,14 +451,12 @@ let infer_ndjson_supervised ?(equiv = Jtype.Merge.Kind) ?name ?budget ?options
             let c = Jtype.Counting.infer ~equiv ing.Resilient.docs in
             encode_pair t c)
     | `Streaming ->
-        (* the shard's partial is reduced from the per-document pairs with
-           the same merges the tree shard's [infer] applies to its
+        (* the shard's partial equals the tree shard's [infer] of its
            materialized documents, so the journaled payload is identical *)
         streaming_run_shard
           (streaming_infer_doc ~equiv)
           (fun pairs ->
-            let t = Jtype.Merge.merge_all ~equiv (List.map fst pairs) in
-            let c = Jtype.Counting.merge_all ~equiv (List.map snd pairs) in
+            let t, c = reduce_streamed ~equiv pairs in
             encode_pair t c)
   in
   let decode _ing pjson =

@@ -114,6 +114,29 @@ let merge_all ~equiv = function
 
 let infer ~equiv values = merge_all ~equiv (List.map (of_value ~equiv) values)
 
+(* Multiplying every count by the same k > 0 keeps the relative order of
+   any two values under [Stdlib.compare] (the comparison is lexicographic
+   and reaches the counts only after the constructors and names agree), so
+   sorted union branches stay sorted. *)
+let scale k t =
+  if k < 1 then invalid_arg "Counting.scale: factor must be positive";
+  let rec go = function
+    | CBot -> CBot
+    | CNull n -> CNull (k * n)
+    | CBool n -> CBool (k * n)
+    | CInt n -> CInt (k * n)
+    | CNum n -> CNum (k * n)
+    | CStr n -> CStr (k * n)
+    | CAny n -> CAny (k * n)
+    | CArr (n, elem) -> CArr (k * n, go elem)
+    | CRec (n, fields) ->
+        CRec
+          (k * n,
+           List.map (fun f -> { f with occurs = k * f.occurs; ftype = go f.ftype }) fields)
+    | CUnion ts -> CUnion (List.map go ts)
+  in
+  if k = 1 then t else go t
+
 let rec erase (t : t) : Types.t =
   match t with
   | CBot -> Types.bot

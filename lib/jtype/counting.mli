@@ -34,6 +34,14 @@ val merge : equiv:Merge.equiv -> t -> t -> t
 val merge_all : equiv:Merge.equiv -> t list -> t
 val infer : equiv:Merge.equiv -> Json.Value.t list -> t
 
+val scale : int -> t -> t
+(** [scale k t] multiplies every count in [t] by [k]: the counting type of
+    a collection holding each value of [t]'s collection [k] times. On the
+    canonical values {!of_value} and {!merge} build, [scale k t] equals the
+    merge of [k] copies of [t], so a reduce may merge each distinct value
+    once, scaled by its multiplicity, instead of once per occurrence.
+    @raise Invalid_argument if [k < 1]. *)
+
 val erase : t -> Types.t
 (** Forget counts; field optional iff [occurs < record count]. *)
 

@@ -436,6 +436,83 @@ let prop_counting_erase_coherent =
         (Counting.erase (Counting.infer ~equiv vs))
         (Merge.merge_all ~equiv (List.map Types.of_value vs)))
 
+(* --- counting reduce -------------------------------------------------------
+
+   The streaming reduce merges each distinct counting value once, scaled by
+   its multiplicity, and reads the type off by erasure. These properties pin
+   the algebra that makes that exact, under both equivalences, on corpora
+   drawn with repetition from a small pool. *)
+
+let pool_specials =
+  let open Json.Value in
+  [ Array [];
+    Object [];
+    Int 7;
+    Float 2.5;
+    Array [ Int 1; Float 2.5 ];
+    (* duplicate keys: the last occurrence wins in both typings *)
+    Object [ ("a", Int 1); ("a", String "x") ];
+    Object [ ("a", Array []); ("b", Object []) ];
+    Object
+      [ ("a", Array [ Int 1; String "s"; Null; Object [ ("b", Array []) ] ]);
+        ("c", Object [ ("d", Array [ Array []; Array [ Bool true ] ]) ]) ];
+    Array
+      [ Object [ ("a", Int 1) ];
+        Object [ ("b", Float 2.0) ];
+        Object [ ("a", String "x"); ("b", Null) ] ] ]
+
+let gen_pool_corpus =
+  QCheck2.Gen.(
+    let* pool =
+      list_size (int_range 1 5) (frequency [ (2, oneofl pool_specials); (1, gen_value) ])
+    in
+    list_size (int_range 1 16) (oneofl pool))
+
+let print_corpus vs = String.concat "\n" (List.map Json.Printer.to_string vs)
+
+(* distinct counting values with their multiplicities, in first-seen order *)
+let group_counts cs =
+  List.rev
+    (List.fold_left
+       (fun groups c ->
+         if List.mem_assoc c groups then
+           List.map (fun (c', k) -> if c' = c then (c', k + 1) else (c', k)) groups
+         else (c, 1) :: groups)
+       [] cs)
+
+let grouped_fold ~equiv cs =
+  Counting.merge_all ~equiv
+    (List.map (fun (c, k) -> Counting.scale k c) (group_counts cs))
+
+let both_equivs f = List.for_all f [ Merge.Kind; Merge.Label ]
+
+let prop_counting_scale =
+  QCheck2.Test.make ~name:"counting scale k = k-fold merge" ~count:1000
+    ~print:(fun (vs, k) -> Printf.sprintf "k=%d\n%s" k (print_corpus vs))
+    QCheck2.Gen.(pair gen_pool_corpus (int_range 1 6))
+    (fun (vs, k) ->
+      both_equivs (fun equiv ->
+          let c = Counting.infer ~equiv vs in
+          Counting.scale k c = Counting.merge_all ~equiv (List.init k (fun _ -> c))))
+
+let prop_counting_grouped_fold =
+  QCheck2.Test.make ~name:"counting grouped scaled fold = plain fold" ~count:1000
+    ~print:print_corpus gen_pool_corpus
+    (fun vs ->
+      both_equivs (fun equiv ->
+          let cs = List.map (Counting.of_value ~equiv) vs in
+          let g = grouped_fold ~equiv cs in
+          g = Counting.merge_all ~equiv cs && g = Counting.merge_all ~equiv (List.rev cs)))
+
+let prop_counting_grouped_erase =
+  QCheck2.Test.make ~name:"counting grouped fold erases to types" ~count:1000
+    ~print:print_corpus gen_pool_corpus
+    (fun vs ->
+      both_equivs (fun equiv ->
+          Types.equal
+            (Counting.erase (grouped_fold ~equiv (List.map (Counting.of_value ~equiv) vs)))
+            (Merge.merge_all ~equiv (List.map Types.of_value vs))))
+
 let prop_counting_total =
   QCheck2.Test.make ~name:"counting count = #values" ~count:200
     QCheck2.Gen.(pair gen_equiv (list_size (int_range 0 10) gen_value))
@@ -598,6 +675,7 @@ let () =
        q [ prop_sound; prop_merge_commutative; prop_merge_associative;
            prop_merge_idempotent; prop_merge_upper_bound;
            prop_subtype_sound_on_members; prop_counting_erase_coherent;
-           prop_counting_total; prop_to_schema_sound;
+           prop_counting_scale; prop_counting_grouped_fold;
+           prop_counting_grouped_erase; prop_counting_total; prop_to_schema_sound;
            prop_containment_included_is_sound ]);
     ]

@@ -519,6 +519,69 @@ let gen_ndjson : string QCheck2.Gen.t =
   in
   return (String.concat "\n" lines)
 
+(* an NDJSON text whose documents repeat: drawn with repetition from a pool
+   of up to four values, so the streaming reduce sees multiplicities above 1
+   (and, at jobs > 1, equal types interned on different domains) *)
+let gen_repeating_ndjson : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let special =
+    oneofl
+      Json.Value.
+        [ Array [];
+          Object [];
+          Array [ Int 1; Float 2.5 ];
+          Object [ ("a", Array []); ("b", Array [ Int 1; String "x" ]) ] ]
+  in
+  let* pool = list_size (int_range 1 4) (frequency [ (1, special); (2, gen_value) ]) in
+  let* docs = list_size (int_range 1 40) (oneofl pool) in
+  return (String.concat "\n" (List.map Json.Printer.to_string docs))
+
+(* the three inference entry points the streaming reduce serves, streaming
+   against tree at jobs 1, 2 and 4 *)
+let reduce_agrees ~equiv text =
+  List.for_all
+    (fun jobs ->
+      let strict engine =
+        match Pipeline.infer_ndjson ~equiv ~engine ~jobs text with
+        | Ok i -> inferred_fingerprint i
+        | Error e -> e
+      in
+      let resilient engine =
+        resilient_fingerprint
+          (Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text)
+      in
+      let supervised engine =
+        match Pipeline.infer_ndjson_supervised ~equiv ~engine ~jobs text with
+        | Ok (inferred, ingest, _) -> resilient_fingerprint (inferred, ingest)
+        | Error e -> e
+      in
+      List.for_all
+        (fun run -> run `Tree = run `Streaming)
+        [ strict; resilient; supervised ])
+    [ 1; 2; 4 ]
+
+let prop_infer_repeating =
+  QCheck2.Test.make ~name:"repeated documents: streaming = tree"
+    ~count:(count 60)
+    ~print:(fun (text, equiv) -> Jtype.Merge.equiv_to_string equiv ^ "\n" ^ text)
+    QCheck2.Gen.(pair gen_repeating_ndjson (oneofl equivs))
+    (fun (text, equiv) -> reduce_agrees ~equiv text)
+
+let test_infer_many_counts_per_type () =
+  (* one type, forty ways to count it (arrays of 1 to 40 elements), each
+     seen three times: more counting values than a group keeps as keys *)
+  let text =
+    String.concat "\n"
+      (List.init 120 (fun i ->
+           Printf.sprintf {|{"v":[%s]}|}
+             (String.concat "," (List.init (1 + (i mod 40)) string_of_int))))
+  in
+  List.iter
+    (fun equiv ->
+      Alcotest.(check bool) (Jtype.Merge.equiv_to_string equiv) true
+        (reduce_agrees ~equiv text))
+    equivs
+
 let prop_infer_differential =
   QCheck2.Test.make ~name:"streaming infer = tree infer (resilient)"
     ~count:(count 120)
@@ -794,7 +857,9 @@ let () =
           Alcotest.test_case "resilient identical" `Quick
             test_infer_resilient_identical;
           Alcotest.test_case "streaming counts docs" `Quick
-            test_infer_streaming_counts_docs ] );
+            test_infer_streaming_counts_docs;
+          Alcotest.test_case "many counts per type" `Quick
+            test_infer_many_counts_per_type ] );
       ( "validation",
         [ Alcotest.test_case "corpus identical" `Quick test_validate_identical;
           Alcotest.test_case "strict identical" `Quick
@@ -815,6 +880,7 @@ let () =
           prop prop_shape_cache_exact ] );
       ( "properties",
         [ prop prop_infer_differential;
+          prop prop_infer_repeating;
           prop prop_validate_differential;
           prop prop_chunked_fold;
           prop prop_skim_chunked ] ) ]
