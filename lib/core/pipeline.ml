@@ -161,8 +161,12 @@ let streaming_plan ~compiled ~engine ~telemetry root =
       | Ok plan -> Some plan
       | Error _ -> None)
 
-let streaming_validate_doc ?config plan () ~options ~telemetry src ~pos =
-  Jsonschema.Compile.run_stream ?config ~options ~telemetry plan src ~pos
+(* one verdict cache per shard, like [streaming_infer_doc]'s scratch *)
+let streaming_validate_doc ?config plan () =
+  let scratch = Jsonschema.Compile.scratch () in
+  fun ~options ~telemetry src ~pos ->
+    Jsonschema.Compile.run_stream ?config ~options ~telemetry ~scratch plan src
+      ~pos
 
 let indexed_failures verdicts =
   List.mapi

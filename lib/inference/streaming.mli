@@ -20,10 +20,10 @@
     canonical one. *)
 
 type scratch
-(** Per-domain scratch state reused across the documents of a shard: a
-    field-name interning table, so a wide-record corpus allocates each
-    distinct key once per shard instead of once per document, and the shape
-    cache. Not thread-safe — one per domain. *)
+(** Per-domain scratch state reused across the documents of a shard, a
+    {!Json.Shape.t}: a field-name interning table, so a wide-record corpus
+    allocates each distinct key once per shard instead of once per
+    document, and the shape cache. Not thread-safe — one per domain. *)
 
 val scratch : unit -> scratch
 

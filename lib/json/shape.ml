@@ -1,0 +1,541 @@
+(* Document shapes over [Lexer.skim], shared by the streaming engines.
+
+   A per-shard [t] holds three things:
+
+   - an open-addressing intern table for field names, so both spellings of
+     a key (raw and escaped) are one string instance, compared by pointer;
+   - the shape of the current document: one code per value or bracket plus
+     the interned field names in document order;
+   - a bounded cache from shapes to whatever the caller derives from a
+     shape (a type for inference, a verdict for validation).
+
+   The budgeted walk helpers below are line-by-line mirrors of
+   [Parser.parse_value]'s accounting: same node and byte spends at the same
+   token positions, same depth checks, same grammar errors. A walk that
+   succeeds has therefore seen exactly the document the tree parser would
+   have accepted. *)
+
+module L = Lexer
+module P = Parser
+
+(* --- the bounded cache ---------------------------------------------------
+
+   An entry is valid for one context: an integer the caller derives from
+   whatever else changes its value for the same shape (equivalence,
+   duplicate-key policy). *)
+
+let dup_context = function
+  | P.Keep_first -> 0
+  | P.Keep_last -> 1
+  | P.Reject -> 2
+  | P.Keep_all -> 3
+
+type 'a entry = {
+  e_hash : int;
+  e_ctx : int;
+  e_codes : string;
+  e_keys : string array;
+  e_value : 'a;
+}
+
+(* The table is emptied wholesale when it reaches [max_entries]: that bounds
+   its memory whatever the input, and a cleared table refills with the
+   shapes still in use. An entry costs at most a byte per node plus a
+   pointer per key, less than the counting value its document yields
+   anyway. 4096 entries hold every distinct shape of the 100k-document
+   tweets corpus (about 3,900). *)
+let max_entries = 4096
+
+let buckets = 2 * max_entries (* a power of two *)
+
+(* After [warmup] documents the cache switches itself off for the rest of
+   the shard as soon as misses outnumber hits: on a corpus of distinct
+   shapes every lookup is a wasted comparison plus a copy of the shape, and
+   the retained entries only cost memory. 1024 documents are enough for a
+   repetitive corpus to show its repeats (the first 1024 tweets already
+   hit 80% of the time) and few enough that a corpus of distinct shapes
+   pays for at most 1024 useless insertions. *)
+let warmup = 1024
+
+(* --- per-shard state ----------------------------------------------------- *)
+
+(* Open-addressing intern table keyed by the *contents* bytes of a field
+   name. Escape-free names are probed directly from their source span — no
+   per-occurrence allocation; names with escapes are materialized first and
+   probed by the same content hash, so both spellings of a key intern to
+   the same string instance. That physical uniqueness is what lets a
+   record close path detect duplicate keys, and the cache confirm a hit,
+   with pointer comparisons. *)
+
+let sentinel = String.make 1 '\000' (* slot emptiness: compared with ==, never = *)
+
+type 'a t = {
+  mutable slots : string array;
+  mutable count : int;
+  mutable reuse : int;
+  mutable key_hash : int; (* content hash of the last interned key *)
+  (* the current document's shape *)
+  mutable codes : Bytes.t;
+  mutable ncodes : int;
+  mutable keys : string array;
+  mutable nkeys : int;
+  mutable shape_hash : int;
+  (* read-back cursors into the shape *)
+  mutable next_code : int;
+  mutable next_key : int;
+  (* the cache; [table] is allocated on first insertion *)
+  mutable table : 'a entry list array;
+  mutable entries : int;
+  mutable caching : bool;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let create () =
+  { slots = Array.make 128 sentinel; count = 0; reuse = 0; key_hash = 0;
+    codes = Bytes.create 256; ncodes = 0; keys = Array.make 64 sentinel;
+    nkeys = 0; shape_hash = 0; next_code = 0; next_key = 0; table = [||];
+    entries = 0; caching = true; hits = 0; misses = 0 }
+
+let reuse sc = sc.reuse
+let key_hash sc = sc.key_hash
+let hits sc = sc.hits
+let misses sc = sc.misses
+let caching sc = sc.caching
+
+let clear sc =
+  sc.table <- [||];
+  sc.entries <- 0;
+  sc.caching <- true;
+  sc.hits <- 0;
+  sc.misses <- 0
+
+(* --- interning ----------------------------------------------------------- *)
+
+(* FNV-1a over a byte span, masked positive. *)
+let content_hash s i stop =
+  let h = ref 0x811c9dc5 in
+  for k = i to stop - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s k)) * 0x01000193 land max_int
+  done;
+  !h
+
+let span_matches src i stop s =
+  let n = String.length s in
+  n = stop - i
+  &&
+  let k = ref 0 in
+  while !k < n && String.unsafe_get s !k = String.unsafe_get src (i + !k) do
+    incr k
+  done;
+  !k = n
+
+let rec add_absent sc s =
+  let mask = Array.length sc.slots - 1 in
+  let h = content_hash s 0 (String.length s) in
+  let rec probe k =
+    let j = (h + k) land mask in
+    if sc.slots.(j) == sentinel then begin
+      sc.slots.(j) <- s;
+      sc.count <- sc.count + 1;
+      if 2 * sc.count > Array.length sc.slots then rehash sc
+    end
+    else probe (k + 1)
+  in
+  probe 0
+
+and rehash sc =
+  let old = sc.slots in
+  sc.slots <- Array.make (2 * Array.length old) sentinel;
+  sc.count <- 0;
+  Array.iter (fun s -> if s != sentinel then add_absent sc s) old
+
+let insert_at sc j s =
+  sc.slots.(j) <- s;
+  sc.count <- sc.count + 1;
+  if 2 * sc.count > Array.length sc.slots then rehash sc;
+  s
+
+(* The probes are loops, not local recursive functions: a closure over the
+   probe's state would be allocated for every key occurrence. *)
+let intern_span sc src i stop =
+  let mask = Array.length sc.slots - 1 in
+  let h = content_hash src i stop in
+  sc.key_hash <- h;
+  let j = ref (h land mask) in
+  while
+    let slot = Array.unsafe_get sc.slots !j in
+    slot != sentinel && not (span_matches src i stop slot)
+  do
+    j := (!j + 1) land mask
+  done;
+  let slot = Array.unsafe_get sc.slots !j in
+  if slot == sentinel then insert_at sc !j (String.sub src i (stop - i))
+  else begin
+    sc.reuse <- sc.reuse + 1;
+    slot
+  end
+
+let intern_string sc s =
+  let mask = Array.length sc.slots - 1 in
+  let h = content_hash s 0 (String.length s) in
+  sc.key_hash <- h;
+  let j = ref (h land mask) in
+  while
+    let slot = Array.unsafe_get sc.slots !j in
+    slot != sentinel && not (String.equal slot s)
+  do
+    j := (!j + 1) land mask
+  done;
+  let slot = Array.unsafe_get sc.slots !j in
+  if slot == sentinel then insert_at sc !j s
+  else begin
+    sc.reuse <- sc.reuse + 1;
+    slot
+  end
+
+(* --- recording ----------------------------------------------------------- *)
+
+let mix h x = (h * 0x01000193) lxor x land max_int
+
+let push_code sc c =
+  if sc.ncodes = Bytes.length sc.codes then begin
+    let bigger = Bytes.create (2 * sc.ncodes) in
+    Bytes.blit sc.codes 0 bigger 0 sc.ncodes;
+    sc.codes <- bigger
+  end;
+  Bytes.unsafe_set sc.codes sc.ncodes c;
+  sc.ncodes <- sc.ncodes + 1;
+  sc.shape_hash <- mix sc.shape_hash (Char.code c)
+
+let push_key sc k =
+  if sc.nkeys = Array.length sc.keys then begin
+    let bigger = Array.make (2 * sc.nkeys) sentinel in
+    Array.blit sc.keys 0 bigger 0 sc.nkeys;
+    sc.keys <- bigger
+  end;
+  Array.unsafe_set sc.keys sc.nkeys k;
+  sc.nkeys <- sc.nkeys + 1;
+  sc.shape_hash <- mix sc.shape_hash sc.key_hash
+
+(* --- reading back -------------------------------------------------------- *)
+
+let rewind sc =
+  sc.next_code <- 0;
+  sc.next_key <- 0
+
+let take_code sc =
+  let c = Bytes.unsafe_get sc.codes sc.next_code in
+  sc.next_code <- sc.next_code + 1;
+  c
+
+let at_close sc c =
+  Bytes.unsafe_get sc.codes sc.next_code = c
+  && begin
+       sc.next_code <- sc.next_code + 1;
+       true
+     end
+
+let take_key sc =
+  let k = sc.keys.(sc.next_key) in
+  sc.next_key <- sc.next_key + 1;
+  k
+
+(* --- lookup -------------------------------------------------------------- *)
+
+let same_shape sc e =
+  let n = sc.ncodes and m = sc.nkeys in
+  String.length e.e_codes = n
+  && Array.length e.e_keys = m
+  &&
+  let i = ref 0 in
+  while !i < n && Bytes.unsafe_get sc.codes !i = String.unsafe_get e.e_codes !i do
+    incr i
+  done;
+  !i = n
+  &&
+  let j = ref 0 in
+  while !j < m && Array.unsafe_get sc.keys !j == Array.unsafe_get e.e_keys !j do
+    incr j
+  done;
+  !j = m
+
+let rec find_in sc ctx = function
+  | [] -> None
+  | e :: rest ->
+      if e.e_hash = sc.shape_hash && e.e_ctx = ctx && same_shape sc e then
+        Some e.e_value
+      else find_in sc ctx rest
+
+let find sc ~ctx =
+  if sc.entries = 0 then None
+  else
+    match find_in sc ctx sc.table.(sc.shape_hash land (buckets - 1)) with
+    | Some _ as hit ->
+        sc.hits <- sc.hits + 1;
+        hit
+    | None -> None
+
+let remember sc ctx v =
+  if sc.entries = 0 || sc.entries >= max_entries then begin
+    sc.table <- Array.make buckets [];
+    sc.entries <- 0
+  end;
+  let e =
+    { e_hash = sc.shape_hash; e_ctx = ctx;
+      e_codes = Bytes.sub_string sc.codes 0 sc.ncodes;
+      e_keys = Array.sub sc.keys 0 sc.nkeys; e_value = v }
+  in
+  let b = sc.shape_hash land (buckets - 1) in
+  sc.table.(b) <- e :: sc.table.(b);
+  sc.entries <- sc.entries + 1
+
+let add sc ~ctx v =
+  sc.misses <- sc.misses + 1;
+  if sc.caching then begin
+    remember sc ctx v;
+    if sc.hits + sc.misses >= warmup && sc.misses > sc.hits then begin
+      sc.caching <- false;
+      sc.table <- [||];
+      sc.entries <- 0
+    end
+  end
+
+(* --- the grammar-and-budget walk ----------------------------------------- *)
+
+type 'a walk = {
+  lx : L.t;
+  sc : 'a t;
+  start : int;
+  max_depth : int;
+  max_nodes : int option;
+  max_doc_bytes : int option;
+  integral : bool;
+  mutable nodes : int;
+  mutable tokens : int;
+  mutable skipped : int;
+}
+
+let walk ?(integral = false) sc (options : P.options) src ~pos =
+  sc.ncodes <- 0;
+  sc.nkeys <- 0;
+  sc.shape_hash <- 0;
+  { lx = L.create ~pos ?max_string_bytes:options.P.max_string_bytes src;
+    sc; start = pos; max_depth = options.P.max_depth;
+    max_nodes = options.P.max_nodes; max_doc_bytes = options.P.max_doc_bytes;
+    integral; nodes = 0; tokens = 0; skipped = 0 }
+
+let next w =
+  w.tokens <- w.tokens + 1;
+  L.skim w.lx
+
+let spend_node w =
+  w.nodes <- w.nodes + 1;
+  match w.max_nodes with
+  | Some limit when w.nodes > limit ->
+      P.fail ~kind:(P.Budget_exceeded P.Nodes_exceeded) (L.tok_pos w.lx)
+        (Printf.sprintf "document exceeds %d nodes" limit)
+  | _ -> ()
+
+(* Byte budget against the last token's start — positions are built lazily,
+   only if the check fails. *)
+let check_bytes_tok w =
+  match w.max_doc_bytes with
+  | Some limit when L.tok_start w.lx - w.start > limit ->
+      P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.tok_pos w.lx)
+        (Printf.sprintf "document exceeds %d bytes" limit)
+  | _ -> ()
+
+let check_bytes_end w =
+  match w.max_doc_bytes with
+  | Some limit when L.offset w.lx - w.start > limit ->
+      P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.position w.lx)
+        (Printf.sprintf "document exceeds %d bytes" limit)
+  | _ -> ()
+
+let check_depth w depth =
+  if depth > w.max_depth then
+    P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position w.lx)
+      "maximum nesting depth exceeded"
+
+let unexpected w what t =
+  P.fail (L.tok_pos w.lx) (Printf.sprintf "expected %s, got %s" what (L.skim_name t))
+
+let intern_key w =
+  let lx = w.lx in
+  let key =
+    if L.last_string_escaped lx then intern_string w.sc (L.string_of_last lx)
+    else
+      intern_span w.sc (L.source lx) (L.last_string_start lx)
+        (L.last_string_stop lx)
+  in
+  push_key w.sc key;
+  key
+
+(* Whether the float literal just skimmed denotes an integral double, as
+   [Float.is_integer] of its parsed value. Without an exponent the literal
+   is decided from its digits: an all-zero fraction is integral (an integer
+   rounds to an integer double), and a non-zero fraction within 15
+   significant digits is not (the distance to the nearest integer, at least
+   10^-f, exceeds half an ulp below 10^15). Anything else is parsed. *)
+let integral_float lx =
+  let src = L.source lx and stop = L.offset lx in
+  let i = ref (L.tok_start lx) in
+  if String.unsafe_get src !i = '-' then incr i;
+  let int_digits = ref 0 in
+  while !i < stop && String.unsafe_get src !i <> '.'
+        && String.unsafe_get src !i <> 'e' && String.unsafe_get src !i <> 'E' do
+    incr int_digits;
+    incr i
+  done;
+  let frac_digits = ref 0 and nonzero = ref false in
+  if !i < stop && String.unsafe_get src !i = '.' then begin
+    incr i;
+    while !i < stop && String.unsafe_get src !i <> 'e' && String.unsafe_get src !i <> 'E' do
+      if String.unsafe_get src !i <> '0' then nonzero := true;
+      incr frac_digits;
+      incr i
+    done
+  end;
+  if !i = stop && not !nonzero then true
+  else if !i = stop && !int_digits + !frac_digits <= 15 then false
+  else
+    let start = L.tok_start lx in
+    match Number.parse (String.sub src start (stop - start)) with
+    | Ok (Number.Float_lit f) -> Float.is_integer f
+    | Ok (Number.Int_lit _) | Error _ -> false
+
+let float_code w = if w.integral && integral_float w.lx then 'g' else 'f'
+
+(* --- recording every token: value, array, elements, object, fields ------- *)
+
+let rec record w depth =
+  check_depth w depth;
+  let tok = next w in
+  spend_node w;
+  check_bytes_tok w;
+  record_tok w tok depth
+
+and record_tok w tok depth =
+  match tok with
+  | L.S_null -> push_code w.sc 'n'
+  | L.S_true | L.S_false -> push_code w.sc 'b'
+  | L.S_int -> push_code w.sc 'i'
+  | L.S_float -> push_code w.sc (float_code w)
+  | L.S_string -> push_code w.sc 's'
+  | L.S_lbracket ->
+      push_code w.sc '[';
+      record_array w depth
+  | L.S_lbrace ->
+      push_code w.sc '{';
+      record_object w depth
+  | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
+      unexpected w "a value" tok
+
+and record_array w depth =
+  (* [parse_value] peeks for ']', lexing the first element's token before
+     its depth check; reading the token first reproduces that failure
+     order exactly. *)
+  match next w with
+  | L.S_rbracket -> push_code w.sc ']'
+  | tok ->
+      check_depth w (depth + 1);
+      spend_node w;
+      check_bytes_tok w;
+      record_tok w tok (depth + 1);
+      record_elements w depth
+
+and record_elements w depth =
+  match next w with
+  | L.S_comma ->
+      record w (depth + 1);
+      record_elements w depth
+  | L.S_rbracket -> push_code w.sc ']'
+  | t -> unexpected w "',' or ']'" t
+
+and record_object w depth =
+  match next w with
+  | L.S_rbrace -> push_code w.sc '}'
+  | tok -> record_fields w depth tok
+
+and record_fields w depth tok =
+  match tok with
+  | L.S_string -> (
+      ignore (intern_key w);
+      match next w with
+      | L.S_colon -> (
+          record w (depth + 1);
+          match next w with
+          | L.S_comma -> record_fields w depth (next w)
+          | L.S_rbrace -> push_code w.sc '}'
+          | t -> unexpected w "',' or '}'" t)
+      | t -> unexpected w "':'" t)
+  | t -> unexpected w "a field name" t
+
+(* --- skipping: the same checks, nothing recorded, no tokens counted ------ *)
+
+let rec skim_value w depth =
+  check_depth w depth;
+  let tok = L.skim w.lx in
+  spend_node w;
+  check_bytes_tok w;
+  skim_tok w tok depth
+
+and skim_tok w tok depth =
+  match tok with
+  | L.S_null | L.S_true | L.S_false | L.S_int | L.S_float | L.S_string -> ()
+  | L.S_lbracket -> skim_array w depth
+  | L.S_lbrace -> skim_object w depth
+  | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
+      unexpected w "a value" tok
+
+and skim_array w depth =
+  match L.skim w.lx with
+  | L.S_rbracket -> ()
+  | tok ->
+      check_depth w (depth + 1);
+      spend_node w;
+      check_bytes_tok w;
+      skim_tok w tok (depth + 1);
+      skim_elements w depth
+
+and skim_elements w depth =
+  match L.skim w.lx with
+  | L.S_comma ->
+      skim_value w (depth + 1);
+      skim_elements w depth
+  | L.S_rbracket -> ()
+  | t -> unexpected w "',' or ']'" t
+
+and skim_object w depth =
+  match L.skim w.lx with
+  | L.S_rbrace -> ()
+  | tok -> skim_fields w depth tok
+
+and skim_fields w depth tok =
+  match tok with
+  | L.S_string -> (
+      match L.skim w.lx with
+      | L.S_colon -> (
+          skim_value w (depth + 1);
+          match L.skim w.lx with
+          | L.S_comma -> skim_fields w depth (L.skim w.lx)
+          | L.S_rbrace -> ()
+          | t -> unexpected w "',' or '}'" t)
+      | t -> unexpected w "':'" t)
+  | t -> unexpected w "a field name" t
+
+let skip w depth =
+  let before = L.offset w.lx in
+  skim_value w depth;
+  w.skipped <- w.skipped + (L.offset w.lx - before);
+  push_code w.sc 'x'
+
+let skip_tok w tok depth =
+  let before = L.offset w.lx in
+  check_depth w depth;
+  spend_node w;
+  check_bytes_tok w;
+  skim_tok w tok depth;
+  w.skipped <- w.skipped + (L.offset w.lx - before);
+  push_code w.sc 'x'

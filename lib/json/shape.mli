@@ -1,0 +1,126 @@
+(** Document shapes over {!Lexer.skim}, shared by the streaming engines.
+
+    The records of a corpus repeat their shape — the premise of Fad.js's
+    type-aware parsing. A document's {e shape} is one code per value or
+    bracket plus its field names in document order. Codes: ['n'] null,
+    ['b'] boolean, ['i'] integer, ['f'] float (['g'] an integral float,
+    when the walk tells them apart), ['s'] string, ['['] [']'] array
+    brackets, ['{'] ['}'] record braces, and ['x'] for a subtree the
+    walker stepped over without recording it. A record member is its key
+    (the next entry of the key list) followed by its value's codes.
+
+    A per-shard {!t} interns field names (both spellings of a key, raw and
+    escaped, become one string instance), records the current document's
+    shape, and caches whatever the caller derives from a shape: a type for
+    inference, a verdict for validation. Not thread-safe — one per domain.
+
+    The walk helpers mirror {!Parser.parse_value}'s accounting exactly
+    (node and byte budgets spent at the same token positions, the same
+    depth checks, the same grammar), so a walk that succeeds has accepted
+    exactly what the tree parser accepts. Their failures are the parser's
+    {!Parser.Parse_error} and lexer exceptions; run a walk under
+    {!Parser.run}. *)
+
+type 'a t
+
+val create : unit -> 'a t
+
+(** {1 The bounded cache} *)
+
+val warmup : int
+(** 1024: after this many documents the cache switches itself off for the
+    rest of the shard as soon as misses outnumber hits. The cache is also
+    emptied wholesale whenever it holds 4096 entries. *)
+
+val dup_context : Parser.dup_policy -> int
+(** A distinct context in [0 .. 3] per duplicate-key policy, which decides
+    the members a shape with repeated keys resolves to. *)
+
+val find : 'a t -> ctx:int -> 'a option
+(** The value cached for the recorded shape under context [ctx], confirmed
+    by comparing the whole shape (codes byte by byte, keys by pointer),
+    never the hash alone. A hit bumps {!hits}. *)
+
+val add : 'a t -> ctx:int -> 'a -> unit
+(** Count a miss and, while {!caching}, remember the value for the
+    recorded shape under [ctx]; may switch the cache off (see {!warmup}). *)
+
+val caching : 'a t -> bool
+val hits : 'a t -> int
+val misses : 'a t -> int
+
+val reuse : 'a t -> int
+(** Field-name occurrences found already interned. *)
+
+val content_hash : string -> int -> int -> int
+(** [content_hash s i stop]: the intern table's hash (FNV-1a, positive) of
+    the bytes [s.[i .. stop - 1]]. *)
+
+val key_hash : 'a t -> int
+(** The {!content_hash} of the key interned last. *)
+
+val clear : 'a t -> unit
+(** Forget every entry, reset the counters and switch the cache back on;
+    the intern table stays. *)
+
+(** {1 Reading a recorded shape back} *)
+
+val rewind : 'a t -> unit
+val take_code : 'a t -> char
+val at_close : 'a t -> char -> bool
+(** Consume the next code if it is the given closing bracket. *)
+
+val take_key : 'a t -> string
+
+(** {1 Walking one document} *)
+
+type 'a walk = {
+  lx : Lexer.t;
+  sc : 'a t;
+  start : int;
+  max_depth : int;
+  max_nodes : int option;
+  max_doc_bytes : int option;
+  integral : bool;
+      (** record a float as ['g'] when [Float.is_integer] holds of its
+          value *)
+  mutable nodes : int;  (** nodes spent, as [parse.nodes] counts them *)
+  mutable tokens : int;  (** tokens read through {!next} *)
+  mutable skipped : int;  (** bytes stepped over by {!skip} / {!skip_tok} *)
+}
+
+val walk :
+  ?integral:bool -> 'a t -> Parser.options -> string -> pos:int -> 'a walk
+(** Start a walk of the document at byte [pos] and clear the recorded
+    shape. *)
+
+val next : 'a walk -> Lexer.skim_tok
+(** {!Lexer.skim}, counted in [tokens]. *)
+
+val spend_node : 'a walk -> unit
+val check_bytes_tok : 'a walk -> unit
+val check_bytes_end : 'a walk -> unit
+val check_depth : 'a walk -> int -> unit
+val unexpected : 'a walk -> string -> Lexer.skim_tok -> 'b
+
+val push_code : 'a t -> char -> unit
+
+val intern_key : 'a walk -> string
+(** Intern the string token just skimmed and record it as the next key. *)
+
+val record : 'a walk -> int -> unit
+(** Read and record one value at the given depth, every token counted. *)
+
+val record_tok : 'a walk -> Lexer.skim_tok -> int -> unit
+(** {!record} for a value whose first token is already read, counted and
+    budget-checked. *)
+
+val skip : 'a walk -> int -> unit
+(** Check one value at the given depth exactly as {!record} would, but
+    record it as the single code ['x'] and count none of its tokens; its
+    bytes, from the current offset to its end, go to [skipped]. *)
+
+val skip_tok : 'a walk -> Lexer.skim_tok -> int -> unit
+(** {!skip} for a value whose first token is already read (and not
+    counted): the depth, node and byte checks run here, and [skipped]
+    counts from the end of that token. *)

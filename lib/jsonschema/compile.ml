@@ -768,10 +768,56 @@ type access = A_full | A_skip | A_node of node_access
 and node_access = {
   a_str : bool;              (* string contents inspected here *)
   a_props : (string * access) list;  (* first-wins, like [props_tbl] *)
+  a_index : (string * access) array; (* [a_props], for the walks *)
   a_other : access;          (* fields not named in [a_props] *)
   a_prefix : access list;    (* tuple prefix, from [Items_many] *)
   a_elems : access;          (* elements past the prefix *)
 }
+
+(* [a_index] is an open-addressing table on [Json.Shape.content_hash], the
+   hash the shape walk has already computed when it interned the key. It is
+   built eagerly, here, and never written afterwards: plans are shared
+   across domains, and a wide schema's walk looks every member up in it.
+   Its size is a power of two above the entry count, so a probe always
+   ends at a [vacant] slot or at the key. *)
+let vacant = ("", A_skip)
+
+let node_access ~a_str ~a_props ~a_other ~a_prefix ~a_elems =
+  let n = List.length a_props in
+  let size = ref 1 in
+  while !size <= n do size := 2 * !size done;
+  let a_index = Array.make (2 * !size) vacant in
+  let mask = Array.length a_index - 1 in
+  List.iter
+    (fun ((k, _) as entry) ->
+      let j = ref (Json.Shape.content_hash k 0 (String.length k) land mask) in
+      while a_index.(!j) != vacant && not (String.equal (fst a_index.(!j)) k) do
+        j := (!j + 1) land mask
+      done;
+      (* first binding wins *)
+      if a_index.(!j) == vacant then a_index.(!j) <- entry)
+    a_props;
+  A_node { a_str; a_props; a_index; a_other; a_prefix; a_elems }
+
+(* the access of member [k], whose content hash is [h] *)
+let hashed_key_access na k h =
+  let idx = na.a_index in
+  let mask = Array.length idx - 1 in
+  let j = ref (h land mask) in
+  while
+    let e = Array.unsafe_get idx !j in
+    e != vacant && not (String.equal (fst e) k)
+  do
+    j := (!j + 1) land mask
+  done;
+  let e = Array.unsafe_get idx !j in
+  if e == vacant then na.a_other else snd e
+
+let key_access na k =
+  hashed_key_access na k (Json.Shape.content_hash k 0 (String.length k))
+
+let elem_access na i =
+  match List.nth_opt na.a_prefix i with Some a -> a | None -> na.a_elems
 
 let rec access_join a b =
   match (a, b) with
@@ -797,12 +843,9 @@ let rec access_join a b =
         List.init plen (fun i ->
             access_join (nth x.a_prefix x.a_elems i) (nth y.a_prefix y.a_elems i))
       in
-      A_node
-        { a_str = x.a_str || y.a_str;
-          a_props;
-          a_other = access_join x.a_other y.a_other;
-          a_prefix;
-          a_elems = access_join x.a_elems y.a_elems }
+      node_access ~a_str:(x.a_str || y.a_str) ~a_props
+        ~a_other:(access_join x.a_other y.a_other) ~a_prefix
+        ~a_elems:(access_join x.a_elems y.a_elems)
 
 let rec access_of (s : Schema.t) : access =
   match s with
@@ -849,7 +892,7 @@ let rec access_of (s : Schema.t) : access =
                      | None -> A_skip
                      | Some s -> access_of s) )
         in
-        let own = A_node { a_str; a_props; a_other; a_prefix; a_elems } in
+        let own = node_access ~a_str ~a_props ~a_other ~a_prefix ~a_elems in
         (* everything applied to the same value joins at this level *)
         let subs =
           List.map access_of
@@ -867,11 +910,62 @@ let rec access_of (s : Schema.t) : access =
         List.fold_left access_join own subs
       end
 
+(* --- shape-decided plans -------------------------------------------------- *)
+
+(* Every subschema a node's keywords can apply, to the node's value or
+   below it. *)
+let subschemas (n : Schema.node) =
+  List.map snd n.Schema.properties
+  @ List.map (fun (_, _, s) -> s) n.Schema.pattern_properties
+  @ (match n.Schema.items with
+     | None -> []
+     | Some (Schema.Items_one s) -> [ s ]
+     | Some (Schema.Items_many ss) -> ss)
+  @ List.filter_map
+      (fun (_, dep) ->
+        match dep with
+        | Schema.Dep_schema s -> Some s
+        | Schema.Dep_required _ -> None)
+      n.Schema.dependencies
+  @ n.Schema.all_of @ n.Schema.any_of @ n.Schema.one_of
+  @ List.filter_map Fun.id
+      [ n.Schema.additional_properties; n.Schema.property_names;
+        n.Schema.additional_items; n.Schema.contains; n.Schema.not_;
+        n.Schema.if_; n.Schema.then_; n.Schema.else_ ]
+
+(* Whether the plan reads nothing of a value but its kind, its keys and its
+   counts, so that verdict, error list and keyword counters are functions
+   of the document's shape. Every keyword that compares payloads (literals,
+   numeric bounds, string contents, element equality) or leaves the
+   schema's static structure ([$ref]) puts the plan outside. The one
+   payload property [type] reads is whether a float is integral, for
+   [integer]; {!types_integer} makes the shape key carry it. *)
+let rec shape_decided (s : Schema.t) =
+  match s with
+  | Schema.Bool_schema _ -> true
+  | Schema.Schema n ->
+      n.Schema.ref_ = None && n.Schema.enum = None && n.Schema.const = None
+      && n.Schema.minimum = None && n.Schema.maximum = None
+      && n.Schema.exclusive_minimum = None && n.Schema.exclusive_maximum = None
+      && n.Schema.multiple_of = None && n.Schema.min_length = None
+      && n.Schema.max_length = None && n.Schema.pattern = None
+      && n.Schema.format = None && not n.Schema.unique_items
+      && List.for_all shape_decided (subschemas n)
+
+let rec types_integer (s : Schema.t) =
+  match s with
+  | Schema.Bool_schema _ -> false
+  | Schema.Schema n ->
+      (match n.Schema.types with Some ts -> List.mem `Integer ts | None -> false)
+      || List.exists types_integer (subschemas n)
+
 (* --- plans -------------------------------------------------------------- *)
 
 type plan = {
   check : cc;
   access : access;
+  by_shape : bool;  (* [shape_decided] of the schema *)
+  integral : bool;  (* the shape key tells integral floats apart *)
   nodes : int;
   pruned : int;
   ref_targets : int;
@@ -911,6 +1005,8 @@ let compile ?(telemetry = Telemetry.nop) root =
       Ok
         { check;
           access = access_of s;
+          by_shape = shape_decided s;
+          integral = types_integer s;
           nodes = b.st.nodes;
           pruned = b.st.pruned;
           ref_targets = b.st.ref_targets;
@@ -1004,8 +1100,7 @@ let walk_pruned ~options ~telemetry access src ~pos =
       let elem_access i =
         match a with
         | A_full -> A_full
-        | A_node na ->
-            Option.value ~default:na.a_elems (List.nth_opt na.a_prefix i)
+        | A_node na -> elem_access na i
         | A_skip -> assert false
       in
       match L.peek lx with
@@ -1028,7 +1123,7 @@ let walk_pruned ~options ~telemetry access src ~pos =
       let key_access k =
         match a with
         | A_full -> A_full
-        | A_node na -> Option.value ~default:na.a_other (List.assoc_opt k na.a_props)
+        | A_node na -> key_access na k
         | A_skip -> assert false
       in
       match L.peek lx with
@@ -1079,17 +1174,194 @@ let walk_pruned ~options ~telemetry access src ~pos =
       Ok (v, stop)
   | Error _ as e -> e
 
-let run_stream ?(config = Validate.default_config)
-    ?(options = Json.Parser.default_options) ?(telemetry = Telemetry.nop) plan
-    src ~pos =
+(* the canonical fallback: the tree parser owns failure reporting (and its
+   error telemetry); if it succeeds after all, validate its tree *)
+let tree_fallback ~config ~options ~telemetry plan src ~pos =
+  match Json.Parser.parse_substring ~options ~telemetry src ~pos with
+  | Ok (v, stop) -> Ok (run ~config plan v, stop)
+  | Error e -> Error e
+
+let walk_and_run ~config ~options ~telemetry plan src ~pos =
   match walk_pruned ~options ~telemetry plan.access src ~pos with
   | Ok (v, stop) -> Ok (run ~config plan v, stop)
-  | Error _ -> (
-      (* canonical fallback: the tree parser owns failure reporting (and its
-         error telemetry); if it succeeds after all, validate its tree *)
-      match Json.Parser.parse_substring ~options ~telemetry src ~pos with
-      | Ok (v, stop) -> Ok (run ~config plan v, stop)
-      | Error e -> Error e)
+  | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos
+
+(* --- the per-shape verdict cache ------------------------------------------
+
+   For a shape-decided plan, two documents of one shape get one verdict, one
+   error list and one set of keyword counters. The shape is recorded by one
+   [Lexer.skim] pass that follows the plan's access tree as [walk_pruned]
+   does: a subtree the plan ignores is skimmed and recorded as the single
+   code 'x', everything else is recorded code by code, so the pass reads,
+   counts and skips exactly the tokens [walk_pruned] reads, counts and
+   skips. A hit answers from the cache; a miss validates with
+   [walk_pruned] and [run] and caches the outcome. The budgets, depth and
+   grammar of every document are checked by its own pass, hit or miss. *)
+
+module S = Json.Shape
+
+let rec shape_value w a depth =
+  match a with
+  | A_skip -> S.skip w depth
+  | A_full -> S.record w depth
+  | A_node na ->
+      S.check_depth w depth;
+      let tok = S.next w in
+      S.spend_node w;
+      S.check_bytes_tok w;
+      shape_tok w na tok depth
+
+and shape_tok w na tok depth =
+  match tok with
+  | Json.Lexer.S_lbracket ->
+      S.push_code w.S.sc '[';
+      shape_array w na depth
+  | Json.Lexer.S_lbrace ->
+      S.push_code w.S.sc '{';
+      shape_object w na depth
+  | tok -> S.record_tok w tok depth
+
+and shape_array w na depth =
+  (* [walk_pruned] peeks the first element's token and counts it only when
+     it walks that element *)
+  match Json.Lexer.skim w.S.lx with
+  | Json.Lexer.S_rbracket ->
+      w.S.tokens <- w.S.tokens + 1;
+      S.push_code w.S.sc ']'
+  | tok ->
+      (match elem_access na 0 with
+       | A_skip -> S.skip_tok w tok (depth + 1)
+       | a -> (
+           w.S.tokens <- w.S.tokens + 1;
+           S.check_depth w (depth + 1);
+           S.spend_node w;
+           S.check_bytes_tok w;
+           match a with
+           | A_node na' -> shape_tok w na' tok (depth + 1)
+           | A_full | A_skip -> S.record_tok w tok (depth + 1)));
+      shape_elements w na 1 depth
+
+and shape_elements w na i depth =
+  match S.next w with
+  | Json.Lexer.S_comma ->
+      shape_value w (elem_access na i) (depth + 1);
+      shape_elements w na (i + 1) depth
+  | Json.Lexer.S_rbracket -> S.push_code w.S.sc ']'
+  | t -> S.unexpected w "',' or ']'" t
+
+and shape_object w na depth =
+  match S.next w with
+  | Json.Lexer.S_rbrace -> S.push_code w.S.sc '}'
+  | tok -> shape_fields w na depth tok
+
+and shape_fields w na depth tok =
+  match tok with
+  | Json.Lexer.S_string -> (
+      let key = S.intern_key w in
+      match S.next w with
+      | Json.Lexer.S_colon -> (
+          shape_value w
+            (hashed_key_access na key (S.key_hash w.S.sc))
+            (depth + 1);
+          match S.next w with
+          | Json.Lexer.S_comma -> shape_fields w na depth (S.next w)
+          | Json.Lexer.S_rbrace -> S.push_code w.S.sc '}'
+          | t -> S.unexpected w "',' or '}'" t)
+      | t -> S.unexpected w "':'" t)
+  | t -> S.unexpected w "a field name" t
+
+(* What one run of the plan produced: its verdict and, under a recording
+   sink, the counters and gauges it emitted ([validate.kw.*],
+   [validate.max_depth]), replayed on every hit. *)
+type outcome = {
+  verdict : (unit, error list) result;
+  counters : (string * int) list;
+  gauges : (string * float) list;
+}
+
+(* Entries hold for one plan and one config (its sink included); the
+   duplicate-key policy, which picks the members a shape resolves to, is
+   the entry's context. *)
+type scratch = {
+  shapes : outcome S.t;
+  mutable bound : (plan * Validate.config) option;
+}
+
+let scratch () = { shapes = S.create (); bound = None }
+
+let bind sc plan config =
+  match sc.bound with
+  | Some (p, c) when p == plan && c == config -> ()
+  | Some _ | None ->
+      S.clear sc.shapes;
+      sc.bound <- Some (plan, config)
+
+(* Run the plan on a sink of its own, so the counters it emits are counted
+   once on the caller's sink by the replay, never twice. *)
+let run_captured ~config plan v =
+  if not (Telemetry.is_recording config.Validate.telemetry) then
+    { verdict = run ~config plan v; counters = []; gauges = [] }
+  else begin
+    let capture = Telemetry.create () in
+    let verdict =
+      run ~config:{ config with Validate.telemetry = capture } plan v
+    in
+    let snap = Telemetry.snapshot capture in
+    { verdict; counters = snap.Telemetry.counters; gauges = snap.Telemetry.gauges }
+  end
+
+let replay tele o =
+  List.iter (fun (k, n) -> Telemetry.count tele k n) o.counters;
+  List.iter (fun (k, x) -> Telemetry.gauge_max tele k x) o.gauges
+
+let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
+  let w = S.walk ~integral:plan.integral sc.shapes options src ~pos in
+  match
+    Json.Parser.run w.S.lx (fun () ->
+        shape_value w plan.access 0;
+        S.check_bytes_end w)
+  with
+  | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos
+  | Ok () -> (
+      let ctx = S.dup_context options.Json.Parser.dup_keys in
+      match S.find sc.shapes ~ctx with
+      | Some o ->
+          let stop = Json.Lexer.offset w.S.lx in
+          Json.Parser.emit_doc telemetry options ~bytes:(stop - pos)
+            ~nodes:w.S.nodes;
+          if Telemetry.is_recording telemetry then begin
+            Telemetry.count telemetry "stream.tokens" w.S.tokens;
+            Telemetry.count telemetry "stream.skipped_bytes" w.S.skipped;
+            Telemetry.count telemetry "stream.shape.hits" 1
+          end;
+          replay config.Validate.telemetry o;
+          Ok (o.verdict, stop)
+      | None -> (
+          match walk_pruned ~options ~telemetry plan.access src ~pos with
+          | Ok (v, stop) ->
+              let o = run_captured ~config plan v in
+              replay config.Validate.telemetry o;
+              S.add sc.shapes ~ctx o;
+              Telemetry.count telemetry "stream.shape.misses" 1;
+              Ok (o.verdict, stop)
+          | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos))
+
+let run_stream ?(config = Validate.default_config)
+    ?(options = Json.Parser.default_options) ?(telemetry = Telemetry.nop)
+    ?scratch plan src ~pos =
+  match scratch with
+  | Some sc when plan.by_shape && options.Json.Parser.dup_keys <> Json.Parser.Reject
+    ->
+      bind sc plan config;
+      if S.caching sc.shapes then
+        run_by_shape sc ~config ~options ~telemetry plan src ~pos
+      else begin
+        (* switched off: the documents are validated by the walk alone *)
+        let r = walk_and_run ~config ~options ~telemetry plan src ~pos in
+        if Result.is_ok r then Telemetry.count telemetry "stream.shape.misses" 1;
+        r
+      end
+  | Some _ | None -> walk_and_run ~config ~options ~telemetry plan src ~pos
 
 (* --- fingerprint-keyed plan cache --------------------------------------- *)
 

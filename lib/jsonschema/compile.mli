@@ -34,10 +34,19 @@ val run :
 
 val is_valid : ?config:Validate.config -> plan -> Json.Value.t -> bool
 
+type scratch
+(** Per-domain state of {!run_stream}'s verdict cache: a {!Json.Shape}
+    intern table, shape buffers and bounded cache. Its entries hold for
+    one plan and one config; handing it another empties it. Not
+    thread-safe — one per domain. *)
+
+val scratch : unit -> scratch
+
 val run_stream :
   ?config:Validate.config ->
   ?options:Json.Parser.options ->
   ?telemetry:Telemetry.sink ->
+  ?scratch:scratch ->
   plan ->
   string ->
   pos:int ->
@@ -51,11 +60,23 @@ val run_stream :
     payloads with no string-content keyword — are validated and skipped at
     token level ({!Fastjson.Rawscan.skim_value}) without allocation.
 
+    With a [scratch], a plan whose keywords read only kinds, keys and
+    counts ([type], the object and array structure keywords, boolean
+    schemas and the combinators over them; no [enum], [const], numeric or
+    string keyword, [format], [uniqueItems] or [$ref]) validates each
+    distinct document shape once: one {!Json.Lexer.skim} pass records the
+    shape, following the access tree, and a repeat is answered from the
+    scratch's cache, replaying the keyword counters its first run emitted.
+    The [Reject] duplicate-key policy and plans outside that fragment take
+    the walk alone.
+
     Byte-identical to [Json.Parser.parse_substring] followed by {!run}:
     same parse errors (position/message/kind and [parse.*] telemetry on
     [telemetry]), same verdicts, error lists, and [validate.kw.*] counters
     (on [config]'s sink), enforced by the differential oracle. Extra
-    telemetry on success: [stream.tokens] and [stream.skipped_bytes].
+    telemetry on success: [stream.tokens] and [stream.skipped_bytes], and
+    with a scratch serving the plan one of [stream.shape.hits] (answered
+    from the cache) / [stream.shape.misses] (validated by the walk).
     Returns the verdict and the offset one past the document. *)
 
 val validate :

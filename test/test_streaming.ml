@@ -188,6 +188,60 @@ let test_validate_strict_identical () =
   | Error a, Error b -> Alcotest.(check string) "same abort" a b
   | _ -> Alcotest.fail "messy corpus must abort strictly"
 
+(* dead letters record the attempt that produced them; a retried shard's
+   letters are otherwise the unsupervised run's *)
+let forget_attempts (r : Resilient.ingest) =
+  { r with
+    Resilient.dead =
+      List.map
+        (fun (d : Resilient.dead_letter) -> { d with Resilient.attempts = 1 })
+        r.Resilient.dead }
+
+(* The supervised shard runs the same per-shard validator as the plain
+   path: under transient worker faults and enough retries, its failures
+   and ingest equal [validate_ndjson]'s, for both engines and any jobs. *)
+let test_validate_supervised_identical () =
+  let policy =
+    { Supervisor.default_policy with
+      Supervisor.max_attempts = 3;
+      base_backoff_ms = 0.0;
+      max_backoff_ms = 0.0 }
+  in
+  let inject = Chaos.worker_faults ~seed:5 ~rate:0.5 () in
+  let retried = ref 0 in
+  List.iter
+    (fun (cname, text) ->
+      List.iter
+        (fun engine ->
+          List.iter
+            (fun jobs ->
+              let label =
+                Printf.sprintf "%s %s jobs=%d" cname
+                  (match engine with `Tree -> "tree" | `Streaming -> "streaming")
+                  jobs
+              in
+              let pi, pf =
+                Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text
+              in
+              match
+                Pipeline.validate_ndjson_supervised ~policy ~inject ~engine
+                  ~jobs ~root:orders_schema text
+              with
+              | Error e -> Alcotest.fail (label ^ ": " ^ e)
+              | Ok (si, sf, sup) ->
+                  retried := !retried + sup.Pipeline.sup_stats.Supervisor.retries;
+                  Alcotest.(check int) (label ^ " nothing poisoned") 0
+                    sup.Pipeline.sup_stats.Supervisor.poisoned;
+                  Alcotest.(check string) (label ^ " failures")
+                    (failures_fingerprint pf) (failures_fingerprint sf);
+                  Alcotest.(check string) (label ^ " ingest")
+                    (ingest_fingerprint pi)
+                    (ingest_fingerprint (forget_attempts si)))
+            [ 1; 2; 4 ])
+        [ `Tree; `Streaming ])
+    [ ("orders", orders_text); ("messy", messy_text) ];
+  Alcotest.(check bool) "faults were injected and retried" true (!retried > 0)
+
 (* Full conformance corpus: every group's test documents as one NDJSON
    collection, validated with both engines, plan cache on and off. The
    streaming engine must agree with the tree engine on every case —
@@ -635,6 +689,7 @@ type template =
   | T_int
   | T_float of int (* spelling: 0 like 1.0, 1 like 1e2, 2 like -2.5E-3 *)
   | T_str
+  | T_num of string (* a number literal, verbatim *)
   | T_arr of template list
   | T_obj of (int * template) list (* index into [template_keys] *)
 
@@ -665,6 +720,7 @@ let rec render st b t =
   | T_str ->
       Buffer.add_string b
         [| {|""|}; {|"x"|}; {|"two\nlines"|}; {|"été"|}; {|"plain text"|} |].(int 5)
+  | T_num literal -> Buffer.add_string b literal
   | T_arr items ->
       Buffer.add_char b '[';
       List.iteri
@@ -844,6 +900,359 @@ let test_shape_cache_switch_off () =
   Alcotest.(check int) "fresh: misses" 3 (counter sink "stream.shape.misses");
   Alcotest.(check int) "fresh: reuse" (600 - 4) (counter sink "stream.scratch.reuse")
 
+(* --- verdict cache ----------------------------------------------------------
+
+   [run_stream ~scratch] validates each distinct document shape once when
+   the plan reads only kinds, keys and counts. The cache must be invisible:
+   same verdicts, error lists, dead letters and telemetry as the tree
+   engine, whatever the scratch has seen before. *)
+
+let compile root =
+  match Jsonschema.Compile.compile root with
+  | Ok plan -> plan
+  | Error _ -> Alcotest.fail "schema must compile"
+
+(* One scratch per shard, as [Pipeline] creates it, under any parse
+   options (the pipelines always use [Keep_last]). *)
+let cached_validate ?(options = Json.Parser.default_options) ?config
+    ?telemetry ~jobs ~root text =
+  let plan = compile root in
+  let verdicts, dead, report =
+    Parallel.ingest_with ~options ~jobs ?telemetry
+      ~parse_doc:(fun () ->
+        let scratch = Jsonschema.Compile.scratch () in
+        fun ~options ~telemetry src ~pos ->
+          Jsonschema.Compile.run_stream ?config ~options ~telemetry ~scratch plan
+            src ~pos)
+      text
+  in
+  ( { Resilient.docs = []; dead; report },
+    List.concat
+      (List.mapi
+         (fun i v -> match v with Ok () -> [] | Error es -> [ (i, es) ])
+         verdicts) )
+
+(* the interpreter over the tree parser's documents *)
+let tree_validate ?(options = Json.Parser.default_options) ?config ?telemetry
+    ~jobs ~root text =
+  let r = Parallel.ingest ~options ~jobs ?telemetry text in
+  ( { r with Resilient.docs = [] },
+    Parallel.validate ?config ~compiled:false ~jobs ?telemetry ~root
+      r.Resilient.docs )
+
+(* the telemetry both engines share: every parse.*, ingest.* and
+   validate.kw.* counter, and the validate.max_depth gauge (the interpreter
+   adds its own ref-resolution count, the compiler its plan metrics) *)
+let shared_telemetry sink =
+  let snap = Telemetry.snapshot sink in
+  let keep (k, _) =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix k)
+      [ "parse."; "ingest."; "validate.kw." ]
+  in
+  ( List.filter keep snap.Telemetry.counters,
+    List.filter (fun (k, _) -> k = "validate.max_depth") snap.Telemetry.gauges )
+
+let telemetry_fingerprint sink =
+  let counters, gauges = shared_telemetry sink in
+  String.concat ","
+    (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) counters
+    @ List.map (fun (k, x) -> Printf.sprintf "%s=%g" k x) gauges)
+
+let same_validation ?options ~jobs ~root text =
+  let sink_c = Telemetry.create () and sink_t = Telemetry.create () in
+  let config sink =
+    { Jsonschema.Validate.default_config with
+      Jsonschema.Validate.telemetry = sink }
+  in
+  let ci, cf =
+    cached_validate ?options ~config:(config sink_c) ~telemetry:sink_c ~jobs
+      ~root text
+  and ti, tf =
+    tree_validate ?options ~config:(config sink_t) ~telemetry:sink_t ~jobs
+      ~root text
+  in
+  failures_fingerprint cf = failures_fingerprint tf
+  && ingest_fingerprint ci = ingest_fingerprint ti
+  && telemetry_fingerprint sink_c = telemetry_fingerprint sink_t
+
+(* number spellings whose kinds differ under [integer]: integral and
+   fractional floats, an exponent, an integer literal past the native int
+   range (a float), and a negative zero *)
+let verdict_templates =
+  [ T_obj [ (0, T_num "1.0") ];
+    T_obj [ (0, T_num "1.5") ];
+    T_obj [ (0, T_num "1e2") ];
+    T_obj [ (0, T_num "12345678901234567890") ];
+    T_obj [ (0, T_int); (1, T_str); (0, T_float 0) ];
+    T_obj [ (3, T_obj [ (3, T_null); (3, T_bool) ]); (2, T_arr []); (1, T_obj []) ];
+    T_arr [ T_arr [ T_int; T_arr [] ]; T_arr [ T_num "1.0"; T_str ] ];
+    T_obj [ (1, T_arr [ T_obj [ (0, T_num "-0.0") ]; T_arr [ T_arr [ T_num "2.50" ] ] ]) ] ]
+
+(* Random schemas of the shape-decided fragment over the template keys. *)
+let gen_fragment_schema : Json.Value.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let module V = Json.Value in
+  let key = oneofl (Array.to_list template_keys) in
+  let keys = map (List.sort_uniq compare) (list_size (int_range 1 2) key) in
+  let strings ks = V.Array (List.map (fun k -> V.String k) ks) in
+  let type_names =
+    [ "null"; "boolean"; "integer"; "number"; "string"; "array"; "object" ]
+  in
+  let gen_type =
+    map
+      (fun ts ->
+        match List.sort_uniq compare ts with
+        | [ t ] -> V.String t
+        | ts -> V.Array (List.map (fun t -> V.String t) ts))
+      (list_size (int_range 1 3) (oneofl type_names))
+  in
+  let leaf =
+    oneof
+      [ return (V.Bool true); return (V.Bool false);
+        map (fun t -> V.Object [ ("type", t) ]) gen_type ]
+  in
+  int_range 0 3
+  >>= fix (fun self n ->
+          if n <= 0 then leaf
+          else
+            let sub = self (n - 1) in
+            let subs = list_size (int_range 1 2) sub in
+            let keyword =
+              oneof
+                [ map (fun t -> ("type", t)) gen_type;
+                  map (fun t -> ("type", t)) gen_type;
+                  map
+                    (fun ps -> ("properties", V.Object ps))
+                    (list_size (int_range 1 3) (pair key sub));
+                  map (fun s -> ("patternProperties", V.Object [ ("^a", s) ])) sub;
+                  map (fun s -> ("additionalProperties", s)) sub;
+                  map (fun ks -> ("required", strings ks)) keys;
+                  map (fun n -> ("minProperties", V.Int n)) (int_range 0 3);
+                  map (fun n -> ("maxProperties", V.Int n)) (int_range 0 3);
+                  map (fun s -> ("propertyNames", s)) sub;
+                  map
+                    (fun (k, d) -> ("dependencies", V.Object [ (k, d) ]))
+                    (pair key (oneof [ map strings keys; sub ]));
+                  map (fun s -> ("items", s)) sub;
+                  map (fun ss -> ("items", V.Array ss)) subs;
+                  map (fun s -> ("additionalItems", s)) sub;
+                  map (fun n -> ("minItems", V.Int n)) (int_range 0 3);
+                  map (fun n -> ("maxItems", V.Int n)) (int_range 0 3);
+                  map (fun s -> ("contains", s)) sub;
+                  map (fun ss -> ("allOf", V.Array ss)) subs;
+                  map (fun ss -> ("anyOf", V.Array ss)) subs;
+                  map (fun ss -> ("oneOf", V.Array ss)) subs;
+                  map (fun s -> ("not", s)) sub;
+                  map (fun s -> ("if", s)) sub;
+                  map (fun s -> ("then", s)) sub;
+                  map (fun s -> ("else", s)) sub ]
+            in
+            map
+              (fun kws ->
+                let seen = Hashtbl.create 4 in
+                V.Object
+                  (List.filter
+                     (fun (k, _) ->
+                       if Hashtbl.mem seen k then false
+                       else (Hashtbl.add seen k (); true))
+                     kws))
+              (list_size (int_range 1 4) keyword))
+
+(* fixed fragment schemas where the integral-float code decides verdicts *)
+let integral_schemas =
+  List.map Json.Parser.parse_exn
+    [ {|{"properties": {"a": {"type": "integer"}}}|};
+      {|{"items": {"items": {"type": ["integer", "string", "array"]}}}|};
+      {|{"additionalProperties": {"anyOf": [{"type": "integer"}, {"type": "object", "additionalProperties": {"not": {"type": "integer"}}}]}}|} ]
+
+(* schemas whose plans read payloads: the cache must stay out of their way *)
+let payload_schemas =
+  List.map Json.Parser.parse_exn
+    [ {|{"properties": {"a": {"enum": [1, 1.0, "x"]}}}|};
+      {|{"type": "object", "properties": {"a": {"minimum": 1.2}}}|};
+      {|{"items": {"type": "integer", "multipleOf": 2}}|};
+      {|{"additionalProperties": {"minLength": 1}}|};
+      {|{"properties": {"ab": {"const": 1.0}}, "required": ["a"]}|};
+      {|{"items": {"uniqueItems": true}}|};
+      {|{"properties": {"b": {"$ref": "#/definitions/i"}}, "definitions": {"i": {"type": "integer"}}}|} ]
+
+let prop_verdict_cache_exact =
+  QCheck2.Test.make ~name:"verdict cache = tree validation" ~count:(count 40)
+    ~print:(fun (_, seed, schema) ->
+      Printf.sprintf "seed %d, schema %s" seed (Json.Printer.to_string schema))
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 4) gen_template)
+        int
+        (frequency
+           [ (6, gen_fragment_schema); (1, oneofl integral_schemas);
+             (1, oneofl payload_schemas) ]))
+    (fun (random_templates, seed, root) ->
+      let pool = Array.of_list (verdict_templates @ random_templates) in
+      let st = Random.State.make [| seed |] in
+      let text =
+        String.concat "\n"
+          (List.init 30 (fun _ ->
+               render_doc st pool.(Random.State.int st (Array.length pool))))
+      in
+      List.for_all
+        (fun jobs ->
+          List.for_all
+            (fun dup_keys ->
+              let options = { Json.Parser.default_options with dup_keys } in
+              same_validation ~options ~jobs ~root text)
+            dup_policies)
+        [ 1; 2; 4 ])
+
+let integer_schema =
+  Json.Parser.parse_exn
+    {|{"type": "object", "properties": {"a": {"type": "integer"}}}|}
+
+let one_doc ~telemetry ~scratch plan doc =
+  match Jsonschema.Compile.run_stream ~telemetry ~scratch plan doc ~pos:0 with
+  | Ok (verdict, _) -> Ok (Result.is_ok verdict)
+  | Error e -> Error e.Json.Parser.message
+
+(* [1.0] and [1.5] have one shape but not one verdict under [integer]: the
+   key tells integral floats apart *)
+let test_verdict_integral_floats () =
+  let plan = compile integer_schema in
+  let scratch = Jsonschema.Compile.scratch () in
+  let sink = Telemetry.create () in
+  let verdict doc = one_doc ~telemetry:sink ~scratch plan doc in
+  let valid = Alcotest.(result bool string) in
+  Alcotest.check valid "1.0 is an integer" (Ok true) (verdict {|{"a": 1.0}|});
+  Alcotest.check valid "1.5 is not" (Ok false) (verdict {|{"a": 1.5}|});
+  Alcotest.check valid "20 digits are" (Ok true)
+    (verdict {|{"a": 12345678901234567890}|});
+  Alcotest.check valid "1.25e1 is not" (Ok false) (verdict {|{"a": 1.25e1}|});
+  Alcotest.check valid "2.0 is, from the cache" (Ok true) (verdict {|{"a": 2.0}|});
+  Alcotest.check valid "2.5 is not, from the cache" (Ok false)
+    (verdict {|{"a": 2.5}|});
+  Alcotest.(check int) "hits" 4 (counter sink "stream.shape.hits");
+  Alcotest.(check int) "misses" 2 (counter sink "stream.shape.misses")
+
+(* a cached shape never lets a longer document of that shape past a budget
+   it breaks *)
+let test_verdict_cache_budgets () =
+  let small = {|{"a": "x", "b": [1, 2.5]}|} in
+  let large = {|{"a": "|} ^ String.make 200 'y' ^ {|", "b": [1, 2.5]}|} in
+  let text = String.concat "\n" [ small; small; large; small ] in
+  let root =
+    Json.Parser.parse_exn
+      {|{"properties": {"a": {"type": "string"}, "b": {"items": {"type": "number"}}}}|}
+  in
+  List.iter
+    (fun (label, budget) ->
+      let sink = Telemetry.create () in
+      let ri, rf =
+        Pipeline.validate_ndjson ~budget ~telemetry:sink ~root text
+      and ti, tf = Pipeline.validate_ndjson ~budget ~engine:`Tree ~root text in
+      Alcotest.(check string) (label ^ ": ingest") (ingest_fingerprint ti)
+        (ingest_fingerprint ri);
+      Alcotest.(check string) (label ^ ": failures") (failures_fingerprint tf)
+        (failures_fingerprint rf);
+      Alcotest.(check int) (label ^ ": killed") 1
+        ri.Resilient.report.Resilient.budget_killed;
+      Alcotest.(check int) (label ^ ": hits") 2 (counter sink "stream.shape.hits"))
+    [ ("max_doc_bytes",
+       { Resilient.default_budget with Resilient.max_doc_bytes = Some 64 });
+      ("max_string_bytes",
+       { Resilient.default_budget with Resilient.max_string_bytes = Some 16 }) ]
+
+(* After [Json.Shape.warmup] documents of distinct shapes the cache is
+   off: the 1,024th distinct document switches it off, the 1,023rd does
+   not. *)
+let test_verdict_cache_switch_off () =
+  let root = Json.Parser.parse_exn {|{"additionalProperties": {"type": "integer"}}|} in
+  let plan = compile root in
+  let distinct n = List.init n (fun i -> Printf.sprintf {|{"k%d": %d}|} i i) in
+  let hits_after n =
+    let scratch = Jsonschema.Compile.scratch () in
+    let sink = Telemetry.create () in
+    List.iter
+      (fun doc -> ignore (one_doc ~telemetry:sink ~scratch plan doc))
+      (distinct n @ [ {|{"k0": 7}|} ]);
+    (counter sink "stream.shape.hits", counter sink "stream.shape.misses")
+  in
+  Alcotest.(check (pair int int)) "1,023 distinct: still caching" (1, 1023)
+    (hits_after (Json.Shape.warmup - 1));
+  Alcotest.(check (pair int int)) "1,024 distinct: switched off" (0, 1025)
+    (hits_after Json.Shape.warmup)
+
+(* A cached run and the walk alone emit the same telemetry: keyword
+   counters and the depth gauge replayed on hits, parse.* and the walk's
+   token and skip counts from the shape pass. *)
+let test_verdict_cache_telemetry () =
+  let root =
+    Json.Parser.parse_exn
+      {|{"type": "object", "properties": {"a": {"type": ["integer", "null"]}, "t": {"items": [{"type": "string"}, true]}}, "required": ["a"], "dependencies": {"t": ["a"]}}|}
+  in
+  let plan = compile root in
+  let docs =
+    [ {|{"a": 1, "t": ["x", {"deep": [1, 2]}, 3], "skip": {"y": [true]}}|};
+      {|{"a": 2, "t": ["z", {"deep": [3]}, 4], "skip": {"y": [false]}}|};
+      {|{"a": null, "t": [[], "w"]}|};
+      {|{"t": ["x"], "a": 1.0}|};
+      {|{"a": 3, "t": ["x", {"deep": [1, 2, 5]}, 3], "skip": {"y": [null]}}|};
+      {|{"t": [[1], "v"], "a": null}|} ]
+  in
+  let run scratch =
+    let sink = Telemetry.create () in
+    let config =
+      { Jsonschema.Validate.default_config with
+        Jsonschema.Validate.telemetry = sink }
+    in
+    let verdicts =
+      List.map
+        (fun doc ->
+          match
+            Jsonschema.Compile.run_stream ~config ~telemetry:sink ?scratch plan
+              doc ~pos:0
+          with
+          | Ok (v, stop) -> Printf.sprintf "%b@%d" (Result.is_ok v) stop
+          | Error e -> e.Json.Parser.message)
+        (docs @ docs)
+    in
+    let snap = Telemetry.snapshot sink in
+    let drop_shape =
+      List.filter (fun (k, _) -> not (String.starts_with ~prefix:"stream.shape." k))
+    in
+    (verdicts, drop_shape snap.Telemetry.counters, snap.Telemetry.gauges, sink)
+  in
+  let v0, c0, g0, _ = run None in
+  let v1, c1, g1, sink = run (Some (Jsonschema.Compile.scratch ())) in
+  Alcotest.(check (list string)) "verdicts" v0 v1;
+  Alcotest.(check (list (pair string int))) "counters" c0 c1;
+  Alcotest.(check (list (pair string (float 0.)))) "gauges" g0 g1;
+  Alcotest.(check bool) "bytes were skipped" true
+    (List.assoc_opt "stream.skipped_bytes" c1 <> None);
+  Alcotest.(check int) "hits" 8 (counter sink "stream.shape.hits");
+  Alcotest.(check int) "misses" 4 (counter sink "stream.shape.misses")
+
+(* The access index keeps the first of two [properties] entries for one
+   key, as the plan's property table and the interpreter do. The parser's
+   default policy keeps one binding per key, so the schema is built as a
+   value. *)
+let test_access_index_first_wins () =
+  let module V = Json.Value in
+  let text = String.concat "\n" [ {|{"a": "x"}|}; {|{"a": 1}|}; {|{"a": "yz"}|} ] in
+  List.iter
+    (fun (label, first) ->
+      let root =
+        V.Object [ ("properties", V.Object [ ("a", first); ("a", V.Bool true) ]) ]
+      in
+      let ti, tf = Pipeline.validate_ndjson ~engine:`Tree ~root text in
+      let si, sf = Pipeline.validate_ndjson ~root text in
+      Alcotest.(check bool) (label ^ ": first entry applies") true (tf <> []);
+      Alcotest.(check string) (label ^ " failures") (failures_fingerprint tf)
+        (failures_fingerprint sf);
+      Alcotest.(check string) (label ^ " ingest") (ingest_fingerprint ti)
+        (ingest_fingerprint si))
+    [ ("shape-decided", V.Object [ ("type", V.String "string") ]);
+      ("payload", V.Object [ ("minLength", V.Int 2) ]) ]
+
 let () =
   let prop p =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| fuzz_seed |]) p
@@ -865,7 +1274,20 @@ let () =
           Alcotest.test_case "strict identical" `Quick
             test_validate_strict_identical;
           Alcotest.test_case "conformance identical" `Quick
-            test_validate_conformance_corpus ] );
+            test_validate_conformance_corpus;
+          Alcotest.test_case "supervised identical" `Quick
+            test_validate_supervised_identical;
+          Alcotest.test_case "access index first-wins" `Quick
+            test_access_index_first_wins ] );
+      ( "verdict-cache",
+        [ Alcotest.test_case "integral floats" `Quick
+            test_verdict_integral_floats;
+          Alcotest.test_case "budgets after a hit" `Quick
+            test_verdict_cache_budgets;
+          Alcotest.test_case "switch-off" `Quick test_verdict_cache_switch_off;
+          Alcotest.test_case "telemetry replay" `Quick
+            test_verdict_cache_telemetry;
+          prop prop_verdict_cache_exact ] );
       ( "chunk-boundaries",
         [ Alcotest.test_case "unicode split anywhere" `Quick
             test_chunked_unicode_boundaries;
