@@ -909,8 +909,8 @@ let e17 () =
     if hits + misses = 0 then 0.0
     else 100.0 *. float_of_int hits /. float_of_int (hits + misses)
   in
-  Printf.printf "%-14s %-6s %9s %9s %9s %8s %7s %7s\n" "corpus" "equiv"
-    "seed kd/s" "cold kd/s" "warm kd/s" "speedup" "merge%" "fuse%";
+  Printf.printf "%-14s %-6s %9s %9s %9s %9s %8s %7s %7s\n" "corpus" "equiv"
+    "seed kd/s" "nomemo" "cold kd/s" "warm kd/s" "speedup" "merge%" "fuse%";
   let speedups =
     List.concat_map
       (fun (cname, docs) ->
@@ -928,6 +928,16 @@ let e17 () =
             let warm_s =
               timed (fun () -> ignore (Inference.Parametric.infer ~equiv docs))
             in
+            (* nomemo: the same fold with the fusion caches switched off,
+               which is what the caches are worth *)
+            let nomemo_s =
+              Jtype.Merge.set_memoize false;
+              Fun.protect
+                ~finally:(fun () -> Jtype.Merge.set_memoize true)
+                (fun () ->
+                  timed (fun () ->
+                      ignore (Inference.Parametric.infer ~equiv docs)))
+            in
             (* cache hit rates over one cold run *)
             Jtype.Merge.clear_caches ();
             let before = Jtype.Kernel.totals () in
@@ -939,16 +949,18 @@ let e17 () =
                 (Jtype.Types.to_string kernel_t)
                 (Prekernel.to_string seed_t));
             let speedup = seed_s /. cold_s in
-            Printf.printf "%-14s %-6s %9.1f %9.1f %9.1f %7.1fx %6.1f%% %6.1f%%\n"
-              cname ename (n /. seed_s /. 1e3) (n /. cold_s /. 1e3)
-              (n /. warm_s /. 1e3) speedup
+            Printf.printf
+              "%-14s %-6s %9.1f %9.1f %9.1f %9.1f %7.1fx %6.1f%% %6.1f%%\n"
+              cname ename (n /. seed_s /. 1e3) (n /. nomemo_s /. 1e3)
+              (n /. cold_s /. 1e3) (n /. warm_s /. 1e3) speedup
               (rate_pct before after "kernel.merge")
               (rate_pct before after "kernel.fuse");
             ((cname, ename), speedup))
           [ ("kind", Jtype.Merge.Kind); ("label", Jtype.Merge.Label) ])
       [ ("union-heavy", union_heavy); ("wide-64", wide) ]
   in
-  (* sharded merge keeps the speedup and stays byte-identical *)
+  (* the production tree fold (counting fold plus erasure) stays
+     byte-identical at every jobs level *)
   Printf.printf "\n%-14s %-6s %9s %9s %10s\n" "corpus" "equiv" "j1 kd/s"
     "j4 kd/s" "identical";
   List.iter
@@ -956,7 +968,7 @@ let e17 () =
       let n = float_of_int (List.length docs) in
       List.iter
         (fun (ename, equiv) ->
-          let run jobs = Parallel.infer_type ~equiv ~jobs docs in
+          let run jobs = (Pipeline.infer ~equiv ~jobs docs).Pipeline.jtype in
           let t1 = run 1 in
           let printed = Jtype.Types.to_string t1 in
           let same =
@@ -973,11 +985,11 @@ let e17 () =
         [ ("kind", Jtype.Merge.Kind); ("label", Jtype.Merge.Label) ])
     [ ("union-heavy", union_heavy); ("wide-64", wide) ];
   print_endline
-    "note: these corpora are merge-bound, so sharding pays domain handoff +";
+    "note: the sharded table times Pipeline.infer, the tree engine's counting";
   print_endline
-    "      cross-domain re-interning without parse work to amortize it; the";
+    "      fold plus erasure; these corpora are merge-bound, so jobs=4 pays";
   print_endline
-    "      kernel still cuts the jobs=4 wall clock ~3.6x vs pre-kernel";
+    "      domain handoff without parse work to amortize it";
   (* the acceptance claim: >= 2x merge-phase throughput on the
      union-heavy corpus at jobs=1, measured cold *)
   List.iter

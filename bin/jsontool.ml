@@ -489,17 +489,7 @@ let infer_cmd =
                        ("typescript", `Ts); ("swift", `Swift) ]) `Type
          & info [ "output"; "o" ] ~doc:"Output form for parametric inference.")
   in
-  let merge_cache =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "merge-cache" ]
-             ~doc:"Memoized fusion cache of the hash-consed type kernel: on \
-                   (default) or off. Affects cost only, never the inferred \
-                   type; off bounds memory on pathological corpora and gives \
-                   an unmemoized baseline for comparisons.")
-  in
-  let run approach equiv output merge_cache engine sup jobs stats stats_json
-      file =
-    Jtype.Merge.set_memoize merge_cache;
+  let run approach equiv output engine sup jobs stats stats_json file =
     let sink = make_sink ~stats ~stats_json in
     (* only the parametric map/reduce has a token-level fold *)
     let engine = if approach = `Parametric then engine else `Tree in
@@ -565,8 +555,8 @@ let infer_cmd =
     end
   in
   Cmd.v (Cmd.info "infer" ~doc:"Infer a schema from a collection.")
-    Term.(const run $ approach $ equiv $ output $ merge_cache $ engine_arg
-          $ sup_term $ jobs_arg $ stats_arg $ stats_json_arg $ input_arg)
+    Term.(const run $ approach $ equiv $ output $ engine_arg $ sup_term
+          $ jobs_arg $ stats_arg $ stats_json_arg $ input_arg)
 
 (* --- check ----------------------------------------------------------- *)
 

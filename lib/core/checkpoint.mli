@@ -26,9 +26,9 @@ type entry = {
   e_line : int;  (** 1-based first line of the shard *)
   e_ingest : Resilient.ingest;  (** the shard's full ingest result *)
   e_payload : Json.Value.t;
-      (** pipeline-specific partial result (serialized partial type for
-          inference, failure list for validation, [null] for plain
-          ingestion) *)
+      (** pipeline-specific partial result: [{"counting": ...}], the
+          shard's partial counting type, for inference; the failure list
+          for validation; [null] for plain ingestion *)
 }
 
 type journal

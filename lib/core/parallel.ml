@@ -1,6 +1,6 @@
 (* Sharded execution on a fixed pool of domains.
 
-   The inference merge is associative and commutative (Jtype.Merge), so
+   The inference merge is associative and commutative (Jtype.Counting), so
    map/reduce over shards is semantics-preserving by construction; the work
    here is the bookkeeping that makes the parallel path *byte-identical* to
    the sequential one: shards split only at newline boundaries, dead
@@ -241,11 +241,12 @@ let chunked ~jobs xs =
     go 0 [] [] 0 xs
   end
 
-(* Emit the hash-consed kernel's counter deltas (intern and fusion-cache
-   hits/misses) into the sink, so [--stats-json] reports what the memoized
-   merge did during this call and nothing else. Counters are per-domain
-   cells summed over all domains; both snapshots are taken while no pool
-   is running (run/shutdown joins every worker), so the delta is exact. *)
+(* Emit the hash-consed kernel's counter deltas (interning, and the fusion
+   caches of a [Types] merge where one runs) into the sink, so
+   [--stats-json] reports what the kernel did during this call and nothing
+   else. Counters are per-domain cells summed over all domains; both
+   snapshots are taken while no pool is running (run/shutdown joins every
+   worker), so the delta is exact. *)
 let with_kernel_stats telemetry f =
   if not (Telemetry.is_recording telemetry) then f ()
   else begin
@@ -256,14 +257,12 @@ let with_kernel_stats telemetry f =
         let b = Option.value ~default:0 (List.assoc_opt k before) in
         if v - b > 0 then Telemetry.count telemetry k (v - b))
       (Jtype.Kernel.totals ());
-    Telemetry.gauge_max telemetry "kernel.cache.entries"
-      (float_of_int (Jtype.Merge.cache_size ()));
     r
   end
 
-let infer_type ~equiv ?(jobs = 1) ?(telemetry = Telemetry.nop) docs =
-  with_kernel_stats telemetry @@ fun () ->
-  if jobs <= 1 then Inference.Parametric.infer ~telemetry ~equiv docs
+let infer_counting ~equiv ?(jobs = 1) ?(telemetry = Telemetry.nop) docs =
+  if jobs <= 1 then
+    Telemetry.span telemetry "infer" (fun () -> Jtype.Counting.infer ~equiv docs)
   else begin
     let chunks = chunked ~jobs docs in
     Telemetry.count telemetry "parallel.merge_fanin" (List.length chunks);
@@ -274,34 +273,9 @@ let infer_type ~equiv ?(jobs = 1) ?(telemetry = Telemetry.nop) docs =
              (* per-shard metrics stay out of the sink (chunk boundaries are
                 a [jobs] artifact); the shard span is the useful signal *)
              Telemetry.span telemetry "infer.shard" (fun () ->
-                 Inference.Parametric.infer ~equiv chunk))
+                 Jtype.Counting.infer ~equiv chunk))
            chunks)
     in
-    let t =
-      Telemetry.span telemetry "infer.merge" (fun () ->
-          Jtype.Merge.merge_all ~equiv partials)
-    in
-    if Telemetry.is_recording telemetry then begin
-      Telemetry.count telemetry "infer.merge_ops" (max 0 (List.length docs - 1));
-      Telemetry.observe telemetry "infer.union_width"
-        (float_of_int (Inference.Parametric.union_width t))
-    end;
-    t
-  end
-
-let infer_counting ~equiv ?(jobs = 1) ?(telemetry = Telemetry.nop) docs =
-  if jobs <= 1 then Inference.Parametric.infer_counting ~telemetry ~equiv docs
-  else begin
-    let chunks = chunked ~jobs docs in
-    Telemetry.count telemetry "parallel.merge_fanin" (List.length chunks);
-    run ~telemetry ~jobs
-      (List.map
-         (fun (_, chunk) () ->
-           Telemetry.span telemetry "infer.shard" (fun () ->
-               Jtype.Counting.infer ~equiv chunk))
-         chunks)
-    |> fun partials ->
-    Telemetry.count telemetry "infer.merge_ops" (max 0 (List.length docs - 1));
     Telemetry.span telemetry "infer.merge" (fun () ->
         Jtype.Counting.merge_all ~equiv partials)
   end

@@ -1,7 +1,8 @@
 (** Sharded parallel execution on OCaml 5 domains.
 
     The parametric inference of the tutorial is a map/reduce whose reduce —
-    {!Jtype.Merge.merge} — is associative and commutative, so sharding a
+    {!Jtype.Merge.merge}, and the counting variant {!Jtype.Counting.merge}
+    this module runs — is associative and commutative, so sharding a
     collection and fusing per-shard results is semantics-preserving by
     construction. This module supplies the runtime for that shape: a
     hand-rolled fixed pool of domains fed by a bounded work queue, NDJSON
@@ -88,25 +89,22 @@ val parse_ndjson_strict :
 
 val with_kernel_stats : Telemetry.sink -> (unit -> 'a) -> 'a
 (** Run [f] and emit the {!Jtype.Kernel} counter deltas it caused
-    ([kernel.nodes], [kernel.intern.hits], [kernel.merge.hits]/[.misses],
-    [kernel.fuse.*], [kernel.simplify.*], [kernel.cache.clears]) plus the
-    [kernel.cache.entries] gauge into the sink. No-op on {!Telemetry.nop}.
-    Call only around joined parallel sections (deltas are summed over all
-    domains). *)
-
-val infer_type :
-  equiv:Jtype.Merge.equiv -> ?jobs:int -> ?telemetry:Telemetry.sink ->
-  Json.Value.t list -> Jtype.Types.t
-(** Chunk the collection, infer per chunk on the pool, reduce with
-    {!Jtype.Merge.merge_all}. Identical result for any [jobs]. [telemetry]
-    records [parallel.merge_fanin], [infer.merge_ops],
-    [infer.union_width], the [infer.shard] / [infer.merge] spans, and the
-    [kernel.*] cache counters of {!with_kernel_stats}. *)
+    ([kernel.nodes], [kernel.intern.hits], and the
+    [kernel.{merge,fuse,simplify}.*] and [kernel.cache.clears] traffic of
+    any {!Jtype.Merge} fusion inside [f]) into the sink. No-op on
+    {!Telemetry.nop}. Call only around joined parallel sections (deltas
+    are summed over all domains). *)
 
 val infer_counting :
   equiv:Jtype.Merge.equiv -> ?jobs:int -> ?telemetry:Telemetry.sink ->
   Json.Value.t list -> Jtype.Counting.t
-(** Counting variant; counts add pointwise under the merge. *)
+(** The counting fold of the collection: chunk it, run
+    {!Jtype.Counting.infer} per chunk on the pool and reduce the partials
+    with {!Jtype.Counting.merge_all}. Counts add pointwise under the merge,
+    so the result is identical for any [jobs]; {!Jtype.Counting.erase} of
+    it is the {!Inference.Parametric.infer} type. [telemetry] records the
+    [infer] span at [jobs <= 1], and [parallel.merge_fanin] and the
+    [infer.shard] / [infer.merge] spans otherwise. *)
 
 val validate :
   ?config:Jsonschema.Validate.config -> ?compiled:bool -> ?jobs:int ->

@@ -6,7 +6,12 @@ type inferred = {
   swift : string;
 }
 
-let build_inferred ~name t c =
+(* Every inference path folds counting types only and reads the type off
+   by erasure: the erased counting fold is the [Types] fold
+   ([Inference.Parametric.infer]), which test_jtype pins under both
+   equivalences. *)
+let build_inferred ~name c =
+  let t = Jtype.Counting.erase c in
   {
     jtype = t;
     counting = c;
@@ -15,11 +20,23 @@ let build_inferred ~name t c =
     swift = Jtype.Swift.declaration ~name t;
   }
 
+(* the same values on both engines: [infer.merge_ops] counts the merges of
+   the per-document fold, [infer.union_width] samples the final type once *)
+let emit_inferred telemetry ~docs (i : inferred) =
+  if Telemetry.is_recording telemetry then begin
+    Telemetry.count telemetry "infer.merge_ops" (max 0 (docs - 1));
+    Telemetry.observe telemetry "infer.union_width"
+      (float_of_int (Inference.Parametric.union_width i.jtype))
+  end
+
 let infer ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?(jobs = 1)
     ?(telemetry = Telemetry.nop) values =
-  let t = Parallel.infer_type ~equiv ~jobs ~telemetry values in
-  let c = Parallel.infer_counting ~equiv ~jobs ~telemetry values in
-  build_inferred ~name t c
+  Parallel.with_kernel_stats telemetry @@ fun () ->
+  let i =
+    build_inferred ~name (Parallel.infer_counting ~equiv ~jobs ~telemetry values)
+  in
+  emit_inferred telemetry ~docs:(List.length values) i;
+  i
 
 (* --- the streaming engine ----------------------------------------------- *)
 
@@ -41,18 +58,17 @@ let streaming_infer_doc ~equiv () =
    more than 9. *)
 let max_variants = 16
 
-(* Reduce the per-document (type, counting) pairs by one counting fold and
-   read the type off by erasure. Documents are grouped by the interned id
+(* Reduce the per-document (type, counting) pairs by one counting fold.
+   Documents are grouped by the interned id
    of their type; a group member is confirmed by its counting value
    (physically equal when the shape cache answered both documents, else
    compared structurally: arrays of one element type can still count
    differently), and each distinct counting value is merged once, scaled by
    its multiplicity. That equals the per-document fold because the counting
    merge is commutative and associative on canonical values and
-   [merge c c = scale 2 c]; erasure of the counting fold equals the [Types]
-   fold, which the tree engine still runs as the reference. Equal types
-   interned on two domains carry two ids and so form two groups, which
-   costs one extra merge and changes nothing else. *)
+   [merge c c = scale 2 c]. Equal types interned on two domains carry two
+   ids and so form two groups, which costs one extra merge and changes
+   nothing else. *)
 let reduce_streamed ~equiv pairs =
   let groups = Hashtbl.create 64 in
   let distinct =
@@ -71,26 +87,16 @@ let reduce_streamed ~equiv pairs =
             v :: distinct)
       [] pairs
   in
-  let c =
-    Jtype.Counting.merge_all ~equiv
-      (List.rev_map (fun (c, k) -> Jtype.Counting.scale !k c) distinct)
-  in
-  (Jtype.Counting.erase c, c)
+  Jtype.Counting.merge_all ~equiv
+    (List.rev_map (fun (c, k) -> Jtype.Counting.scale !k c) distinct)
 
-(* The telemetry keeps the tree path's sequential values: [infer.merge_ops]
-   counts the merges of both of its folds, [infer.union_width] samples the
-   final type. *)
-let merge_streamed ~equiv ~telemetry pairs =
-  let t, c =
-    Telemetry.span telemetry "infer" (fun () -> reduce_streamed ~equiv pairs)
+let merge_streamed ~equiv ~name ~telemetry pairs =
+  let i =
+    build_inferred ~name
+      (Telemetry.span telemetry "infer" (fun () -> reduce_streamed ~equiv pairs))
   in
-  if Telemetry.is_recording telemetry then begin
-    Telemetry.count telemetry "infer.merge_ops"
-      (2 * max 0 (List.length pairs - 1));
-    Telemetry.observe telemetry "infer.union_width"
-      (float_of_int (Inference.Parametric.union_width t))
-  end;
-  (t, c)
+  emit_inferred telemetry ~docs:(List.length pairs) i;
+  i
 
 let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root")
     ?(engine = `Streaming) ?(jobs = 1) ?telemetry text =
@@ -110,9 +116,7 @@ let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root")
       in
       match dead with
       | d :: _ -> Error d.Resilient.error
-      | [] ->
-          let t, c = merge_streamed ~equiv ~telemetry:tele pairs in
-          Ok (build_inferred ~name t c))
+      | [] -> Ok (merge_streamed ~equiv ~name ~telemetry:tele pairs))
 
 let infer_ndjson_resilient ?(equiv = Jtype.Merge.Kind) ?name ?budget
     ?(engine = `Streaming) ?(jobs = 1) ?telemetry text =
@@ -137,9 +141,10 @@ let infer_ndjson_resilient ?(equiv = Jtype.Merge.Kind) ?name ?budget
         match pairs with
         | [] -> None
         | _ ->
-            let t, c = merge_streamed ~equiv ~telemetry:tele pairs in
             Some
-              (build_inferred ~name:(Option.value name ~default:"Root") t c)
+              (merge_streamed ~equiv
+                 ~name:(Option.value name ~default:"Root")
+                 ~telemetry:tele pairs)
       in
       (inferred, { Resilient.docs = []; dead; report })
 
@@ -442,36 +447,31 @@ let infer_ndjson_supervised ?(equiv = Jtype.Merge.Kind) ?name ?budget ?options
     text =
   Parallel.with_kernel_stats (Option.value telemetry ~default:Telemetry.nop)
   @@ fun () ->
-  let encode_pair t c =
-    Json.Value.Object
-      [ ("jtype", Jtype.Types.to_json t);
-        ("counting", Jtype.Counting.to_json c) ]
-  in
+  let encode c = Json.Value.Object [ ("counting", Jtype.Counting.to_json c) ] in
   let run_shard =
     match engine with
     | `Tree ->
         tree_run_shard (fun (ing : Resilient.ingest) ->
-            let t = Inference.Parametric.infer ~equiv ing.Resilient.docs in
-            let c = Jtype.Counting.infer ~equiv ing.Resilient.docs in
-            encode_pair t c)
+            encode (Jtype.Counting.infer ~equiv ing.Resilient.docs))
     | `Streaming ->
-        (* the shard's partial equals the tree shard's [infer] of its
-           materialized documents, so the journaled payload is identical *)
+        (* the shard's partial equals the tree shard's [Counting.infer] of
+           its materialized documents, so the journaled payload is
+           identical *)
         streaming_run_shard
           (streaming_infer_doc ~equiv)
-          (fun pairs ->
-            let t, c = reduce_streamed ~equiv pairs in
-            encode_pair t c)
+          (fun pairs -> encode (reduce_streamed ~equiv pairs))
   in
+  (* only [counting] is read, so a journal whose payloads also carry the
+     erased type as [jtype] resumes as well *)
   let decode _ing pjson =
     match pjson with
     | Json.Value.Object fields -> (
-        match (List.assoc_opt "jtype" fields, List.assoc_opt "counting" fields) with
-        | Some tj, Some cj ->
-            let* t = Jtype.Types.of_json tj in
-            let* c = Jtype.Counting.of_json cj in
-            Ok (t, c)
-        | _ -> Error "checkpoint: inference payload missing jtype/counting")
+        match List.assoc_opt "counting" fields with
+        | Some cj ->
+            Result.map_error
+              (fun e -> "checkpoint: " ^ e)
+              (Jtype.Counting.of_json cj)
+        | None -> Error "checkpoint: inference payload missing counting")
     | _ -> Error "checkpoint: inference payload must be an object"
   in
   match
@@ -492,9 +492,9 @@ let infer_ndjson_supervised ?(equiv = Jtype.Merge.Kind) ?name ?budget ?options
         match ingest.Resilient.report.Resilient.ok with
         | 0 -> None
         | _ ->
-            let t = Jtype.Merge.merge_all ~equiv (List.map fst partials) in
-            let c = Jtype.Counting.merge_all ~equiv (List.map snd partials) in
-            Some (build_inferred ~name:(Option.value name ~default:"Root") t c)
+            Some
+              (build_inferred ~name:(Option.value name ~default:"Root")
+                 (Jtype.Counting.merge_all ~equiv partials))
       in
       Ok (inferred, ingest, sup)
 

@@ -15,10 +15,15 @@ val infer :
   ?equiv:Jtype.Merge.equiv -> ?name:string -> ?jobs:int ->
   ?telemetry:Telemetry.sink -> Json.Value.t list -> inferred
 (** One call from collection to every schema artifact (default equivalence
-    [Kind], default root declaration name ["Root"]). [jobs > 1] runs the
-    inference map/reduce shard-parallel ({!Parallel}); the result is
-    identical for any job count. [telemetry] (default {!Telemetry.nop})
-    observes without changing any output — see {!Telemetry}. *)
+    [Kind], default root declaration name ["Root"]): the tree engine's
+    inference. It runs one counting fold ({!Parallel.infer_counting},
+    shard-parallel when [jobs > 1]) and reads [jtype] off it by
+    {!Jtype.Counting.erase}, which equals {!Inference.Parametric.infer};
+    the result is identical for any job count. [telemetry] (default
+    {!Telemetry.nop}) observes without changing any output: the spans of
+    {!Parallel.infer_counting}, [infer.merge_ops] (documents − 1), one
+    [infer.union_width] sample, and the [kernel.*] deltas of
+    {!Parallel.with_kernel_stats}. *)
 
 type engine = [ `Tree | `Streaming ]
 (** How the NDJSON pipelines execute. [`Tree] (the executable spec)
@@ -98,9 +103,13 @@ val infer_ndjson_supervised :
   ?telemetry:Telemetry.sink -> string ->
   (inferred option * Resilient.ingest * supervision, string) result
 (** Supervised {!infer_ndjson_resilient}: each shard journals its partial
-    type ({!Jtype.Types.to_json} / {!Jtype.Counting.to_json}) alongside
-    its ingest; the final type merges completed shards' partials, so only
-    genuinely-poisoned shards' documents are missing from it. The journal
+    counting type as [{"counting": ...}] ({!Jtype.Counting.to_json})
+    alongside its ingest. The final result is one {!Jtype.Counting.merge_all}
+    of the completed shards' partials, with the type read off by erasure,
+    so only genuinely-poisoned shards' documents are missing from it.
+    Decoding reads only [counting], so a journal whose payloads also carry
+    a [jtype] field resumes too; a payload that does not decode (a record
+    whose fields are not sorted, for instance) is an [Error]. The journal
     job tag includes [equiv] — a [Kind] journal cannot resume a [Label]
     run — and the journal header records the engine, since a streaming
     journal's ingest records carry no documents: a [`Tree] journal refuses

@@ -6,20 +6,8 @@ let union_width (t : Jtype.Types.t) =
   | Jtype.Types.Bot -> 0
   | _ -> 1
 
-let emit_inferred telemetry ~docs t =
-  if Telemetry.is_recording telemetry then begin
-    Telemetry.count telemetry "infer.merge_ops" (max 0 (docs - 1));
-    Telemetry.observe telemetry "infer.union_width"
-      (float_of_int (union_width t))
-  end
-
-let infer ?(telemetry = Telemetry.nop) ~equiv values =
-  Telemetry.span telemetry "infer" (fun () ->
-      let t =
-        Jtype.Merge.merge_all ~equiv (List.map Jtype.Types.of_value values)
-      in
-      emit_inferred telemetry ~docs:(List.length values) t;
-      t)
+let infer ~equiv values =
+  Jtype.Merge.merge_all ~equiv (List.map Jtype.Types.of_value values)
 
 let split_into n xs =
   let len = List.length xs in
@@ -55,12 +43,7 @@ let infer_partitioned ~equiv ~partitions values =
       (* partials are already canonical: merge directly *)
       tree_reduce (fun a b -> Jtype.Merge.merge ~equiv a b) partials
 
-let infer_counting ?(telemetry = Telemetry.nop) ~equiv values =
-  Telemetry.span telemetry "infer" (fun () ->
-      let t = Jtype.Counting.infer ~equiv values in
-      Telemetry.count telemetry "infer.merge_ops"
-        (max 0 (List.length values - 1));
-      t)
+let infer_counting ~equiv values = Jtype.Counting.infer ~equiv values
 
 let infer_ndjson ~equiv src =
   Json.Stream.fold_documents src ~init:Jtype.Types.bot ~f:(fun acc v ->

@@ -12,13 +12,12 @@
     shard/reduce shape on a pool of OCaml 5 domains (experiment E14), with
     results identical to the sequential fold for any shard count. *)
 
-val infer :
-  ?telemetry:Telemetry.sink -> equiv:Jtype.Merge.equiv ->
-  Json.Value.t list -> Jtype.Types.t
-(** Sequential fold. [telemetry] (default {!Telemetry.nop}) records the
-    span [infer], the counter [infer.merge_ops] (pairwise merges performed)
-    and the histogram [infer.union_width] (top-level branch count of the
-    result — see {!union_width}). *)
+val infer : equiv:Jtype.Merge.equiv -> Json.Value.t list -> Jtype.Types.t
+(** Sequential fold: the paper's algorithm over the hash-consed kernel.
+    It is the reference the tests compare every inference pipeline
+    against, and the fold behind [stats] and [translate]; the pipelines of
+    [Core] run the counting fold ({!infer_counting}) instead and read the
+    type off by {!Jtype.Counting.erase}, which yields this type. *)
 
 val union_width : Jtype.Types.t -> int
 (** Top-level union branch count: 0 for [Bot], 1 for any non-union type,
@@ -32,8 +31,7 @@ val infer_partitioned :
     for any partition count. *)
 
 val infer_counting :
-  ?telemetry:Telemetry.sink -> equiv:Jtype.Merge.equiv ->
-  Json.Value.t list -> Jtype.Counting.t
+  equiv:Jtype.Merge.equiv -> Json.Value.t list -> Jtype.Counting.t
 (** Counting variant (DBPL'17). *)
 
 val infer_ndjson :

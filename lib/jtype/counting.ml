@@ -243,7 +243,10 @@ let rec to_json (t : t) : Json.Value.t =
 
 (* Inverse of [to_json]; the encoding is exact, so checkpoint journals can
    park a partial counting merge on disk and resume it without re-counting.
-   Shapes [to_json] never emits are rejected, not repaired. *)
+   Shapes [to_json] never emits are rejected, not repaired: among them a
+   record whose field names are not strictly increasing, which [merge]
+   (it walks field lists as sorted) and [erase] (through [Types.rec_])
+   cannot take. *)
 let of_json (v : Json.Value.t) : (t, string) result =
   let ( let* ) = Result.bind in
   let member name = function
@@ -297,6 +300,16 @@ let of_json (v : Json.Value.t) : (t, string) result =
               List.fold_left
                 (fun acc (fname, fv) ->
                   let* acc = acc in
+                  let* () =
+                    match acc with
+                    | prev :: _ when String.compare prev.fname fname >= 0 ->
+                        Error
+                          (Printf.sprintf
+                             "counting json: record field %S does not sort \
+                              after %S"
+                             fname prev.fname)
+                    | _ -> Ok ()
+                  in
                   let* occurs = member "occurs" fv in
                   let* occurs = int_of occurs in
                   let* tv = member "type" fv in

@@ -61,4 +61,6 @@ val field_probability : t -> string list -> float option
 
 val of_json : Json.Value.t -> (t, string) result
 (** Inverse of {!to_json} ([of_json (to_json t) = Ok t]); lets
-    {!Core.Checkpoint} journal and resume partial counting merges. *)
+    {!Core.Checkpoint} journal and resume partial counting merges. JSON
+    that {!to_json} never emits is an [Error], in particular a record
+    whose field names are not strictly increasing under [String.compare]. *)

@@ -41,7 +41,6 @@ let caches_key : caches Domain.DLS.key =
 
 let memo_on = Atomic.make true
 let set_memoize b = Atomic.set memo_on b
-let memoize_enabled () = Atomic.get memo_on
 
 let cache_size () =
   let c = Domain.DLS.get caches_key in

@@ -45,11 +45,8 @@ val simplify : equiv:equiv -> Types.t -> Types.t
 
 val set_memoize : bool -> unit
 (** Globally enable/disable the fusion memo caches (default: enabled).
-    Disabling only changes cost, never results — useful for memory-capped
-    runs and for baseline measurements (bench E17, [jsontool infer
-    --merge-cache=off]). *)
-
-val memoize_enabled : unit -> bool
+    Disabling only changes cost, never results: the kernel tests use it as
+    the unmemoized oracle, and bench E17 times the fold without caches. *)
 
 val cache_size : unit -> int
 (** Number of live memo entries in the {e calling domain}'s caches. *)

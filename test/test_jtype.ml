@@ -344,6 +344,48 @@ let test_counting_to_json () =
         ("b occurs: "
         ^ match other with Some v -> Json.Printer.to_string v | None -> "missing")
 
+let test_counting_of_json () =
+  let docs =
+    [ {|{"a": 1, "b": [1, "x"]}|}; {|{"a": 2, "c": {"d": null}}|}; "[true]"; "2.5" ]
+  in
+  let c = Counting.infer ~equiv:Merge.Kind (List.map parse docs) in
+  (match Counting.of_json (Counting.to_json c) with
+   | Ok c' -> Alcotest.(check bool) "round trip" true (c = c')
+   | Error e -> Alcotest.fail e);
+  (* [merge] walks field lists as sorted and [erase] builds records through
+     [Types.rec_], so a record whose field names are not strictly
+     increasing is refused, not repaired *)
+  let field name =
+    ( name,
+      Json.Value.Object
+        [ ("occurs", Json.Value.Int 1);
+          ("type", Counting.to_json (Counting.CInt 1)) ] )
+  in
+  let record names =
+    Json.Value.Object
+      [ ("kind", Json.Value.String "record");
+        ("count", Json.Value.Int 1);
+        ("fields", Json.Value.Object (List.map field names)) ]
+  in
+  (match Counting.of_json (record [ "a"; "b" ]) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (what, names) ->
+      match Counting.of_json (record names) with
+      | Error _ -> ()
+      | Ok c -> Alcotest.failf "%s accepted as %s" what (Counting.to_string c))
+    [ ("swapped fields", [ "b"; "a" ]); ("repeated field", [ "a"; "a" ]) ];
+  match
+    Counting.of_json
+      (Json.Value.Object
+         [ ("kind", Json.Value.String "array");
+           ("count", Json.Value.Int 1);
+           ("items", record [ "b"; "a" ]) ])
+  with
+  | Error _ -> ()
+  | Ok c -> Alcotest.failf "nested swap accepted as %s" (Counting.to_string c)
+
 (* --- properties -------------------------------------------------------- *)
 
 let gen_value = QCheck2.Gen.(
@@ -513,6 +555,38 @@ let prop_counting_grouped_erase =
             (Counting.erase (grouped_fold ~equiv (List.map (Counting.of_value ~equiv) vs)))
             (Merge.merge_all ~equiv (List.map Types.of_value vs))))
 
+(* The tree engine at [--jobs > 1] and the merge of supervised shard
+   partials both fold each chunk of the corpus on its own and merge the
+   chunk folds: that must be the fold of the whole corpus, and erase to the
+   [Types] fold. *)
+let gen_chunked_corpus =
+  QCheck2.Gen.(
+    let* vs = gen_pool_corpus in
+    let+ cuts = list_repeat (List.length vs) bool in
+    (* a chunk starts at the first value and at every value cut before *)
+    List.rev_map List.rev
+      (List.fold_left2
+         (fun chunks v cut ->
+           match chunks with
+           | chunk :: rest when not cut -> (v :: chunk) :: rest
+           | _ -> [ v ] :: chunks)
+         [] vs cuts))
+
+let prop_counting_chunked_merge =
+  QCheck2.Test.make ~name:"counting merge of chunk folds = whole fold"
+    ~count:1000
+    ~print:(fun chunks -> String.concat "\n--\n" (List.map print_corpus chunks))
+    gen_chunked_corpus
+    (fun chunks ->
+      let vs = List.concat chunks in
+      both_equivs (fun equiv ->
+          let merged =
+            Counting.merge_all ~equiv (List.map (Counting.infer ~equiv) chunks)
+          in
+          merged = Counting.infer ~equiv vs
+          && Types.equal (Counting.erase merged)
+               (Merge.merge_all ~equiv (List.map Types.of_value vs))))
+
 let prop_counting_total =
   QCheck2.Test.make ~name:"counting count = #values" ~count:200
     QCheck2.Gen.(pair gen_equiv (list_size (int_range 0 10) gen_value))
@@ -670,12 +744,14 @@ let () =
        [ Alcotest.test_case "basics" `Quick test_counting_basic;
          Alcotest.test_case "erase" `Quick test_counting_erase;
          Alcotest.test_case "nested probability" `Quick test_counting_nested_probability;
-         Alcotest.test_case "to_json" `Quick test_counting_to_json ]);
+         Alcotest.test_case "to_json" `Quick test_counting_to_json;
+         Alcotest.test_case "of_json" `Quick test_counting_of_json ]);
       ("properties",
        q [ prop_sound; prop_merge_commutative; prop_merge_associative;
            prop_merge_idempotent; prop_merge_upper_bound;
            prop_subtype_sound_on_members; prop_counting_erase_coherent;
            prop_counting_scale; prop_counting_grouped_fold;
-           prop_counting_grouped_erase; prop_counting_total; prop_to_schema_sound;
+           prop_counting_grouped_erase; prop_counting_chunked_merge;
+           prop_counting_total; prop_to_schema_sound;
            prop_containment_included_is_sound ]);
     ]

@@ -316,7 +316,10 @@ let test_jobs_determinism () =
       let results =
         List.map
           (fun jobs ->
-            Types.to_string (Core.Parallel.infer_type ~equiv ~jobs determinism_corpus))
+            let i = Core.Pipeline.infer ~equiv ~jobs determinism_corpus in
+            Types.to_string i.Core.Pipeline.jtype
+            ^ "\n"
+            ^ Counting.to_string i.Core.Pipeline.counting)
           [ 1; 4; 8 ]
       in
       match results with
@@ -331,7 +334,7 @@ let test_warm_cache_determinism () =
      repeatedly and against a freshly cleared cache *)
   let run () =
     Types.to_string
-      (Core.Parallel.infer_type ~equiv:Merge.Label ~jobs:1 determinism_corpus)
+      (Inference.Parametric.infer ~equiv:Merge.Label determinism_corpus)
   in
   let cold = (Merge.clear_caches (); run ()) in
   let warm = run () in

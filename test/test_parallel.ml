@@ -108,26 +108,32 @@ let test_strict_first_error () =
 (* --- sharded inference ------------------------------------------------- *)
 
 let test_infer_identical () =
+  (* the tree engine's sharded counting fold against the paper's
+     sequential folds: the [Types] fold for the type, the counting fold
+     for the counts *)
   let docs = (Resilient.ingest messy_text).Resilient.docs in
-  let reference = Inference.Parametric.infer ~equiv:Jtype.Merge.Kind docs in
-  let ref_counting = Inference.Parametric.infer_counting ~equiv:Jtype.Merge.Kind docs in
   List.iter
-    (fun jobs ->
+    (fun equiv ->
+      let reference =
+        Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs)
+      in
+      let ref_counting =
+        Jtype.Counting.to_string
+          (Inference.Parametric.infer_counting ~equiv docs)
+      in
       List.iter
-        (fun equiv ->
-          let seq = Inference.Parametric.infer ~equiv docs in
-          Alcotest.(check string)
-            (Printf.sprintf "type jobs=%d" jobs)
-            (Jtype.Types.to_string seq)
-            (Jtype.Types.to_string (Parallel.infer_type ~equiv ~jobs docs)))
-        [ Jtype.Merge.Kind; Jtype.Merge.Label ];
-      Alcotest.(check string)
-        (Printf.sprintf "counting jobs=%d" jobs)
-        (Jtype.Counting.to_string ref_counting)
-        (Jtype.Counting.to_string
-           (Parallel.infer_counting ~equiv:Jtype.Merge.Kind ~jobs docs)))
-    [ 2; 4; 8 ];
-  ignore reference
+        (fun jobs ->
+          let label what =
+            Printf.sprintf "%s %s jobs=%d" what
+              (Jtype.Merge.equiv_to_string equiv) jobs
+          in
+          let i = Pipeline.infer ~equiv ~jobs docs in
+          Alcotest.(check string) (label "type") reference
+            (Jtype.Types.to_string i.Pipeline.jtype);
+          Alcotest.(check string) (label "counting") ref_counting
+            (Jtype.Counting.to_string i.Pipeline.counting))
+        [ 2; 4; 8 ])
+    [ Jtype.Merge.Kind; Jtype.Merge.Label ]
 
 let test_pipeline_resilient_jobs () =
   let seq_inf, seq_r = Pipeline.infer_ndjson_resilient messy_text in
@@ -472,6 +478,54 @@ let test_checkpoint_kill_and_resume () =
       Alcotest.(check string) "resumed output byte-identical" reference
         (infer_fingerprint inf2 r2 s2))
 
+let test_checkpoint_two_field_payloads () =
+  (* older journals carry the erased type next to the counting type in
+     every inference payload, as {"jtype": ..., "counting": ...}. Decoding
+     reads only [counting], so such a journal resumes byte-identically under
+     both engines. *)
+  let jobs = 4 in
+  let with_jtype line =
+    match Result.map Checkpoint.entry_of_json (Json.Parser.parse line) with
+    | Ok (Ok e) -> (
+        match e.Checkpoint.e_payload with
+        | Json.Value.Object [ ("counting", cj) ] ->
+            let c = Result.get_ok (Jtype.Counting.of_json cj) in
+            let payload =
+              Json.Value.Object
+                [ ("jtype", Jtype.Types.to_json (Jtype.Counting.erase c));
+                  ("counting", cj) ]
+            in
+            Json.Printer.to_string
+              (Checkpoint.entry_to_json { e with Checkpoint.e_payload = payload })
+        | p -> Alcotest.failf "unexpected payload %s" (Json.Printer.to_string p))
+    | _ -> line (* the header, or the empty string after the last newline *)
+  in
+  List.iter
+    (fun engine ->
+      let inf0, r0, s0 =
+        sup_infer ~policy:(test_policy ~retries:0 ()) ~engine ~jobs messy_text
+      in
+      with_temp_journal (fun path ->
+          let inject = Chaos.worker_faults ~seed:5 ~rate:0.5 ~permanent:true () in
+          let _ =
+            sup_infer ~policy:(test_policy ~retries:0 ()) ~inject
+              ~checkpoint:path ~engine ~jobs messy_text
+          in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          let rewritten =
+            String.concat "\n" (List.map with_jtype (String.split_on_char '\n' text))
+          in
+          Out_channel.with_open_bin path (fun oc -> output_string oc rewritten);
+          let inf2, r2, s2 =
+            sup_infer ~policy:(test_policy ~retries:0 ()) ~checkpoint:path
+              ~resume:true ~engine ~jobs messy_text
+          in
+          Alcotest.(check bool) "shards restored from the journal" true
+            (s2.Pipeline.sup_resumed > 0);
+          Alcotest.(check string) "resumed output byte-identical"
+            (infer_fingerprint inf0 r0 s0) (infer_fingerprint inf2 r2 s2)))
+    [ `Tree; `Streaming ]
+
 let test_checkpoint_torn_tail () =
   (* a crash mid-write leaves a torn final line; resume must scrub it and
      recompute that shard, still byte-identical *)
@@ -621,6 +675,8 @@ let () =
       ("checkpoint",
        [ Alcotest.test_case "kill and resume" `Quick test_checkpoint_kill_and_resume;
          Alcotest.test_case "torn tail" `Quick test_checkpoint_torn_tail;
+         Alcotest.test_case "two-field payloads" `Quick
+           test_checkpoint_two_field_payloads;
          Alcotest.test_case "rejects other input" `Quick test_checkpoint_rejects_other_input;
          Alcotest.test_case "rejects other job" `Quick test_checkpoint_rejects_other_job;
          Alcotest.test_case "rejects other engine" `Quick

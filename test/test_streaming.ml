@@ -590,27 +590,52 @@ let gen_repeating_ndjson : string QCheck2.Gen.t =
   let* docs = list_size (int_range 1 40) (oneofl pool) in
   return (String.concat "\n" (List.map Json.Printer.to_string docs))
 
+(* Both engines fold counting types and read the type off by erasure, so
+   tree = streaming alone cannot catch a fault the two share. The paper's
+   [Types] fold over the surviving documents is the independent reference
+   their type must print as. *)
+let matches_reference ~equiv (inferred : Pipeline.inferred option) docs =
+  match inferred with
+  | None -> true
+  | Some i ->
+      String.equal
+        (Jtype.Types.to_string i.Pipeline.jtype)
+        (Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs))
+
 (* the three inference entry points the streaming reduce serves, streaming
-   against tree at jobs 1, 2 and 4 *)
+   against tree at jobs 1, 2 and 4, and the tree run against the reference *)
 let reduce_agrees ~equiv text =
+  let strict_docs =
+    match Parallel.parse_ndjson_strict text with Ok docs -> docs | Error _ -> []
+  in
   List.for_all
     (fun jobs ->
+      (* each run: its fingerprint, its artifacts and the documents that
+         survived (the tree engine materializes them) *)
       let strict engine =
         match Pipeline.infer_ndjson ~equiv ~engine ~jobs text with
-        | Ok i -> inferred_fingerprint i
-        | Error e -> e
+        | Ok i -> (inferred_fingerprint i, Some i, strict_docs)
+        | Error e -> (e, None, [])
       in
       let resilient engine =
-        resilient_fingerprint
-          (Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text)
+        let inferred, ingest =
+          Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text
+        in
+        (resilient_fingerprint (inferred, ingest), inferred, ingest.Resilient.docs)
       in
       let supervised engine =
         match Pipeline.infer_ndjson_supervised ~equiv ~engine ~jobs text with
-        | Ok (inferred, ingest, _) -> resilient_fingerprint (inferred, ingest)
-        | Error e -> e
+        | Ok (inferred, ingest, _) ->
+            ( resilient_fingerprint (inferred, ingest),
+              inferred,
+              ingest.Resilient.docs )
+        | Error e -> (e, None, [])
       in
       List.for_all
-        (fun run -> run `Tree = run `Streaming)
+        (fun run ->
+          let tree, inferred, docs = run `Tree in
+          let stream, _, _ = run `Streaming in
+          tree = stream && matches_reference ~equiv inferred docs)
         [ strict; resilient; supervised ])
     [ 1; 2; 4 ]
 
@@ -641,11 +666,10 @@ let prop_infer_differential =
     ~count:(count 120)
     QCheck2.Gen.(tup3 gen_ndjson (oneofl equivs) (oneofl jobses))
     (fun (text, equiv, jobs) ->
-      let run engine =
-        resilient_fingerprint
-          (Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text)
-      in
-      run `Tree = run `Streaming)
+      let run engine = Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text in
+      let ((inferred, ingest) as tree) = run `Tree in
+      resilient_fingerprint tree = resilient_fingerprint (run `Streaming)
+      && matches_reference ~equiv inferred ingest.Resilient.docs)
 
 let prop_validate_differential =
   QCheck2.Test.make ~name:"streaming validate = tree validate"
