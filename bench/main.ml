@@ -558,24 +558,32 @@ let e14 () =
   Printf.printf "%-6s %18s %8s %9s %7s\n" "jobs" "ingest+infer(ms)" "MB/s" "speedup" "same?";
   List.iter
     (fun jobs ->
-      let out = ref (None, Resilient.(ingest "")) in
-      let t = timed (fun () -> out := Pipeline.infer_ndjson_resilient ~jobs text) in
+      let out = ref (Error "not run") in
+      let t = timed (fun () -> out := Pipeline.infer_ndjson ~jobs text) in
       if jobs = 1 then t1 := t;
       let same =
         match !out with
-        | Some inf, r ->
+        | Ok (inf, r, _) ->
             r.Resilient.report.Resilient.ok = List.length docs
             && Jtype.Types.to_string inf.Pipeline.jtype = reference
-        | None, _ -> false
+        | Error _ -> false
       in
+      assert same;
       Printf.printf "%-6d %18.1f %8.1f %8.2fx %7s\n" jobs (t *. 1e3) (mb /. t)
         (!t1 /. t)
         (if jobs = 1 then "ref" else if same then "yes" else "NO!"))
     [ 1; 2; 4; 8 ];
-  (* shard-parallel validation of the same batch against its inferred schema *)
+  (* shard-parallel validation of the same text against its inferred schema,
+     on the tree engine: the same failures at every job count *)
   let root = Jtype.Interop.to_schema_json (Inference.Parametric.infer ~equiv:Jtype.Merge.Kind docs) in
-  let tv1 = timed (fun () -> ignore (Parallel.validate ~jobs:1 ~root docs)) in
-  let tv4 = timed (fun () -> ignore (Parallel.validate ~jobs:4 ~root docs)) in
+  let validate jobs =
+    match Pipeline.validate_ndjson ~engine:`Tree ~jobs ~root text with
+    | Ok (failures, _, _) -> failures
+    | Error e -> failwith e
+  in
+  assert (validate 1 = validate 4);
+  let tv1 = timed (fun () -> ignore (validate 1)) in
+  let tv4 = timed (fun () -> ignore (validate 4)) in
   Printf.printf "validation: jobs=1 %.1f ms, jobs=4 %.1f ms (%.2fx)\n"
     (tv1 *. 1e3) (tv4 *. 1e3) (tv1 /. tv4);
   print_endline "shape: the merge is associative/commutative, so every job count returns";
@@ -663,10 +671,8 @@ let e16 () =
         degrade_threshold = None }
     in
     let go () =
-      match
-        Pipeline.ingest_ndjson_supervised ~policy ?inject ~jobs text
-      with
-      | Ok r -> r
+      match Pipeline.ingest_ndjson ~policy ?inject ~jobs text with
+      | Ok (_, r, sup) -> (r, sup)
       | Error e -> failwith e
     in
     let r, sup = go () in
@@ -966,9 +972,14 @@ let e17 () =
   List.iter
     (fun (cname, docs) ->
       let n = float_of_int (List.length docs) in
+      let text = Datagen.to_ndjson docs in
       List.iter
         (fun (ename, equiv) ->
-          let run jobs = (Pipeline.infer ~equiv ~jobs docs).Pipeline.jtype in
+          let run jobs =
+            match Pipeline.infer_ndjson ~equiv ~engine:`Tree ~jobs text with
+            | Ok (i, _, _) -> i.Pipeline.jtype
+            | Error e -> failwith e
+          in
           let t1 = run 1 in
           let printed = Jtype.Types.to_string t1 in
           let same =
@@ -985,11 +996,11 @@ let e17 () =
         [ ("kind", Jtype.Merge.Kind); ("label", Jtype.Merge.Label) ])
     [ ("union-heavy", union_heavy); ("wide-64", wide) ];
   print_endline
-    "note: the sharded table times Pipeline.infer, the tree engine's counting";
+    "note: the sharded table times the tree-engine infer run on the NDJSON";
   print_endline
-    "      fold plus erasure; these corpora are merge-bound, so jobs=4 pays";
+    "      text (parse, counting fold per shard, merge, erasure); these corpora";
   print_endline
-    "      domain handoff without parse work to amortize it";
+    "      are merge-bound, so jobs=4 pays domain handoff it cannot amortize";
   (* the acceptance claim: >= 2x merge-phase throughput on the
      union-heavy corpus at jobs=1, measured cold *)
   List.iter
@@ -1089,12 +1100,24 @@ let e18 () =
         in
         (* byte-identity gate: same failure list from both engines through the
            sharded path, at every job count *)
-        let reference = Parallel.validate ~config ~compiled:false ~root docs in
+        let reference =
+          match
+            Pipeline.validate_collection ~config ~compiled:false ~root docs
+          with
+          | Ok _ -> []
+          | Error failures -> failures
+        in
+        let text = Datagen.to_ndjson docs in
         let same =
           List.for_all
             (fun jobs ->
-              String.equal (render reference)
-                (render (Parallel.validate ~config ~compiled:true ~jobs ~root docs)))
+              match
+                Pipeline.validate_ndjson ~config ~compiled:true ~engine:`Tree
+                  ~jobs ~root text
+              with
+              | Ok (failures, _, _) ->
+                  String.equal (render reference) (render failures)
+              | Error e -> failwith e)
             [ 1; 4; 8 ]
         in
         assert (reference <> []);
@@ -1181,13 +1204,10 @@ let e19 () =
       (fun (cname, text) ->
         let mb = float_of_int (String.length text) /. 1e6 in
         let fp engine jobs =
-          let inferred, ing =
-            Pipeline.infer_ndjson_resilient ~engine ~jobs text
-          in
-          (match inferred with
-          | Some i -> Jtype.Types.to_string i.Pipeline.jtype
-          | None -> "none")
-          ^ "\n" ^ ingest_fp ing
+          match Pipeline.infer_ndjson ~engine ~jobs text with
+          | Ok (i, ing, _) ->
+              Jtype.Types.to_string i.Pipeline.jtype ^ "\n" ^ ingest_fp ing
+          | Error e -> failwith e
         in
         (* byte-identity across engines at every job count *)
         let reference = fp `Tree 1 in
@@ -1204,12 +1224,10 @@ let e19 () =
            GC state so it doesn't bleed into either engine's timing *)
         Gc.compact ();
         let t_tree =
-          timed (fun () ->
-              ignore (Pipeline.infer_ndjson_resilient ~engine:`Tree text))
+          timed (fun () -> ignore (Pipeline.infer_ndjson ~engine:`Tree text))
         in
         let t_stream =
-          timed (fun () ->
-              ignore (Pipeline.infer_ndjson_resilient ~engine:`Streaming text))
+          timed (fun () -> ignore (Pipeline.infer_ndjson ~engine:`Streaming text))
         in
         record_bench ~name:("e19/infer-" ^ cname) ~variant:"tree"
           ~wall_ms:(t_tree *. 1e3) ~mb_per_s:(mb /. t_tree);
@@ -1262,7 +1280,10 @@ let e19 () =
     List.map
       (fun (cname, root, config, text) ->
         let mb = float_of_int (String.length text) /. 1e6 in
-        let render (ing, failures) =
+        let render run =
+          let failures, ing, _ =
+            match run with Ok r -> r | Error e -> failwith e
+          in
           ingest_fp ing ^ "\n"
           ^ String.concat "\n"
               (List.map
@@ -1390,8 +1411,8 @@ let e20 () =
       sizes
   in
   let schema =
-    match Pipeline.infer_ndjson (snd (List.hd corpora)) with
-    | Ok i -> i.Pipeline.json_schema
+    match Pipeline.strict (Pipeline.infer_ndjson (snd (List.hd corpora))) with
+    | Ok (i, _, _) -> i.Pipeline.json_schema
     | Error e -> failwith e
   in
   Printf.printf "%-12s %8s %12s %12s %10s %9s\n" "corpus" "MB" "validate ms"
@@ -1402,8 +1423,8 @@ let e20 () =
         let cname = Printf.sprintf "orders-%dk" (n / 1000) in
         let mb = float_of_int (String.length text) /. 1e6 in
         let t =
-          match Pipeline.infer_ndjson text with
-          | Ok i -> i.Pipeline.jtype
+          match Pipeline.strict (Pipeline.infer_ndjson text) with
+          | Ok (i, _, _) -> i.Pipeline.jtype
           | Error e -> failwith e
         in
         let verdict, contain_s =
@@ -1449,8 +1470,8 @@ let e20 () =
                   [ ("type", Json.Value.String "string") ] ) ] ) ]
   in
   let t30 =
-    match Pipeline.infer_ndjson (snd (List.nth corpora 2)) with
-    | Ok i -> i.Pipeline.jtype
+    match Pipeline.strict (Pipeline.infer_ndjson (snd (List.nth corpora 2))) with
+    | Ok (i, _, _) -> i.Pipeline.jtype
     | Error e -> failwith e
   in
   (match Jtype.Contain.check ~root:drift_schema t30 with

@@ -47,17 +47,22 @@ let write_output path with_open f =
     Printf.eprintf "jsontool: cannot write %s: %s\n" path (sys_reason path reason);
     exit exit_unwritable
 
-(* All raw text enters through the resilient layer; the classic subcommands
-   use its strict (fail-fast) mode, [ingest] uses full quarantine. The depth
-   bound travels in the budget — [Resilient] derives its parser options from
-   the budget, so an [options.max_depth] alone would be overwritten. *)
+(* All raw text enters through the sharded ingest run; the classic
+   subcommands use its strict (fail-fast) mode, [ingest] uses full
+   quarantine. The depth bound travels in the budget — [Resilient] derives
+   its parser options from the budget, so an [options.max_depth] alone would
+   be overwritten. *)
 let load_documents ?options ?max_depth ?(jobs = 1) ?telemetry path =
   let budget =
     match max_depth with
     | None -> Resilient.unbounded_budget
     | Some max_depth -> { Resilient.unbounded_budget with Resilient.max_depth }
   in
-  Parallel.parse_ndjson_strict ~budget ?options ~jobs ?telemetry (read_input path)
+  Result.map
+    (fun (docs, _, _) -> docs)
+    (Pipeline.strict
+       (Pipeline.ingest_ndjson ~budget ?options ~jobs ?telemetry
+          (read_input path)))
 
 let or_die = function
   | Ok x -> x
@@ -109,9 +114,10 @@ let engine_arg =
 
 let engine_name = function `Tree -> "tree" | `Streaming -> "streaming"
 
-(* supervision flags: shared by ingest/infer/validate. Supervision engages
-   only when one of them is given, so the default paths — and their
-   telemetry key sets — are exactly the pre-supervisor ones. *)
+(* supervision flags: shared by ingest/infer/validate/check. Every run goes
+   through the one sharded executor; the flags only choose its policy and
+   journal, whether the supervisor line prints, and (for infer and
+   validate) quarantining over the default fail-fast mode. *)
 
 type sup_opts = {
   sup_retries : int;
@@ -150,7 +156,7 @@ let sup_term =
              ~doc:"Reuse completed shards from the --checkpoint journal \
                    (verified against the input fingerprint); only missing or \
                    poisoned shards are recomputed. Use the same --jobs as the \
-                   original run to actually skip work.")
+                   original run to actually skip work. Needs --checkpoint.")
   in
   let chaos_workers =
     Arg.(value & opt (some int) None
@@ -184,9 +190,11 @@ let sup_engaged o =
   || o.sup_chaos_workers <> None
 
 let sup_policy o =
-  { Supervisor.default_policy with
-    Supervisor.max_attempts = 1 + max 0 o.sup_retries;
-    timeout_ms = o.sup_timeout_ms }
+  if not (sup_engaged o) then Supervisor.no_retry
+  else
+    { Supervisor.default_policy with
+      Supervisor.max_attempts = 1 + max 0 o.sup_retries;
+      timeout_ms = o.sup_timeout_ms }
 
 let sup_inject o =
   Option.map
@@ -197,12 +205,32 @@ let sup_inject o =
 
 let sup_checkpoint o = if o.sup_checkpoint = "" then None else Some o.sup_checkpoint
 
+(* checked before any input is read: a resume with no journal to resume
+   from would silently run from scratch *)
+let require_checkpoint o =
+  if o.sup_resume && o.sup_checkpoint = "" then begin
+    prerr_endline "jsontool: --resume needs --checkpoint FILE";
+    exit 1
+  end
+
 let emit_supervision (sup : Pipeline.supervision) =
   let s = sup.Pipeline.sup_stats in
   Printf.eprintf
     "supervisor: shards=%d attempts=%d retries=%d poisoned=%d degraded=%d resumed=%d\n"
     s.Supervisor.shards s.Supervisor.attempts s.Supervisor.retries
     s.Supervisor.poisoned s.Supervisor.degraded sup.Pipeline.sup_resumed
+
+(* Finish one sharded run: an unusable journal ends the command with one
+   line; a [strict] command without supervision flags fails on its first
+   dead letter instead of quarantining it; the supervisor line prints when
+   a flag engaged supervision. *)
+let finish_run ?(strict = false) o run =
+  let engaged = sup_engaged o in
+  let v, ingest, sup =
+    or_die (if strict && not engaged then Pipeline.strict run else run)
+  in
+  if engaged then emit_supervision sup;
+  (v, ingest)
 
 (* observability flags: both create a recording sink; the report goes to
    stderr so stdout stays exactly the command's normal output *)
@@ -284,6 +312,7 @@ let ingest_cmd =
   in
   let run max_depth max_bytes max_nodes max_string max_docs dup_keys quarantine
       chaos chaos_rate sup jobs stats stats_json file =
+    require_checkpoint sup;
     let sink = make_sink ~stats ~stats_json in
     let text = read_input file in
     let text, faults =
@@ -303,19 +332,11 @@ let ingest_cmd =
         max_docs = cap max_docs d.Resilient.max_docs }
     in
     let options = { Json.Parser.default_options with dup_keys } in
-    let r =
-      if sup_engaged sup then begin
-        let r, s =
-          or_die
-            (Pipeline.ingest_ndjson_supervised ~budget ~options
-               ~policy:(sup_policy sup) ?inject:(sup_inject sup)
-               ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~jobs
-               ~telemetry:sink text)
-        in
-        emit_supervision s;
-        r
-      end
-      else Parallel.ingest ~budget ~options ~jobs ~telemetry:sink text
+    let _, r =
+      finish_run sup
+        (Pipeline.ingest_ndjson ~budget ~options ~policy:(sup_policy sup)
+           ?inject:(sup_inject sup) ?checkpoint:(sup_checkpoint sup)
+           ~resume:sup.sup_resume ~jobs ~telemetry:sink text)
     in
     (* attribution: dead letters an injected fault can claim get the fault's
        site id as their cause, so a drill is distinguishable from a real
@@ -391,6 +412,7 @@ let validate_cmd =
   in
   let run language formats compiled validate_cache engine sup jobs stats
       stats_json schema_file file =
+    require_checkpoint sup;
     Jsonschema.Compile.set_cache validate_cache;
     let sink = make_sink ~stats ~stats_json in
     let schema_json = or_die (Result.map_error Json.Parser.string_of_error (Json.Parser.parse (read_input schema_file))) in
@@ -413,40 +435,24 @@ let validate_cmd =
       Printf.printf "%d/%d documents valid\n" (ndocs - !failures) ndocs
     in
     (match language with
-     | `Jsonschema when sup_engaged sup ->
-         (* supervised path: quarantining ingestion + per-shard validation
-            under retry/timeout, with optional checkpoint/resume *)
-         let config =
-           { Jsonschema.Validate.default_config with
-             Jsonschema.Validate.assert_formats = formats;
-             telemetry = sink }
-         in
-         let r, fs, s =
-           or_die
-             (Pipeline.validate_ndjson_supervised ~config ~compiled
-                ~budget:Resilient.unbounded_budget ~policy:(sup_policy sup)
-                ?inject:(sup_inject sup) ?checkpoint:(sup_checkpoint sup)
-                ~resume:sup.sup_resume ~engine ~jobs ~telemetry:sink
-                ~root:schema_json (read_input file))
-         in
-         emit_supervision s;
-         (* the streaming engine does not materialize documents: the
-            survivor count reads off the report for both engines *)
-         print_failures r.Resilient.report.Resilient.ok fs
      | `Jsonschema ->
          let config =
            { Jsonschema.Validate.default_config with
              Jsonschema.Validate.assert_formats = formats;
              telemetry = sink }
          in
-         (* shard-parallel; failures come back in input order, so the
-            printout matches the sequential one — and the tree engine's *)
-         let ndocs, fs =
-           or_die
-             (Pipeline.validate_ndjson_strict ~config ~compiled ~engine ~jobs
-                ~telemetry:sink ~root:schema_json (read_input file))
+         (* failures come back in input order for any job count, so the
+            printout matches the sequential one — and the tree engine's;
+            the survivor count reads off the report for both engines *)
+         let fs, r =
+           finish_run ~strict:true sup
+             (Pipeline.validate_ndjson ~config ~compiled
+                ~budget:Resilient.unbounded_budget ~policy:(sup_policy sup)
+                ?inject:(sup_inject sup) ?checkpoint:(sup_checkpoint sup)
+                ~resume:sup.sup_resume ~engine ~jobs ~telemetry:sink
+                ~root:schema_json (read_input file))
          in
-         print_failures ndocs fs
+         print_failures r.Resilient.report.Resilient.ok fs
      | `Jsound ->
          let docs = or_die (load_documents ~jobs ~telemetry:sink file) in
          let schema = or_die (Jsound.parse schema_json) in
@@ -490,6 +496,7 @@ let infer_cmd =
          & info [ "output"; "o" ] ~doc:"Output form for parametric inference.")
   in
   let run approach equiv output engine sup jobs stats stats_json file =
+    require_checkpoint sup;
     let sink = make_sink ~stats ~stats_json in
     (* only the parametric map/reduce has a token-level fold *)
     let engine = if approach = `Parametric then engine else `Tree in
@@ -501,34 +508,22 @@ let infer_cmd =
       | `Ts -> print_endline inferred.Pipeline.typescript
       | `Swift -> print_endline inferred.Pipeline.swift
     in
-    if approach = `Parametric && sup_engaged sup then begin
-      (* supervised path: quarantining ingestion (unlike the fail-fast
-         default), retry/timeout per shard, optional checkpoint/resume *)
-      let inferred, r, s =
-        or_die
-          (Pipeline.infer_ndjson_supervised ~equiv
-             ~budget:Resilient.unbounded_budget ~policy:(sup_policy sup)
-             ?inject:(sup_inject sup) ?checkpoint:(sup_checkpoint sup)
-             ~resume:sup.sup_resume ~engine ~jobs ~telemetry:sink
-             (read_input file))
+    if approach = `Parametric then begin
+      (* fail-fast by default, like the approaches below; supervision flags
+         quarantine bad documents and infer from the survivors, and then
+         an empty survivor set is an error rather than the empty type *)
+      let inferred, r =
+        finish_run ~strict:true sup
+          (Pipeline.infer_ndjson ~equiv ~budget:Resilient.unbounded_budget
+             ~policy:(sup_policy sup) ?inject:(sup_inject sup)
+             ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~engine
+             ~jobs ~telemetry:sink (read_input file))
       in
-      emit_supervision s;
-      (match inferred with
-       | Some inferred -> print_inferred inferred output
-       | None ->
-           Printf.eprintf "jsontool: no documents survived ingestion (%d dead)\n"
-             (List.length r.Resilient.dead);
-           exit 1);
-      emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink
-    end
-    else if approach = `Parametric then begin
-      (* strict like the tree path below — the first bad document aborts
-         with the same error — but folding tokens straight into types *)
-      let inferred =
-        or_die
-          (Pipeline.infer_ndjson ~equiv ~engine ~jobs ~telemetry:sink
-             (read_input file))
-      in
+      if sup_engaged sup && r.Resilient.report.Resilient.ok = 0 then begin
+        Printf.eprintf "jsontool: no documents survived ingestion (%d dead)\n"
+          (List.length r.Resilient.dead);
+        exit 1
+      end;
       print_inferred inferred output;
       emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink
     end
@@ -576,6 +571,7 @@ let check_cmd =
          & info [ "equiv"; "e" ] ~doc:"Equivalence for the inference step: kind or label.")
   in
   let run equiv formats engine sup jobs stats stats_json schema_file file =
+    require_checkpoint sup;
     let sink = make_sink ~stats ~stats_json in
     let schema_json =
       or_die
@@ -586,14 +582,13 @@ let check_cmd =
       { Jsonschema.Validate.default_config with
         Jsonschema.Validate.assert_formats = formats }
     in
-    let checked, r, s =
-      or_die
+    let checked, r =
+      finish_run sup
         (Pipeline.check_ndjson ~equiv ~budget:Resilient.unbounded_budget
            ~policy:(sup_policy sup) ?inject:(sup_inject sup)
            ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~engine
            ~jobs ~telemetry:sink ~vconfig ~root:schema_json (read_input file))
     in
-    if sup_engaged sup then emit_supervision s;
     let code =
       match (checked.Pipeline.chk_inferred, checked.Pipeline.chk_verdict) with
       | None, _ | _, None ->

@@ -23,11 +23,12 @@ type outcome = {
 (* A prefix after which no suffix forms valid JSON: '{' must be followed by a
    field name or '}', and ',' is neither — the parse error lands on the
    second byte, *inside* the faulted line. Prepending it to every corrupting
-   fault guarantees (a) the line quarantines and (b) a stream ingester's
-   error recovery never runs past the line's own newline (a bare truncation
-   like ["[1,"] is a valid JSON *prefix*, so the parser would otherwise
-   continue into — and ruin — the next, healthy record). That containment is
-   what lets tests assert [quarantined = corrupting] exactly. *)
+   fault guarantees that the line never parses (a bit flip inside a string
+   payload, or a truncation at a value boundary, could otherwise leave valid
+   JSON). That is what lets tests assert [quarantined = corrupting] exactly.
+   Containment needs no prefix: a bare truncation like ["[1,"] is a valid
+   JSON prefix, and the ingester reports it with the error of its own line
+   alone, so the healthy record after it survives. *)
 let poison = "{,"
 
 let is_valid_json line = Result.is_ok (Json.Parser.parse line)

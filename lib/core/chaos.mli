@@ -15,11 +15,12 @@
       that stays valid JSON but blows any per-document byte budget.
 
     Faults in the first two classes carry a poison prefix that makes the
-    line unparseable with the error {e contained inside the line} (a flip
-    inside a string payload may leave the line valid; a truncation may leave
-    a valid JSON prefix that would drag the parser into the next record), so
-    [corrupting] is exactly the number of records a quarantining ingester
-    must reject — tests assert equality, not inequality. *)
+    line unparseable (a flip inside a string payload, or a truncation at a
+    value boundary, may otherwise leave the line valid), so [corrupting] is
+    exactly the number of records a quarantining ingester must reject —
+    tests assert equality, not inequality. The prefix is not what keeps the
+    error inside the line: {!Resilient.ingest_with} contains a line that is
+    a valid JSON prefix on its own. *)
 
 type fault = Truncate | Bit_flip | Duplicate_line | Oversize
 

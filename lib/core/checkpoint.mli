@@ -24,11 +24,13 @@ type entry = {
   e_off : int;   (** shard byte offset in the whole input *)
   e_len : int;
   e_line : int;  (** 1-based first line of the shard *)
-  e_ingest : Resilient.ingest;  (** the shard's full ingest result *)
+  e_ingest : Resilient.ingest;
+      (** the shard's dead letters and report; its [docs] is written as
+          [[]] and ignored when read *)
   e_payload : Json.Value.t;
-      (** pipeline-specific partial result: [{"counting": ...}], the
+      (** the job's partial result for the shard: [{"counting": ...}], the
           shard's partial counting type, for inference; the failure list
-          for validation; [null] for plain ingestion *)
+          for validation; the shard's documents for ingestion *)
 }
 
 type journal

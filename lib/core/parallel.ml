@@ -1,12 +1,8 @@
-(* Sharded execution on a fixed pool of domains.
-
-   The inference merge is associative and commutative (Jtype.Counting), so
-   map/reduce over shards is semantics-preserving by construction; the work
-   here is the bookkeeping that makes the parallel path *byte-identical* to
-   the sequential one: shards split only at newline boundaries, dead
-   letters are produced in whole-input coordinates (Resilient's
-   first_line/base_offset) and re-sorted by global position, and reports
-   are summed. *)
+(* The runtime under the sharded executor (Pipeline.run_shards): a fixed
+   pool of domains, newline-boundary sharding, and the two merges that make
+   a sharded run byte-identical to the sequential scan: dead letters (in
+   whole-input coordinates, via Resilient's first_line/base_offset) are
+   re-sorted by global position, and reports are summed. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
@@ -156,7 +152,7 @@ let shards ~jobs src =
     cut [] 0 1 jobs
   end
 
-(* --- sharded resilient ingestion --------------------------------------- *)
+(* --- merging shard results ---------------------------------------------- *)
 
 let merge_reports (a : Resilient.report) (b : Resilient.report) =
   { Resilient.ok = a.Resilient.ok + b.Resilient.ok;
@@ -169,77 +165,6 @@ let merge_reports (a : Resilient.report) (b : Resilient.report) =
 
 let dead_order (a : Resilient.dead_letter) (b : Resilient.dead_letter) =
   compare a.Resilient.byte_offset b.Resilient.byte_offset
-
-let ingest_with ?(budget = Resilient.default_budget) ?options ?(jobs = 1)
-    ?(telemetry = Telemetry.nop) ~parse_doc src =
-  (* the document-count budget is a global, order-dependent cap: shards
-     cannot apply it independently, so it routes through the sequential
-     scanner to keep the cut deterministic. [parse_doc] is a factory: one
-     instance per shard, so per-shard scratch state (the streaming engine's
-     field-name interning table) never crosses a domain. *)
-  let sequential () =
-    Resilient.ingest_with ~budget ?options ~telemetry ~parse_doc:(parse_doc ())
-      src
-  in
-  if jobs <= 1 || budget.Resilient.max_docs <> None then sequential ()
-  else
-    match shards ~jobs src with
-    | ([] | [ _ ]) -> sequential ()
-    | ss ->
-        Telemetry.count telemetry "parallel.shards" (List.length ss);
-        let parts =
-          run ~telemetry ~jobs
-            (List.map
-               (fun sh () ->
-                 Telemetry.span telemetry "ingest.shard" (fun () ->
-                     Resilient.ingest_with ~budget ?options
-                       ~first_line:sh.s_line ~base_offset:sh.s_off ~telemetry
-                       ~parse_doc:(parse_doc ())
-                       (String.sub src sh.s_off sh.s_len)))
-               ss)
-        in
-        Telemetry.span telemetry "ingest.merge" (fun () ->
-            ( List.concat_map (fun (p, _, _) -> p) parts,
-              List.stable_sort dead_order
-                (List.concat_map (fun (_, d, _) -> d) parts),
-              List.fold_left
-                (fun acc (_, _, r) -> merge_reports acc r)
-                Resilient.empty_report parts ))
-
-let ingest ?budget ?options ?jobs ?telemetry src =
-  let docs, dead, report =
-    ingest_with ?budget ?options ?jobs ?telemetry
-      ~parse_doc:(fun () ~options ~telemetry src ~pos ->
-        Json.Parser.parse_substring ~options ~telemetry src ~pos)
-      src
-  in
-  { Resilient.docs; dead; report }
-
-let parse_ndjson_strict ?(budget = Resilient.unbounded_budget) ?options ?(jobs = 1)
-    ?telemetry src =
-  let r = ingest ~budget ?options ~jobs ?telemetry src in
-  match r.Resilient.dead with
-  | [] -> Ok r.Resilient.docs
-  | d :: _ -> Error d.Resilient.error
-
-(* --- sharded map/reduce over a materialized collection ----------------- *)
-
-(* contiguous chunks with their global start index *)
-let chunked ~jobs xs =
-  let n = List.length xs in
-  if jobs <= 1 || n <= 1 then [ (0, xs) ]
-  else begin
-    let per = max 1 ((n + jobs - 1) / jobs) in
-    let rec go start acc cur cur_n = function
-      | [] ->
-          List.rev (if cur = [] then acc else (start, List.rev cur) :: acc)
-      | x :: rest ->
-          if cur_n = per then
-            go (start + per) ((start, List.rev cur) :: acc) [ x ] 1 rest
-          else go start acc (x :: cur) (cur_n + 1) rest
-    in
-    go 0 [] [] 0 xs
-  end
 
 (* Emit the hash-consed kernel's counter deltas (interning, and the fusion
    caches of a [Types] merge where one runs) into the sink, so
@@ -259,52 +184,3 @@ let with_kernel_stats telemetry f =
       (Jtype.Kernel.totals ());
     r
   end
-
-let infer_counting ~equiv ?(jobs = 1) ?(telemetry = Telemetry.nop) docs =
-  if jobs <= 1 then
-    Telemetry.span telemetry "infer" (fun () -> Jtype.Counting.infer ~equiv docs)
-  else begin
-    let chunks = chunked ~jobs docs in
-    Telemetry.count telemetry "parallel.merge_fanin" (List.length chunks);
-    let partials =
-      run ~telemetry ~jobs
-        (List.map
-           (fun (_, chunk) () ->
-             (* per-shard metrics stay out of the sink (chunk boundaries are
-                a [jobs] artifact); the shard span is the useful signal *)
-             Telemetry.span telemetry "infer.shard" (fun () ->
-                 Jtype.Counting.infer ~equiv chunk))
-           chunks)
-    in
-    Telemetry.span telemetry "infer.merge" (fun () ->
-        Jtype.Counting.merge_all ~equiv partials)
-  end
-
-let validate ?config ?(compiled = true) ?(jobs = 1) ?(telemetry = Telemetry.nop)
-    ~root docs =
-  (* compiled (default): lower the schema once and share the immutable plan
-     across all worker domains, instead of re-parsing and re-interpreting it
-     per document. Verdicts and error reports are byte-identical either way;
-     the compiled-schema cache makes repeated calls against the same schema
-     reuse one compilation. *)
-  let check =
-    if not compiled then fun v -> Jsonschema.Validate.validate ?config ~root v
-    else
-      match Jsonschema.Compile.plan_for ~telemetry root with
-      | Ok plan -> fun v -> Jsonschema.Compile.run ?config plan v
-      | Error es -> fun _ -> Error es
-  in
-  let validate_chunk (start, chunk) =
-    List.mapi
-      (fun i v ->
-        match check v with
-        | Ok () -> None
-        | Error es -> Some (start + i, es))
-      chunk
-    |> List.filter_map Fun.id
-  in
-  if jobs <= 1 then validate_chunk (0, docs)
-  else
-    run ~telemetry ~jobs
-      (List.map (fun chunk () -> validate_chunk chunk) (chunked ~jobs docs))
-    |> List.concat

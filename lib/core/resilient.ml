@@ -152,6 +152,9 @@ let ingest_with ?(budget = default_budget) ?options ?(first_line = 1)
     counted := max !counted off
   in
   let rec skip_ws pos = if pos < n && is_ws src.[pos] then skip_ws (pos + 1) else pos in
+  let next_line off =
+    match String.index_from_opt src off '\n' with Some i -> i + 1 | None -> n
+  in
   let docs = ref [] and dead = ref [] in
   let ok = ref 0 and quarantined = ref 0 and budget_killed = ref 0 in
   let causes = ref [] in
@@ -201,14 +204,22 @@ let ingest_with ?(budget = default_budget) ?options ?(first_line = 1)
               advance_to next_pos;
               go next_pos
           | Error e ->
-              (* quarantine the span and resume at the next line boundary —
-                 per-document containment for NDJSON, line-level containment
-                 for concatenated JSON *)
+              (* quarantine the span and resume at the next line boundary.
+                 A line that is a valid JSON prefix ([1,) drags the parser
+                 into the lines after it; its error is then the one of that
+                 line alone, as a shard cut after it would present it, so
+                 the healthy lines that follow survive at any job count *)
               let err_off = max pos (min e.Json.Parser.position.Json.Lexer.offset n) in
-              let resume =
-                match String.index_from_opt src err_off '\n' with
-                | Some i -> i + 1
-                | None -> n
+              let e, resume =
+                match String.index_from_opt src pos '\n' with
+                | Some nl when err_off > nl -> (
+                    let own = String.sub src pos (nl + 1 - pos) in
+                    match
+                      parse_doc ~options ~telemetry:Telemetry.nop own ~pos:0
+                    with
+                    | Error own_e -> (own_e, nl + 1)
+                    | Ok _ -> (e, next_line err_off))
+                | _ -> (e, next_line err_off)
               in
               add_dead ~start:pos ~stop:resume
                 ~error:(global_error ~start_line:!line e)

@@ -117,7 +117,18 @@ val ingest_with :
     ({!Pipeline}) plugs in token-level folds
     ({!Inference.Streaming.infer_tokens}, {!Jsonschema.Compile.run_stream})
     whose error behaviour is byte-identical by contract, so dead letters and
-    reports cannot differ between engines. *)
+    reports cannot differ between engines.
+
+    Containment is per line. A failing document whose error lies past the
+    end of the line it starts on (a line that is a valid JSON prefix, such
+    as [[1,], reads on into the next one) is reported with the error of
+    that line alone — its bytes through the newline, parsed through the
+    same [parse_doc], exactly as a shard cut after it presents them — and
+    scanning resumes on the next line; the failure is counted once. So the
+    dead letters do not depend on where an input is cut into shards.
+    Valid multi-line documents still parse anywhere, but a failing one,
+    malformed or over budget, becomes a syntax error on its first line,
+    and its later lines are scanned as documents of their own. *)
 
 val ingest :
   ?budget:budget -> ?options:Json.Parser.options ->
@@ -130,17 +141,22 @@ val ingest :
     {!dead_letter} and scanning resumes after the next newline. [options]
     supplies non-budget knobs (duplicate-key policy, ...); its budget fields
     are overridden by [budget]. [first_line] (default 1) and [base_offset]
-    (default 0) shift reported line numbers and byte offsets — used by
-    {!Parallel} so a shard of a larger input produces dead letters in the
-    coordinates of the whole input. [attempt] (default 1) stamps every dead
-    letter's [attempts] field — the supervisor passes the current retry
-    attempt so quarantine records carry their retry history. [tick]
+    (default 0) shift reported line numbers and byte offsets — used by the
+    sharded runs of {!Pipeline} so a shard of a larger input produces dead
+    letters in the coordinates of the whole input. [attempt] (default 1)
+    stamps every dead letter's [attempts] field — the supervisor passes the
+    current retry attempt so quarantine records carry their retry history.
+    [tick]
     (default a no-op) is called once per document boundary; {!Supervisor}
     installs a deadline check here, making shard wall-clock timeouts
     cooperative instead of preemptive. [telemetry] (default
     {!Telemetry.nop}) receives [ingest.docs_ok], [ingest.docs_quarantined],
     [ingest.budget.<cap>] counters plus the underlying parser's [parse.*]
     metrics. *)
+
+val raw_prefix : string -> lo:int -> hi:int -> string
+(** The dead-letter [raw_prefix] of the span [lo, hi) of a text: at most
+    its first 80 bytes, with newlines and carriage returns blanked. *)
 
 val parse_ndjson_strict :
   ?budget:budget -> ?options:Json.Parser.options -> string ->

@@ -5,9 +5,9 @@
     whole job. The supervisor wraps each shard's work in a retry loop that
     runs {e inside} its pooled thunk, so the pool never sees an exception:
     a shard that fails every attempt becomes a typed {!outcome.Poisoned}
-    value and its siblings are untouched. {!Pipeline} turns poisoned shards
-    into {!Resilient.dead_letter}s with whole-input coordinates, keeping
-    the merged result deterministic.
+    value and its siblings are untouched. {!Pipeline.run_shards} turns
+    poisoned shards into {!Resilient.dead_letter}s with whole-input
+    coordinates, keeping the merged result deterministic.
 
     Everything that could make a supervised run nondeterministic is pinned:
 
@@ -62,8 +62,8 @@ val default_policy : policy
 
 val no_retry : policy
 (** Single attempt, no deadline, no degradation: supervision reduced to
-    poison isolation — the pre-supervisor semantics, minus the job-killing
-    exception. *)
+    poison isolation. It is the default policy of {!Pipeline.run_shards},
+    so an unsupervised run is this policy with no journal. *)
 
 val backoff_ms : policy -> shard:int -> attempt:int -> float
 (** The deterministic delay inserted after failed [attempt] of [shard]:

@@ -31,8 +31,8 @@ let test_infer_artifacts () =
 
 let test_infer_ndjson () =
   let text = String.concat "\n" (List.map Json.Printer.to_string docs) in
-  match Pipeline.infer_ndjson text with
-  | Ok inferred ->
+  match Pipeline.strict (Pipeline.infer_ndjson text) with
+  | Ok (inferred, _, _) ->
       Alcotest.(check string) "same as batch"
         (Jtype.Types.to_string (Pipeline.infer docs).Pipeline.jtype)
         (Jtype.Types.to_string inferred.Pipeline.jtype)
@@ -81,21 +81,28 @@ let test_translate_pipeline () =
 let test_resilient_pipelines () =
   let text = "{\"a\": 1}\n{oops\n{\"a\": 2}\n" in
   (* inference runs on the survivors, the wreck is quarantined *)
-  let inferred, r = Pipeline.infer_ndjson_resilient text in
+  let inf, r, _ = Result.get_ok (Pipeline.infer_ndjson text) in
   Alcotest.(check int) "ok" 2 r.Resilient.report.Resilient.ok;
   Alcotest.(check int) "quarantined" 1 r.Resilient.report.Resilient.quarantined;
-  (match inferred with
-   | Some inf ->
-       Alcotest.(check bool) "a typed" true
-         (Jtype.Types.size inf.Pipeline.jtype > 0)
-   | None -> Alcotest.fail "two documents survived; inference must run");
-  (* nothing survives -> None, not an exception *)
-  (match Pipeline.infer_ndjson_resilient "{nope\n" with
-   | None, r0 -> Alcotest.(check int) "all dead" 1 r0.Resilient.report.Resilient.quarantined
-   | Some _, _ -> Alcotest.fail "no survivors expected");
+  Alcotest.(check string) "survivors typed" "{a: Int}"
+    (Jtype.Types.to_string inf.Pipeline.jtype);
+  (* nothing survives -> the empty type and a report saying so, not an
+     exception; strict mode turns the wreck into the run's error *)
+  let inf0, r0, _ = Result.get_ok (Pipeline.infer_ndjson "{nope\n") in
+  Alcotest.(check int) "all dead" 1 r0.Resilient.report.Resilient.quarantined;
+  Alcotest.(check int) "no survivors" 0 r0.Resilient.report.Resilient.ok;
+  Alcotest.(check string) "empty type" "Bot"
+    (Jtype.Types.to_string inf0.Pipeline.jtype);
+  (match Pipeline.strict (Pipeline.infer_ndjson "{nope\n") with
+   | Error e ->
+       Alcotest.(check string) "strict error" "line 1, column 2: expected null" e
+   | Ok _ -> Alcotest.fail "strict mode must fail on the dead letter");
   (* guarded validation indexes failures into the survivor list *)
   let root = Json.Parser.parse_exn {|{"type": "object", "required": ["a"]}|} in
-  let rv, failures = Pipeline.validate_ndjson ~root "{\"a\": 1}\n{oops\n{\"b\": 2}\n" in
+  let failures, rv, _ =
+    Result.get_ok
+      (Pipeline.validate_ndjson ~root "{\"a\": 1}\n{oops\n{\"b\": 2}\n")
+  in
   Alcotest.(check int) "validated survivors" 2 rv.Resilient.report.Resilient.ok;
   Alcotest.(check (list int)) "failing survivor indices" [ 1 ] (List.map fst failures);
   (* guarded translation *)

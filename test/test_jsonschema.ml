@@ -667,19 +667,31 @@ let test_compiled_parallel_jobs () =
                 es))
          failures)
   in
-  let reference = Core.Parallel.validate ~compiled:false ~root docs in
+  let reference =
+    match Core.Pipeline.validate_collection ~compiled:false ~root docs with
+    | Ok _ -> []
+    | Error failures -> failures
+  in
   Alcotest.(check bool) "some failures exist" true (reference <> []);
+  (* the sharded tree engine: one plan shared across the shards' domains *)
+  let text = Datagen.to_ndjson docs in
+  let sharded jobs =
+    match
+      Core.Pipeline.validate_ndjson ~compiled:true ~engine:`Tree ~jobs ~root
+        text
+    with
+    | Ok (failures, _, _) -> failures
+    | Error e -> Alcotest.fail e
+  in
   List.iter
     (fun jobs ->
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d compiled failures identical" jobs)
-        (render reference)
-        (render (Core.Parallel.validate ~compiled:true ~jobs ~root docs));
+        (render reference) (render (sharded jobs));
       Jsonschema.Compile.set_cache false;
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d compiled, cache off" jobs)
-        (render reference)
-        (render (Core.Parallel.validate ~compiled:true ~jobs ~root docs));
+        (render reference) (render (sharded jobs));
       Jsonschema.Compile.set_cache true)
     [ 1; 4; 8 ]
 

@@ -311,12 +311,16 @@ let determinism_corpus =
   Datagen.heterogeneous st ~heterogeneity:0.8 600
 
 let test_jobs_determinism () =
+  let text = Datagen.to_ndjson determinism_corpus in
   List.iter
     (fun equiv ->
       let results =
         List.map
           (fun jobs ->
-            let i = Core.Pipeline.infer ~equiv ~jobs determinism_corpus in
+            let i, _, _ =
+              Result.get_ok
+                (Core.Pipeline.infer_ndjson ~equiv ~engine:`Tree ~jobs text)
+            in
             Types.to_string i.Core.Pipeline.jtype
             ^ "\n"
             ^ Counting.to_string i.Core.Pipeline.counting)

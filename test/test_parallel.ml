@@ -1,7 +1,10 @@
-(* Tests for Core.Parallel: the sharded execution engine must be
-   byte-identical to the sequential path — same documents, same dead
-   letters (order included), same reports, same inferred types — for any
-   job count, on clean and chaos-corrupted input alike. *)
+(* Tests for the sharded executor (Core.Pipeline.run_shards) on the
+   Core.Parallel pool: every run must be byte-identical to the sequential
+   scan — same documents, same dead letters (order included), same
+   reports, same inferred types and validation failures — for any job
+   count, either engine, any supervision policy, interrupted and resumed or
+   not, on clean and corrupted input alike; minus exactly the documents of
+   shards that stay poisoned. *)
 
 open Core
 
@@ -65,13 +68,25 @@ let test_shards_cover_input () =
 
 (* --- sharded ingestion ------------------------------------------------- *)
 
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* the ingest run with its documents folded back into the ingest record,
+   comparable with [Resilient.ingest] *)
+let ingest_run ?budget ?options ?policy ?inject ?checkpoint ?resume ~jobs text =
+  let docs, ingest, sup =
+    ok
+      (Pipeline.ingest_ndjson ?budget ?options ?policy ?inject ?checkpoint
+         ?resume ~jobs text)
+  in
+  ({ ingest with Resilient.docs }, sup)
+
 let test_ingest_identical () =
   let reference = Resilient.ingest messy_text in
   Alcotest.(check bool) "corpus actually has dead letters" true
     (reference.Resilient.dead <> []);
   List.iter
     (fun jobs ->
-      let r = Parallel.ingest ~jobs messy_text in
+      let r, _ = ingest_run ~jobs messy_text in
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d byte-identical" jobs)
         (ingest_fingerprint reference) (ingest_fingerprint r))
@@ -82,15 +97,16 @@ let test_ingest_budget_identical () =
     { Resilient.default_budget with Resilient.max_doc_bytes = Some 512 }
   in
   let reference = Resilient.ingest ~budget messy_text in
-  let r = Parallel.ingest ~budget ~jobs:4 messy_text in
+  let r, _ = ingest_run ~budget ~jobs:4 messy_text in
   Alcotest.(check string) "budget kills identical"
     (ingest_fingerprint reference) (ingest_fingerprint r)
 
+
 let test_ingest_max_docs_sequential_fallback () =
-  (* the global document cap is order-dependent: parallel must defer *)
+  (* the global document cap is order-dependent: one whole-input shard *)
   let budget = { Resilient.default_budget with Resilient.max_docs = Some 5 } in
   let reference = Resilient.ingest ~budget clean_text in
-  let r = Parallel.ingest ~budget ~jobs:4 clean_text in
+  let r, _ = ingest_run ~budget ~jobs:4 clean_text in
   Alcotest.(check string) "truncation identical"
     (ingest_fingerprint reference) (ingest_fingerprint r);
   Alcotest.(check bool) "truncated" true r.Resilient.report.Resilient.truncated
@@ -99,7 +115,12 @@ let test_strict_first_error () =
   let reference = Resilient.parse_ndjson_strict messy_text in
   List.iter
     (fun jobs ->
-      match (reference, Parallel.parse_ndjson_strict ~jobs messy_text) with
+      match
+        ( reference,
+          Pipeline.strict
+            (Pipeline.ingest_ndjson ~budget:Resilient.unbounded_budget ~jobs
+               messy_text) )
+      with
       | Error a, Error b ->
           Alcotest.(check string) (Printf.sprintf "jobs=%d same error" jobs) a b
       | Ok _, _ | _, Ok _ -> Alcotest.fail "corrupted corpus must error")
@@ -109,8 +130,8 @@ let test_strict_first_error () =
 
 let test_infer_identical () =
   (* the tree engine's sharded counting fold against the paper's
-     sequential folds: the [Types] fold for the type, the counting fold
-     for the counts *)
+     sequential folds over the survivors of the sequential scan: the
+     [Types] fold for the type, the counting fold for the counts *)
   let docs = (Resilient.ingest messy_text).Resilient.docs in
   List.iter
     (fun equiv ->
@@ -127,34 +148,50 @@ let test_infer_identical () =
             Printf.sprintf "%s %s jobs=%d" what
               (Jtype.Merge.equiv_to_string equiv) jobs
           in
-          let i = Pipeline.infer ~equiv ~jobs docs in
+          let i, _, _ =
+            ok (Pipeline.infer_ndjson ~equiv ~engine:`Tree ~jobs messy_text)
+          in
           Alcotest.(check string) (label "type") reference
             (Jtype.Types.to_string i.Pipeline.jtype);
           Alcotest.(check string) (label "counting") ref_counting
             (Jtype.Counting.to_string i.Pipeline.counting))
-        [ 2; 4; 8 ])
+        [ 2; 4; 8 ];
+      (* the sequential fold over the materialized collection *)
+      let i = Pipeline.infer ~equiv docs in
+      Alcotest.(check string) "collection type" reference
+        (Jtype.Types.to_string i.Pipeline.jtype);
+      Alcotest.(check string) "collection counting" ref_counting
+        (Jtype.Counting.to_string i.Pipeline.counting))
     [ Jtype.Merge.Kind; Jtype.Merge.Label ]
 
 let test_pipeline_resilient_jobs () =
-  let seq_inf, seq_r = Pipeline.infer_ndjson_resilient messy_text in
-  let par_inf, par_r = Pipeline.infer_ndjson_resilient ~jobs:4 messy_text in
+  let seq_inf, seq_r, _ = ok (Pipeline.infer_ndjson messy_text) in
+  let par_inf, par_r, _ = ok (Pipeline.infer_ndjson ~jobs:4 messy_text) in
   Alcotest.(check string) "ingest identical"
     (ingest_fingerprint seq_r) (ingest_fingerprint par_r);
-  match (seq_inf, par_inf) with
-  | Some a, Some b ->
-      Alcotest.(check string) "jtype" (Jtype.Types.to_string a.Pipeline.jtype)
-        (Jtype.Types.to_string b.Pipeline.jtype);
-      Alcotest.(check string) "counting"
-        (Jtype.Counting.to_string a.Pipeline.counting)
-        (Jtype.Counting.to_string b.Pipeline.counting);
-      Alcotest.(check string) "json schema"
-        (Json.Printer.to_string a.Pipeline.json_schema)
-        (Json.Printer.to_string b.Pipeline.json_schema);
-      Alcotest.(check string) "typescript" a.Pipeline.typescript b.Pipeline.typescript;
-      Alcotest.(check string) "swift" a.Pipeline.swift b.Pipeline.swift
-  | _ -> Alcotest.fail "both paths must infer"
+  let a = seq_inf and b = par_inf in
+  Alcotest.(check string) "jtype" (Jtype.Types.to_string a.Pipeline.jtype)
+    (Jtype.Types.to_string b.Pipeline.jtype);
+  Alcotest.(check string) "counting"
+    (Jtype.Counting.to_string a.Pipeline.counting)
+    (Jtype.Counting.to_string b.Pipeline.counting);
+  Alcotest.(check string) "json schema"
+    (Json.Printer.to_string a.Pipeline.json_schema)
+    (Json.Printer.to_string b.Pipeline.json_schema);
+  Alcotest.(check string) "typescript" a.Pipeline.typescript b.Pipeline.typescript;
+  Alcotest.(check string) "swift" a.Pipeline.swift b.Pipeline.swift
 
 (* --- sharded validation ------------------------------------------------ *)
+
+let render_failures failures =
+  String.concat "\n"
+    (List.map
+       (fun (i, es) ->
+         String.concat "\n"
+           (List.map
+              (fun e -> Printf.sprintf "%d: %s" i (Jsonschema.Validate.string_of_error e))
+              es))
+       failures)
 
 let test_validate_identical () =
   let docs = (Resilient.ingest clean_text).Resilient.docs in
@@ -163,31 +200,31 @@ let test_validate_identical () =
       {|{"type": "object", "required": ["f0"],
          "properties": {"f0": {"type": "integer", "multipleOf": 3}}}|}
   in
-  let render failures =
-    String.concat "\n"
-      (List.map
-         (fun (i, es) ->
-           String.concat "\n"
-             (List.map
-                (fun e -> Printf.sprintf "%d: %s" i (Jsonschema.Validate.string_of_error e))
-                es))
-         failures)
+  let reference =
+    match Pipeline.validate_collection ~root docs with
+    | Ok _ -> []
+    | Error failures -> failures
   in
-  let reference = Parallel.validate ~root docs in
   Alcotest.(check bool) "some failures exist" true (reference <> []);
   List.iter
     (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d failures identical" jobs)
-        (render reference)
-        (render (Parallel.validate ~jobs ~root docs)))
+      List.iter
+        (fun engine ->
+          let failures, _, _ =
+            ok (Pipeline.validate_ndjson ~engine ~jobs ~root clean_text)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "jobs=%d failures identical" jobs)
+            (render_failures reference) (render_failures failures))
+        [ `Tree; `Streaming ])
     [ 2; 4; 8 ];
-  (* guarded text entry point *)
-  let seq_r, seq_f = Pipeline.validate_ndjson ~root clean_text in
-  let par_r, par_f = Pipeline.validate_ndjson ~jobs:4 ~root clean_text in
+  (* guarded text entry point, on a corpus with dead letters *)
+  let seq_f, seq_r, _ = ok (Pipeline.validate_ndjson ~root messy_text) in
+  let par_f, par_r, _ = ok (Pipeline.validate_ndjson ~jobs:4 ~root messy_text) in
   Alcotest.(check string) "ndjson ingest identical"
     (ingest_fingerprint seq_r) (ingest_fingerprint par_r);
-  Alcotest.(check string) "ndjson failures identical" (render seq_f) (render par_f)
+  Alcotest.(check string) "ndjson failures identical" (render_failures seq_f)
+    (render_failures par_f)
 
 (* --- supervised execution ---------------------------------------------- *)
 
@@ -221,17 +258,11 @@ let forget_attempts (r : Resilient.ingest) =
         (fun (d : Resilient.dead_letter) -> { d with Resilient.attempts = 1 })
         r.Resilient.dead }
 
-let sup_ingest ?policy ?inject ?checkpoint ?resume ~jobs text =
-  match
-    Pipeline.ingest_ndjson_supervised ?policy ?inject ?checkpoint ?resume ~jobs
-      text
-  with
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
+let sup_ingest = ingest_run
 
 let test_supervisor_no_faults_identical () =
-  (* supervision without faults is invisible: byte-identical to the plain
-     parallel path, which is byte-identical to sequential *)
+  (* supervision without faults is invisible: byte-identical to the
+     sequential scan *)
   let reference = Resilient.ingest messy_text in
   List.iter
     (fun jobs ->
@@ -257,6 +288,9 @@ let test_supervisor_transient_recovered () =
   Alcotest.(check string) "identical modulo attempt counts"
     (ingest_fingerprint reference) (ingest_fingerprint (forget_attempts r))
 
+let is_shard_letter (d : Resilient.dead_letter) =
+  match d.Resilient.kind with Resilient.Shard _ -> true | Resilient.Parse _ -> false
+
 let test_supervisor_poison_isolation () =
   (* permanent faults: the faulted shards are quarantined as dead letters
      with whole-input coordinates; every other shard is untouched *)
@@ -269,12 +303,7 @@ let test_supervisor_poison_isolation () =
     (s.Supervisor.poisoned < s.Supervisor.shards);
   Alcotest.(check int) "report counts them" s.Supervisor.poisoned
     r.Resilient.report.Resilient.poisoned;
-  let shard_letters =
-    List.filter
-      (fun (d : Resilient.dead_letter) ->
-        match d.Resilient.kind with Resilient.Shard _ -> true | _ -> false)
-      r.Resilient.dead
-  in
+  let shard_letters = List.filter is_shard_letter r.Resilient.dead in
   Alcotest.(check int) "one letter per poisoned shard" s.Supervisor.poisoned
     (List.length shard_letters);
   let ss = Parallel.shards ~jobs messy_text in
@@ -288,10 +317,33 @@ let test_supervisor_poison_isolation () =
            ss);
       Alcotest.(check int) "attempts = exhausted budget" 2 d.Resilient.attempts;
       Alcotest.(check bool) "cause is the injected site" true
-        (String.length d.Resilient.cause >= String.length "chaos:worker@"
-        && String.sub d.Resilient.cause 0 (String.length "chaos:worker@")
-           = "chaos:worker@"))
+        (String.starts_with ~prefix:"chaos:worker@" d.Resilient.cause))
     shard_letters
+
+let test_poison_raw_prefix () =
+  (* a poisoned shard's letter shows its first bytes the way a parse
+     letter does: newlines blanked, at most 80 bytes *)
+  let text =
+    String.concat "" (List.init 40 (fun i -> Printf.sprintf "{\"a\":%d}\n" i))
+  in
+  let inject = Chaos.worker_faults ~seed:5 ~rate:0.3 ~permanent:true () in
+  let r, _ = sup_ingest ~inject ~jobs:4 text in
+  let letters = List.filter is_shard_letter r.Resilient.dead in
+  Alcotest.(check bool) "a shard is poisoned" true (letters <> []);
+  List.iter
+    (fun (d : Resilient.dead_letter) ->
+      let off = d.Resilient.byte_offset in
+      Alcotest.(check string) "blanked prefix"
+        (String.map
+           (fun c -> if c = '\n' then ' ' else c)
+           (String.sub text off (min 80 (String.length text - off))))
+        d.Resilient.raw_prefix;
+      Alcotest.(check bool) "no raw newline" false
+        (String.contains d.Resilient.raw_prefix '\n'))
+    letters;
+  Alcotest.(check string) "first shard"
+    "{\"a\":0} {\"a\":1} {\"a\":2} {\"a\":3} {\"a\":4} {\"a\":5} {\"a\":6} {\"a\":7} {\"a\":8} {\"a\":9} "
+    (List.hd letters).Resilient.raw_prefix
 
 let test_supervisor_degradation () =
   (* an impossible deadline poisons every shard in the parallel pass; the
@@ -341,12 +393,20 @@ let test_backoff_deterministic () =
   Alcotest.(check bool) "not all identical" true
     (List.exists (fun d -> d <> List.hd delays) delays)
 
-(* The determinism property of the ISSUE: for any seeded worker-fault plan
-   and any jobs/retry-policy combination, the supervised run equals the
-   plain sequential run restricted to surviving shards — plus exactly one
-   Shard dead letter per poisoned shard. The oracle recomputes each
-   surviving shard with the plain sequential ingester (no supervisor, no
-   pool, no injection), so agreement pins the whole retry/merge machinery. *)
+(* which shards a pure fault plan leaves poisoned after [max_attempts] *)
+let expect_poisoned inject ~max_attempts shard =
+  let rec all_fail attempt =
+    attempt > max_attempts
+    || (inject ~shard ~attempt <> None && all_fail (attempt + 1))
+  in
+  all_fail 1
+
+(* For any seeded worker-fault plan and any jobs/retry-policy combination,
+   the supervised run equals the plain sequential run restricted to
+   surviving shards — plus exactly one Shard dead letter per poisoned
+   shard. The oracle recomputes each surviving shard with the plain
+   sequential ingester (no supervisor, no pool, no injection), so agreement
+   pins the whole retry/merge machinery. *)
 let prop_supervised_determinism =
   QCheck2.Test.make ~name:"supervised run = sequential minus poisoned shards"
     ~count:(count 20)
@@ -356,23 +416,12 @@ let prop_supervised_determinism =
     (fun (seed, rate, permanent, jobs, retries) ->
       let inject = Chaos.worker_faults ~seed ~rate ~permanent () in
       let policy = test_policy ~retries () in
-      let r, _ =
-        sup_ingest ~policy ~inject ~jobs messy_text
-      in
-      (* the plan is pure, so which shards must be poisoned is computable
-         without running anything *)
-      let max_attempts = 1 + retries in
-      let expect_poisoned shard =
-        let rec all_fail attempt =
-          attempt > max_attempts
-          || (inject ~shard ~attempt <> None && all_fail (attempt + 1))
-        in
-        all_fail 1
-      in
+      let r, _ = sup_ingest ~policy ~inject ~jobs messy_text in
       let ss = Parallel.shards ~jobs messy_text in
       let surviving, poisoned_shards =
         List.partition
-          (fun (i, _) -> not (expect_poisoned i))
+          (fun (i, _) ->
+            not (expect_poisoned inject ~max_attempts:(1 + retries) i))
           (List.mapi (fun i sh -> (i, sh)) ss)
       in
       let expected =
@@ -392,11 +441,8 @@ let prop_supervised_determinism =
       in
       (* dead letters: the surviving shards' parse letters at unchanged
          whole-input coordinates + one Shard letter per poisoned shard *)
-      let got_parse, got_shard =
-        List.partition
-          (fun (d : Resilient.dead_letter) ->
-            match d.Resilient.kind with Resilient.Parse _ -> true | _ -> false)
-          (forget_attempts r).Resilient.dead
+      let got_shard, got_parse =
+        List.partition is_shard_letter (forget_attempts r).Resilient.dead
       in
       let want_parse =
         List.concat_map (fun ing -> List.map dead_to_string ing.Resilient.dead)
@@ -417,35 +463,369 @@ let prop_supervised_determinism =
       && r.Resilient.report.Resilient.ok = List.length got_docs
       && r.Resilient.report.Resilient.poisoned = List.length poisoned_shards)
 
+(* --- one executor for every job ---------------------------------------- *)
+
+(* A line that is a valid JSON prefix, cut at a random byte: no poison
+   prefix, so the parser reads on into the lines after it. *)
+let truncate_lines ~seed ~rate text =
+  let st = Random.State.make [| seed |] in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         let n = String.length line in
+         if n > 1 && Random.State.float st 1.0 < rate then
+           String.sub line 0 (1 + Random.State.int st (n - 1))
+         else line)
+  |> String.concat "\n"
+
+(* orders with a few tweets mixed in, run through the chaos harness, then
+   cut by bare truncations *)
+let messy_corpus ~seed ~n ~chaos_rate ~cut_rate =
+  let st = Datagen.rng ~seed in
+  let docs =
+    List.init n (fun i ->
+        if i mod 7 = 3 then Datagen.tweet st else Datagen.order st)
+  in
+  let text =
+    (Chaos.corrupt ~pad:2048 ~seed ~rate:chaos_rate (Datagen.to_ndjson docs))
+      .Chaos.text
+  in
+  truncate_lines ~seed ~rate:cut_rate text
+
+(* reads kinds, keys and counts, plus one value keyword *)
+let orders_root =
+  Json.Parser.parse_exn
+    {|{"type": "object", "required": ["order_id", "quantity"],
+       "properties": {
+         "order_id": {"type": "integer"},
+         "quantity": {"type": "integer", "maximum": 5},
+         "customer": {"type": "object", "required": ["customer_city"]}}}|}
+
+let budgets =
+  [ Resilient.default_budget;
+    { Resilient.default_budget with Resilient.max_doc_bytes = Some 1024 };
+    { Resilient.default_budget with Resilient.max_depth = 3 };
+    { Resilient.default_budget with Resilient.max_docs = Some 17 } ]
+
+(* the shards the executor cuts *)
+let shards_of ~budget ~jobs text =
+  if text = "" then []
+  else if budget.Resilient.max_docs <> None then
+    [ { Parallel.s_off = 0; s_len = String.length text; s_line = 1 } ]
+  else Parallel.shards ~jobs text
+
+(* the sequential scan of each shard, in whole-input coordinates *)
+let shard_references ~budget text shards =
+  List.map
+    (fun (sh : Parallel.shard) ->
+      Resilient.ingest ~budget ~first_line:sh.Parallel.s_line
+        ~base_offset:sh.Parallel.s_off
+        (String.sub text sh.Parallel.s_off sh.Parallel.s_len))
+    shards
+
+let concat_ingests (parts : Resilient.ingest list) =
+  { Resilient.docs = List.concat_map (fun r -> r.Resilient.docs) parts;
+    dead = List.concat_map (fun r -> r.Resilient.dead) parts;
+    report =
+      List.fold_left
+        (fun acc r -> Parallel.merge_reports acc r.Resilient.report)
+        Resilient.empty_report parts }
+
+let counting_string ~equiv docs =
+  Jtype.Counting.to_string (Inference.Parametric.infer_counting ~equiv docs)
+
+let type_string ~equiv docs =
+  Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs)
+
+(* every run kind on one corpus and one setting against the sequential
+   references over the shards [poisoned] leaves; [tag] says where *)
+let runs_agree ~tag ~budget ~jobs ~engine ?policy ?inject ?checkpoint ?resume
+    ~poisoned text =
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_reportf "%s: %s" tag m) fmt in
+  let shards = shards_of ~budget ~jobs text in
+  let refs = shard_references ~budget text shards in
+  let surviving =
+    concat_ingests
+      (List.filteri (fun i _ -> not (List.mem i poisoned)) refs)
+  in
+  let survivors = surviving.Resilient.docs in
+  let check_ingest what (r : Resilient.ingest) =
+    let shard_letters, parse_letters =
+      List.partition is_shard_letter (forget_attempts r).Resilient.dead
+    in
+    if
+      ingest_fingerprint { r with Resilient.dead = parse_letters; docs = [] }
+      <> ingest_fingerprint
+           { surviving with
+             Resilient.docs = [];
+             report =
+               { surviving.Resilient.report with
+                 Resilient.poisoned = List.length poisoned } }
+    then fail "%s: dead letters or report differ" what;
+    let starts =
+      List.map
+        (fun (d : Resilient.dead_letter) -> d.Resilient.byte_offset)
+        shard_letters
+    in
+    let want =
+      List.map
+        (fun i -> (List.nth shards i).Parallel.s_off)
+        (List.sort compare poisoned)
+    in
+    if starts <> want then fail "%s: poisoned shards differ" what
+  in
+  let journal kind =
+    Option.map (fun path -> path ^ "." ^ kind) checkpoint
+  in
+  (* ingest: documents, dead letters and report *)
+  let docs, ingest, _ =
+    ok
+      (Pipeline.ingest_ndjson ~budget ?policy ?inject
+         ?checkpoint:(journal "ingest") ?resume ~jobs text)
+  in
+  check_ingest "ingest" ingest;
+  if List.map Json.Printer.to_string docs
+     <> List.map Json.Printer.to_string survivors
+  then fail "ingest: documents differ";
+  (* infer under both equivalences: the paper's folds of the survivors *)
+  List.iter
+    (fun equiv ->
+      let e = Jtype.Merge.equiv_to_string equiv in
+      let i, ingest, _ =
+        ok
+          (Pipeline.infer_ndjson ~equiv ~budget ?policy ?inject
+             ?checkpoint:(journal ("infer-" ^ e)) ?resume ~engine ~jobs text)
+      in
+      check_ingest ("infer " ^ e) ingest;
+      if Jtype.Types.to_string i.Pipeline.jtype <> type_string ~equiv survivors
+      then fail "infer %s: type differs" e;
+      if Jtype.Counting.to_string i.Pipeline.counting
+         <> counting_string ~equiv survivors
+      then fail "infer %s: counting type differs" e)
+    [ Jtype.Merge.Kind; Jtype.Merge.Label ];
+  (* validate: the interpreter over the survivors, indices included *)
+  let failures, ingest, _ =
+    ok
+      (Pipeline.validate_ndjson ~budget ?policy ?inject
+         ?checkpoint:(journal "validate") ?resume ~engine ~jobs
+         ~root:orders_root text)
+  in
+  check_ingest "validate" ingest;
+  let want =
+    List.concat
+      (List.mapi
+         (fun i v ->
+           match Jsonschema.Validate.validate ~root:orders_root v with
+           | Ok () -> []
+           | Error es -> [ (i, es) ])
+         survivors)
+  in
+  if render_failures failures <> render_failures want then
+    fail "validate: failures differ";
+  true
+
+let engine_name = function `Tree -> "tree" | `Streaming -> "streaming"
+
+(* The executor property. Random messy corpora (chaos faults, bare
+   truncations, budget kills), jobs 1-8, both engines, and three settings:
+   no retry; retries under transient injected faults (shards whose every
+   attempt faults stay poisoned); a permanent-fault kill journaled to a
+   checkpoint, then its resume. Every run kind — ingest, infer under both
+   equivalences, validate — equals its sequential reference minus exactly
+   the documents of the shards that stay poisoned, and strict runs fail
+   with the sequential strict scan's error. *)
+let prop_one_executor =
+  QCheck2.Test.make ~name:"every run = sequential reference minus poisoned"
+    ~count:(count 40)
+    ~print:(fun (seed, n, jobs, engine, b, mode) ->
+      Printf.sprintf "seed=%d n=%d jobs=%d engine=%s budget=%d mode=%d" seed n
+        jobs (engine_name engine) b mode)
+    QCheck2.Gen.(
+      tup6 (int_range 0 10_000) (int_range 0 80) (int_range 1 8)
+        (oneofl [ `Tree; `Streaming ])
+        (int_range 0 (List.length budgets - 1))
+        (int_range 0 2))
+    (fun (seed, n, jobs, engine, b, mode) ->
+      let budget = List.nth budgets b in
+      let text = messy_corpus ~seed ~n ~chaos_rate:0.1 ~cut_rate:0.3 in
+      let shards = shards_of ~budget ~jobs text in
+      (* the shard references together are the sequential scan *)
+      if
+        ingest_fingerprint (concat_ingests (shard_references ~budget text shards))
+        <> ingest_fingerprint (Resilient.ingest ~budget text)
+      then QCheck2.Test.fail_report "shards disagree with the sequential scan";
+      let poisoned_by inject ~max_attempts =
+        List.filter
+          (expect_poisoned inject ~max_attempts)
+          (List.init (List.length shards) Fun.id)
+      in
+      match mode with
+      | 0 ->
+          (* no retry, no faults; strict runs fail like the strict scan *)
+          let strict_ref = Resilient.parse_ndjson_strict text in
+          let strict_err r =
+            match Pipeline.strict r with
+            | Error e -> Some e
+            | Ok _ -> None
+          in
+          let unbounded = Resilient.unbounded_budget in
+          let want = match strict_ref with Error e -> Some e | Ok _ -> None in
+          if
+            strict_err (Pipeline.ingest_ndjson ~budget:unbounded ~jobs text) <> want
+            || strict_err
+                 (Pipeline.infer_ndjson ~budget:unbounded ~engine ~jobs text)
+               <> want
+            || strict_err
+                 (Pipeline.validate_ndjson ~budget:unbounded ~engine ~jobs
+                    ~root:orders_root text)
+               <> want
+          then QCheck2.Test.fail_report "strict error differs";
+          runs_agree ~tag:"plain" ~budget ~jobs ~engine ~poisoned:[] text
+      | 1 ->
+          let retries = seed mod 3 in
+          let inject = Chaos.worker_faults ~seed ~rate:0.5 () in
+          runs_agree ~tag:"transient" ~budget ~jobs ~engine
+            ~policy:(test_policy ~retries ()) ~inject
+            ~poisoned:(poisoned_by inject ~max_attempts:(1 + retries))
+            text
+      | _ ->
+          let path = Filename.temp_file "jsontool-exec" ".ndjson" in
+          let kinds = [ "ingest"; "infer-kind"; "infer-label"; "validate" ] in
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter
+                (fun k -> try Sys.remove (path ^ "." ^ k) with Sys_error _ -> ())
+                kinds;
+              try Sys.remove path with Sys_error _ -> ())
+            (fun () ->
+              let inject = Chaos.worker_faults ~seed ~rate:0.5 ~permanent:true () in
+              let policy = test_policy ~retries:0 () in
+              runs_agree ~tag:"killed" ~budget ~jobs ~engine ~policy ~inject
+                ~checkpoint:path
+                ~poisoned:(poisoned_by inject ~max_attempts:1)
+                text
+              && runs_agree ~tag:"resumed" ~budget ~jobs ~engine ~policy
+                   ~checkpoint:path ~resume:true ~poisoned:[] text))
+
+(* Containment at any cut: a bare truncation leaves a line that is a valid
+   JSON prefix, and where the input is cut into shards must not change
+   which healthy lines after it survive. *)
+let prop_truncation_containment =
+  QCheck2.Test.make ~name:"bare truncations: jobs 1-8 = sequential scan"
+    ~count:(count 30)
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 40))
+    (fun (seed, n) ->
+      let text = messy_corpus ~seed ~n ~chaos_rate:0.0 ~cut_rate:0.3 in
+      let reference = Resilient.ingest text in
+      let survivors = reference.Resilient.docs in
+      let want_type = type_string ~equiv:Jtype.Merge.Kind survivors in
+      List.for_all
+        (fun jobs ->
+          List.for_all
+            (fun engine ->
+              let i, ingest, _ =
+                ok (Pipeline.infer_ndjson ~engine ~jobs text)
+              in
+              let failures, vingest, _ =
+                ok (Pipeline.validate_ndjson ~engine ~jobs ~root:orders_root text)
+              in
+              let want_failures =
+                match Pipeline.validate_collection ~compiled:false ~root:orders_root survivors with
+                | Ok _ -> []
+                | Error fs -> fs
+              in
+              let plain = { reference with Resilient.docs = [] } in
+              ingest_fingerprint ingest = ingest_fingerprint plain
+              && ingest_fingerprint vingest = ingest_fingerprint plain
+              && Jtype.Types.to_string i.Pipeline.jtype = want_type
+              && render_failures failures = render_failures want_failures)
+            [ `Tree; `Streaming ])
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
+let test_truncation_repro () =
+  (* a line that is a valid JSON prefix takes only itself down *)
+  let text =
+    String.concat "\n"
+      [ {|{"a": "|} ^ String.make 40 'x' ^ {|"|}; {|{"b": 2}|}; "[1,";
+        {|{"c": true}|}; {|{"d": [1, 2]}|} ]
+    ^ "\n"
+  in
+  List.iter
+    (fun jobs ->
+      let r, _ = ingest_run ~jobs text in
+      Alcotest.(check int) (Printf.sprintf "jobs=%d ok" jobs) 3
+        r.Resilient.report.Resilient.ok;
+      Alcotest.(check (list int)) "letters on their own lines" [ 1; 3 ]
+        (List.map (fun (d : Resilient.dead_letter) -> d.Resilient.line)
+           r.Resilient.dead);
+      Alcotest.(check string) "same as the sequential scan"
+        (ingest_fingerprint (Resilient.ingest text))
+        (ingest_fingerprint r))
+    [ 1; 2; 3; 4; 5 ]
+
+(* a fold that raises on one shard: the run survives it as a dead letter *)
+let test_shard_crash () =
+  let text =
+    String.concat "" (List.init 40 (fun i -> Printf.sprintf "{\"a\":%d}\n" i))
+  in
+  let crash_fold =
+    { Pipeline.parse_doc =
+        (fun () ~options ~telemetry src ~pos ->
+          Json.Parser.parse_substring ~options ~telemetry src ~pos);
+      finish =
+        (fun docs ->
+          if List.mem (Json.Parser.parse_exn {|{"a":25}|}) docs then
+            failwith "boom"
+          else List.length docs);
+      encode = (fun n -> Json.Value.Int n);
+      decode =
+        (function Json.Value.Int n -> Ok n | _ -> Error "not a count") }
+  in
+  let run () =
+    Pipeline.run_shards ~jobs:4 ~job:"crash" ~engine:"tree" crash_fold text
+  in
+  let parts, ingest, sup = ok (run ()) in
+  Alcotest.(check int) "one shard crashed" 1
+    sup.Pipeline.sup_stats.Supervisor.crashes;
+  Alcotest.(check int) "the others completed" 3 (List.length parts);
+  Alcotest.(check int) "report counts it" 1
+    ingest.Resilient.report.Resilient.poisoned;
+  let d =
+    match ingest.Resilient.dead with
+    | [ d ] -> d
+    | _ -> Alcotest.fail "one dead letter expected"
+  in
+  Alcotest.(check string) "kind" "shard:crash"
+    (Resilient.kind_name d.Resilient.kind);
+  Alcotest.(check string) "cause" "crash:Failure(\"boom\")" d.Resilient.cause;
+  (match Pipeline.strict (run ()) with
+  | Error e -> Alcotest.(check string) "strict error" d.Resilient.error e
+  | Ok _ -> Alcotest.fail "a strict run must fail on the crashed shard");
+  Alcotest.(check bool) "one line" false (String.contains d.Resilient.error '\n');
+  Alcotest.(check bool) "names the shard" true
+    (String.starts_with
+       ~prefix:(Printf.sprintf "shard at line %d poisoned after 1 attempt: crash:" d.Resilient.line)
+       d.Resilient.error)
+
 (* --- checkpoint/resume -------------------------------------------------- *)
 
 let with_temp_journal f =
   let path = Filename.temp_file "jsontool-ckpt" ".ndjson" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let infer_fingerprint (inf : Pipeline.inferred option) (r : Resilient.ingest)
+let infer_fingerprint (i : Pipeline.inferred) (r : Resilient.ingest)
     (s : Pipeline.supervision) =
   String.concat "\n"
-    [ (match inf with
-      | None -> "<none>"
-      | Some i ->
-          Json.Printer.to_string (Jtype.Types.to_json i.Pipeline.jtype)
-          ^ "\n"
-          ^ Json.Printer.to_string (Jtype.Counting.to_json i.Pipeline.counting)
-          ^ "\n"
-          ^ Json.Printer.to_string i.Pipeline.json_schema
-          ^ "\n" ^ i.Pipeline.typescript ^ "\n" ^ i.Pipeline.swift);
+    [ Json.Printer.to_string (Jtype.Types.to_json i.Pipeline.jtype);
+      Json.Printer.to_string (Jtype.Counting.to_json i.Pipeline.counting);
+      Json.Printer.to_string i.Pipeline.json_schema;
+      i.Pipeline.typescript;
+      i.Pipeline.swift;
       ingest_fingerprint r;
       string_of_int r.Resilient.report.Resilient.poisoned;
       string_of_int s.Pipeline.sup_stats.Supervisor.poisoned ]
 
 let sup_infer ?policy ?inject ?checkpoint ?resume ?engine ~jobs text =
-  match
-    Pipeline.infer_ndjson_supervised ?policy ?inject ?checkpoint ?resume
-      ?engine ~jobs text
-  with
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
+  ok (Pipeline.infer_ndjson ?policy ?inject ?checkpoint ?resume ?engine ~jobs text)
 
 let test_checkpoint_kill_and_resume () =
   (* run 1 is "killed": permanent faults poison some shards, the journal
@@ -456,7 +836,7 @@ let test_checkpoint_kill_and_resume () =
   let reference = infer_fingerprint inf0 r0 s0 in
   with_temp_journal (fun path ->
       let inject = Chaos.worker_faults ~seed:5 ~rate:0.5 ~permanent:true () in
-      let _, rk, sk =
+      let _, _, sk =
         sup_infer ~policy:(test_policy ~retries:0 ()) ~inject ~checkpoint:path
           ~jobs messy_text
       in
@@ -466,7 +846,6 @@ let test_checkpoint_kill_and_resume () =
         (sk.Pipeline.sup_stats.Supervisor.poisoned
         < sk.Pipeline.sup_stats.Supervisor.shards);
       Alcotest.(check int) "interrupted run resumed nothing" 0 sk.Pipeline.sup_resumed;
-      ignore rk;
       let inf2, r2, s2 =
         sup_infer ~policy:(test_policy ~retries:0 ()) ~checkpoint:path
           ~resume:true ~jobs messy_text
@@ -528,7 +907,8 @@ let test_checkpoint_two_field_payloads () =
 
 let test_checkpoint_torn_tail () =
   (* a crash mid-write leaves a torn final line; resume must scrub it and
-     recompute that shard, still byte-identical *)
+     recompute that shard, still byte-identical — the restored shards'
+     documents come back from their journaled payloads *)
   let jobs = 4 in
   let reference = ingest_fingerprint (Resilient.ingest messy_text) in
   with_temp_journal (fun path ->
@@ -551,43 +931,37 @@ let test_checkpoint_torn_tail () =
       Alcotest.(check string) "byte-identical after torn-tail resume" reference
         (ingest_fingerprint r))
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
 let test_checkpoint_rejects_other_input () =
   with_temp_journal (fun path ->
       let _ = sup_ingest ~policy:(test_policy ~retries:0 ()) ~checkpoint:path ~jobs:2 messy_text in
       match
-        Pipeline.ingest_ndjson_supervised ~policy:(test_policy ~retries:0 ())
+        Pipeline.ingest_ndjson ~policy:(test_policy ~retries:0 ())
           ~checkpoint:path ~resume:true ~jobs:2 clean_text
       with
       | Ok _ -> Alcotest.fail "resume against different input must be refused"
       | Error e ->
-          let contains hay needle =
-            let n = String.length needle and h = String.length hay in
-            let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
-            at 0
-          in
           Alcotest.(check bool) "error names the fingerprint" true
             (contains e "fingerprint"))
 
 let test_checkpoint_rejects_other_engine () =
-  (* a tree journal's shard payloads are meaningless to the streaming
-     resume path (and vice versa): the header records the engine and a
-     cross-engine resume must be refused, not silently merged *)
+  (* a journal records the engine that wrote it, and a cross-engine resume
+     must be refused, not silently merged *)
   with_temp_journal (fun path ->
       let _ =
         sup_infer ~policy:(test_policy ~retries:0 ()) ~checkpoint:path
           ~engine:`Tree ~jobs:2 messy_text
       in
       match
-        Pipeline.infer_ndjson_supervised ~policy:(test_policy ~retries:0 ())
+        Pipeline.infer_ndjson ~policy:(test_policy ~retries:0 ())
           ~checkpoint:path ~resume:true ~engine:`Streaming ~jobs:2 messy_text
       with
       | Ok _ -> Alcotest.fail "cross-engine resume must be refused"
       | Error e ->
-          let contains hay needle =
-            let n = String.length needle and h = String.length hay in
-            let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
-            at 0
-          in
           Alcotest.(check bool) "error names the engine mismatch" true
             (contains e "engine mismatch"));
   (* same journal, same engine: resumes fine in both directions *)
@@ -605,16 +979,13 @@ let test_checkpoint_rejects_other_engine () =
           Alcotest.(check bool) "all shards restored" true
             (s1.Pipeline.sup_resumed > 0
             && s1.Pipeline.sup_stats.Supervisor.shards = 0);
-          match (inf0, inf1) with
-          | Some a, Some b ->
-              Alcotest.(check bool) "same type after resume" true
-                (Jtype.Types.equal a.Pipeline.jtype b.Pipeline.jtype)
-          | _ -> Alcotest.fail "inference must survive"))
+          Alcotest.(check bool) "same type after resume" true
+            (Jtype.Types.equal inf0.Pipeline.jtype inf1.Pipeline.jtype)))
     [ `Tree; `Streaming ]
 
 let test_check_ndjson () =
-  (* the drift check rides the same supervised machinery: inferred type plus
-     a containment verdict, under both engines *)
+  (* the drift check rides the same executor: inferred type plus a
+     containment verdict, under both engines *)
   let parse s = Result.get_ok (Json.Parser.parse s) in
   let text = "{\"a\":1}\n{\"a\":2,\"b\":true}\n" in
   List.iter
@@ -641,13 +1012,16 @@ let test_checkpoint_rejects_other_job () =
   with_temp_journal (fun path ->
       let _ = sup_ingest ~policy:(test_policy ~retries:0 ()) ~checkpoint:path ~jobs:2 messy_text in
       match
-        Pipeline.infer_ndjson_supervised ~policy:(test_policy ~retries:0 ())
+        Pipeline.infer_ndjson ~policy:(test_policy ~retries:0 ())
           ~checkpoint:path ~resume:true ~jobs:2 messy_text
       with
       | Ok _ -> Alcotest.fail "resume under a different job tag must be refused"
       | Error _ -> ())
 
 let () =
+  let qcheck p =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| fuzz_seed |]) p
+  in
   Alcotest.run "parallel"
     [ ("pool",
        [ Alcotest.test_case "run order/results" `Quick test_run_order_and_results;
@@ -657,21 +1031,25 @@ let () =
        [ Alcotest.test_case "chaos corpus identical" `Quick test_ingest_identical;
          Alcotest.test_case "budget kills identical" `Quick test_ingest_budget_identical;
          Alcotest.test_case "max_docs fallback" `Quick test_ingest_max_docs_sequential_fallback;
-         Alcotest.test_case "strict first error" `Quick test_strict_first_error ]);
+         Alcotest.test_case "strict first error" `Quick test_strict_first_error;
+         Alcotest.test_case "truncated line contained" `Quick test_truncation_repro;
+         qcheck prop_truncation_containment ]);
       ("inference",
        [ Alcotest.test_case "types identical" `Quick test_infer_identical;
          Alcotest.test_case "pipeline resilient" `Quick test_pipeline_resilient_jobs ]);
       ("validation",
        [ Alcotest.test_case "failures identical" `Quick test_validate_identical ]);
+      ("executor",
+       [ Alcotest.test_case "shard crash" `Quick test_shard_crash;
+         qcheck prop_one_executor ]);
       ("supervision",
        [ Alcotest.test_case "no faults identical" `Quick test_supervisor_no_faults_identical;
          Alcotest.test_case "transient recovered" `Quick test_supervisor_transient_recovered;
          Alcotest.test_case "poison isolation" `Quick test_supervisor_poison_isolation;
+         Alcotest.test_case "poison raw prefix" `Quick test_poison_raw_prefix;
          Alcotest.test_case "graceful degradation" `Quick test_supervisor_degradation;
          Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
-         QCheck_alcotest.to_alcotest
-           ~rand:(Random.State.make [| fuzz_seed |])
-           prop_supervised_determinism ]);
+         qcheck prop_supervised_determinism ]);
       ("checkpoint",
        [ Alcotest.test_case "kill and resume" `Quick test_checkpoint_kill_and_resume;
          Alcotest.test_case "torn tail" `Quick test_checkpoint_torn_tail;

@@ -40,6 +40,8 @@ let inferred_fingerprint (i : Pipeline.inferred) =
       i.Pipeline.typescript;
       i.Pipeline.swift ]
 
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
 let failures_fingerprint fs =
   String.concat "\n"
     (List.map
@@ -77,11 +79,13 @@ let test_infer_strict_identical () =
           let label =
             Printf.sprintf "%s jobs=%d" (Jtype.Merge.equiv_to_string equiv) jobs
           in
-          match
-            ( Pipeline.infer_ndjson ~equiv ~engine:`Tree ~jobs clean_text,
-              Pipeline.infer_ndjson ~equiv ~engine:`Streaming ~jobs clean_text )
-          with
-          | Ok t, Ok s ->
+          let strict engine =
+            Pipeline.strict
+              (Pipeline.infer_ndjson ~equiv ~budget:Resilient.unbounded_budget
+                 ~engine ~jobs clean_text)
+          in
+          match (strict `Tree, strict `Streaming) with
+          | Ok (t, _, _), Ok (s, _, _) ->
               Alcotest.(check string) label (inferred_fingerprint t)
                 (inferred_fingerprint s)
           | _ -> Alcotest.fail (label ^ ": clean corpus must infer"))
@@ -91,20 +95,19 @@ let test_infer_strict_identical () =
 let test_infer_strict_same_error () =
   List.iter
     (fun jobs ->
-      match
-        ( Pipeline.infer_ndjson ~engine:`Tree ~jobs messy_text,
-          Pipeline.infer_ndjson ~engine:`Streaming ~jobs messy_text )
-      with
+      let strict engine =
+        Pipeline.strict
+          (Pipeline.infer_ndjson ~budget:Resilient.unbounded_budget ~engine
+             ~jobs messy_text)
+      in
+      match (strict `Tree, strict `Streaming) with
       | Error a, Error b ->
           Alcotest.(check string) (Printf.sprintf "jobs=%d" jobs) a b
       | _ -> Alcotest.fail "corrupted corpus must error strictly")
     jobses
 
-let resilient_fingerprint (inferred, ingest) =
-  (match inferred with
-  | None -> "none"
-  | Some i -> inferred_fingerprint i)
-  ^ "\n---\n" ^ ingest_fingerprint ingest
+let resilient_fingerprint (inferred, ingest, _) =
+  inferred_fingerprint inferred ^ "\n---\n" ^ ingest_fingerprint ingest
 
 let test_infer_resilient_identical () =
   let budgets =
@@ -121,8 +124,7 @@ let test_infer_resilient_identical () =
           List.iter
             (fun jobs ->
               let run engine =
-                Pipeline.infer_ndjson_resilient ?budget ~equiv ~engine ~jobs
-                  messy_text
+                ok (Pipeline.infer_ndjson ?budget ~equiv ~engine ~jobs messy_text)
               in
               Alcotest.(check string)
                 (Printf.sprintf "%s %s jobs=%d" bname
@@ -136,7 +138,7 @@ let test_infer_resilient_identical () =
 let test_infer_streaming_counts_docs () =
   (* the streaming ingest must report the documents it refused to
      materialize *)
-  let _, ingest = Pipeline.infer_ndjson_resilient ~engine:`Streaming clean_text in
+  let _, ingest, _ = ok (Pipeline.infer_ndjson ~engine:`Streaming clean_text) in
   Alcotest.(check (list Alcotest.string)) "no docs" []
     (List.map Json.Printer.to_string ingest.Resilient.docs);
   Alcotest.(check int) "ok = corpus size" 200
@@ -147,8 +149,8 @@ let test_infer_streaming_counts_docs () =
 (* schema inferred from the orders corpus: every order validates; the
    tweet-derived messy corpus mostly does not, exercising error paths *)
 let orders_schema =
-  match Pipeline.infer_ndjson orders_text with
-  | Ok i -> i.Pipeline.json_schema
+  match Pipeline.strict (Pipeline.infer_ndjson orders_text) with
+  | Ok (i, _, _) -> i.Pipeline.json_schema
   | Error e -> failwith e
 
 let test_validate_identical () =
@@ -157,9 +159,9 @@ let test_validate_identical () =
       List.iter
         (fun jobs ->
           let run engine =
-            Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text
+            ok (Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text)
           in
-          let ti, tf = run `Tree and si, sf = run `Streaming in
+          let tf, ti, _ = run `Tree and sf, si, _ = run `Streaming in
           let label = Printf.sprintf "%s jobs=%d" cname jobs in
           Alcotest.(check string) (label ^ " failures")
             (failures_fingerprint tf) (failures_fingerprint sf);
@@ -220,15 +222,15 @@ let test_validate_supervised_identical () =
                   (match engine with `Tree -> "tree" | `Streaming -> "streaming")
                   jobs
               in
-              let pi, pf =
-                Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text
+              let pf, pi, _ =
+                ok (Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text)
               in
               match
-                Pipeline.validate_ndjson_supervised ~policy ~inject ~engine
-                  ~jobs ~root:orders_schema text
+                Pipeline.validate_ndjson ~policy ~inject ~engine ~jobs
+                  ~root:orders_schema text
               with
               | Error e -> Alcotest.fail (label ^ ": " ^ e)
-              | Ok (si, sf, sup) ->
+              | Ok (sf, si, sup) ->
                   retried := !retried + sup.Pipeline.sup_stats.Supervisor.retries;
                   Alcotest.(check int) (label ^ " nothing poisoned") 0
                     sup.Pipeline.sup_stats.Supervisor.poisoned;
@@ -311,11 +313,12 @@ let test_validate_conformance_corpus () =
                             incr groups;
                             let text = Datagen.to_ndjson data in
                             let run engine =
-                              Pipeline.validate_ndjson ~config ~engine
-                                ~root:schema text
+                              ok
+                                (Pipeline.validate_ndjson ~config ~engine
+                                   ~root:schema text)
                             in
-                            let ti, tf = run `Tree
-                            and si, sf = run `Streaming in
+                            let tf, ti, _ = run `Tree
+                            and sf, si, _ = run `Streaming in
                             let label =
                               Printf.sprintf "%s :: group %d (cache=%b)" file
                                 !groups cache
@@ -594,49 +597,52 @@ let gen_repeating_ndjson : string QCheck2.Gen.t =
    tree = streaming alone cannot catch a fault the two share. The paper's
    [Types] fold over the surviving documents is the independent reference
    their type must print as. *)
-let matches_reference ~equiv (inferred : Pipeline.inferred option) docs =
-  match inferred with
-  | None -> true
-  | Some i ->
-      String.equal
-        (Jtype.Types.to_string i.Pipeline.jtype)
-        (Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs))
+let matches_reference ~equiv (i : Pipeline.inferred) docs =
+  String.equal
+    (Jtype.Types.to_string i.Pipeline.jtype)
+    (Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs))
 
-(* the three inference entry points the streaming reduce serves, streaming
-   against tree at jobs 1, 2 and 4, and the tree run against the reference *)
+(* the three modes of the inference run the streaming reduce serves
+   (strict, quarantining, retrying), streaming against tree at jobs 1, 2
+   and 4, and the tree run against the reference over the sequential
+   scan's survivors *)
 let reduce_agrees ~equiv text =
   let strict_docs =
-    match Parallel.parse_ndjson_strict text with Ok docs -> docs | Error _ -> []
+    match Resilient.parse_ndjson_strict text with Ok docs -> docs | Error _ -> []
+  in
+  let survivors = (Resilient.ingest text).Resilient.docs in
+  let retrying =
+    { Supervisor.default_policy with
+      Supervisor.base_backoff_ms = 0.0;
+      max_backoff_ms = 0.0 }
   in
   List.for_all
     (fun jobs ->
       (* each run: its fingerprint, its artifacts and the documents that
-         survived (the tree engine materializes them) *)
+         survived *)
       let strict engine =
-        match Pipeline.infer_ndjson ~equiv ~engine ~jobs text with
-        | Ok i -> (inferred_fingerprint i, Some i, strict_docs)
+        match
+          Pipeline.strict
+            (Pipeline.infer_ndjson ~equiv ~budget:Resilient.unbounded_budget
+               ~engine ~jobs text)
+        with
+        | Ok (i, _, _) -> (inferred_fingerprint i, Some i, strict_docs)
         | Error e -> (e, None, [])
       in
-      let resilient engine =
-        let inferred, ingest =
-          Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text
-        in
-        (resilient_fingerprint (inferred, ingest), inferred, ingest.Resilient.docs)
-      in
-      let supervised engine =
-        match Pipeline.infer_ndjson_supervised ~equiv ~engine ~jobs text with
-        | Ok (inferred, ingest, _) ->
-            ( resilient_fingerprint (inferred, ingest),
-              inferred,
-              ingest.Resilient.docs )
-        | Error e -> (e, None, [])
+      let quarantining ?policy engine =
+        let run = ok (Pipeline.infer_ndjson ?policy ~equiv ~engine ~jobs text) in
+        let i, _, _ = run in
+        (resilient_fingerprint run, Some i, survivors)
       in
       List.for_all
         (fun run ->
           let tree, inferred, docs = run `Tree in
           let stream, _, _ = run `Streaming in
-          tree = stream && matches_reference ~equiv inferred docs)
-        [ strict; resilient; supervised ])
+          tree = stream
+          && Option.fold ~none:true
+               ~some:(fun i -> matches_reference ~equiv i docs)
+               inferred)
+        [ strict; quarantining ?policy:None; quarantining ~policy:retrying ])
     [ 1; 2; 4 ]
 
 let prop_infer_repeating =
@@ -666,10 +672,11 @@ let prop_infer_differential =
     ~count:(count 120)
     QCheck2.Gen.(tup3 gen_ndjson (oneofl equivs) (oneofl jobses))
     (fun (text, equiv, jobs) ->
-      let run engine = Pipeline.infer_ndjson_resilient ~equiv ~engine ~jobs text in
-      let ((inferred, ingest) as tree) = run `Tree in
+      let run engine = ok (Pipeline.infer_ndjson ~equiv ~engine ~jobs text) in
+      let ((inferred, _, _) as tree) = run `Tree in
       resilient_fingerprint tree = resilient_fingerprint (run `Streaming)
-      && matches_reference ~equiv inferred ingest.Resilient.docs)
+      && matches_reference ~equiv inferred
+           (Resilient.ingest text).Resilient.docs)
 
 let prop_validate_differential =
   QCheck2.Test.make ~name:"streaming validate = tree validate"
@@ -677,8 +684,8 @@ let prop_validate_differential =
     QCheck2.Gen.(tup2 gen_ndjson (oneofl jobses))
     (fun (text, jobs) ->
       let run engine =
-        let i, f =
-          Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text
+        let f, i, _ =
+          ok (Pipeline.validate_ndjson ~engine ~jobs ~root:orders_schema text)
         in
         ingest_fingerprint i ^ "\n===\n" ^ failures_fingerprint f
       in
@@ -936,33 +943,22 @@ let compile root =
   | Ok plan -> plan
   | Error _ -> Alcotest.fail "schema must compile"
 
-(* One scratch per shard, as [Pipeline] creates it, under any parse
-   options (the pipelines always use [Keep_last]). *)
-let cached_validate ?(options = Json.Parser.default_options) ?config
-    ?telemetry ~jobs ~root text =
-  let plan = compile root in
-  let verdicts, dead, report =
-    Parallel.ingest_with ~options ~jobs ?telemetry
-      ~parse_doc:(fun () ->
-        let scratch = Jsonschema.Compile.scratch () in
-        fun ~options ~telemetry src ~pos ->
-          Jsonschema.Compile.run_stream ?config ~options ~telemetry ~scratch plan
-            src ~pos)
-      text
+(* One scratch per shard, as the streaming validation run creates it, under
+   any parse options (the CLI always uses [Keep_last]). *)
+let cached_validate ?options ?config ?telemetry ~jobs ~root text =
+  let failures, ingest, _ =
+    ok (Pipeline.validate_ndjson ?options ?config ?telemetry ~jobs ~root text)
   in
-  ( { Resilient.docs = []; dead; report },
-    List.concat
-      (List.mapi
-         (fun i v -> match v with Ok () -> [] | Error es -> [ (i, es) ])
-         verdicts) )
+  (ingest, failures)
 
 (* the interpreter over the tree parser's documents *)
-let tree_validate ?(options = Json.Parser.default_options) ?config ?telemetry
-    ~jobs ~root text =
-  let r = Parallel.ingest ~options ~jobs ?telemetry text in
-  ( { r with Resilient.docs = [] },
-    Parallel.validate ?config ~compiled:false ~jobs ?telemetry ~root
-      r.Resilient.docs )
+let tree_validate ?options ?config ?telemetry ~jobs ~root text =
+  let failures, ingest, _ =
+    ok
+      (Pipeline.validate_ndjson ?options ?config ~compiled:false ~engine:`Tree
+         ?telemetry ~jobs ~root text)
+  in
+  (ingest, failures)
 
 (* the telemetry both engines share: every parse.*, ingest.* and
    validate.kw.* counter, and the validate.max_depth gauge (the interpreter
@@ -1170,9 +1166,11 @@ let test_verdict_cache_budgets () =
   List.iter
     (fun (label, budget) ->
       let sink = Telemetry.create () in
-      let ri, rf =
-        Pipeline.validate_ndjson ~budget ~telemetry:sink ~root text
-      and ti, tf = Pipeline.validate_ndjson ~budget ~engine:`Tree ~root text in
+      let rf, ri, _ =
+        ok (Pipeline.validate_ndjson ~budget ~telemetry:sink ~root text)
+      and tf, ti, _ =
+        ok (Pipeline.validate_ndjson ~budget ~engine:`Tree ~root text)
+      in
       Alcotest.(check string) (label ^ ": ingest") (ingest_fingerprint ti)
         (ingest_fingerprint ri);
       Alcotest.(check string) (label ^ ": failures") (failures_fingerprint tf)
@@ -1267,8 +1265,8 @@ let test_access_index_first_wins () =
       let root =
         V.Object [ ("properties", V.Object [ ("a", first); ("a", V.Bool true) ]) ]
       in
-      let ti, tf = Pipeline.validate_ndjson ~engine:`Tree ~root text in
-      let si, sf = Pipeline.validate_ndjson ~root text in
+      let tf, ti, _ = ok (Pipeline.validate_ndjson ~engine:`Tree ~root text) in
+      let sf, si, _ = ok (Pipeline.validate_ndjson ~root text) in
       Alcotest.(check bool) (label ^ ": first entry applies") true (tf <> []);
       Alcotest.(check string) (label ^ " failures") (failures_fingerprint tf)
         (failures_fingerprint sf);

@@ -164,31 +164,24 @@ let messy_text =
   let text = Datagen.to_ndjson (Datagen.tweets st 120) in
   (Chaos.corrupt ~seed:910 ~rate:0.12 text).Chaos.text
 
-let infer_fingerprint (inferred, (r : Resilient.ingest)) =
-  let body =
-    match inferred with
-    | None -> "none"
-    | Some i ->
-        Jtype.Types.to_string i.Pipeline.jtype
-        ^ "\n" ^ i.Pipeline.typescript
-        ^ "\n"
-        ^ Json.Printer.to_string i.Pipeline.json_schema
-  in
-  String.concat "\n"
-    (body
-     :: Json.Printer.to_string (Resilient.report_to_json r.Resilient.report)
-     :: List.map
-          (fun d -> Json.Printer.to_string (Resilient.dead_letter_to_json d))
-          r.Resilient.dead)
+let infer_fingerprint = function
+  | Error e -> "error: " ^ e
+  | Ok (i, (r : Resilient.ingest), _) ->
+      String.concat "\n"
+        (Jtype.Types.to_string i.Pipeline.jtype
+         :: i.Pipeline.typescript
+         :: Json.Printer.to_string i.Pipeline.json_schema
+         :: Json.Printer.to_string (Resilient.report_to_json r.Resilient.report)
+         :: List.map
+              (fun d -> Json.Printer.to_string (Resilient.dead_letter_to_json d))
+              r.Resilient.dead)
 
 let test_determinism_infer () =
   List.iter
     (fun jobs ->
-      let plain = Pipeline.infer_ndjson_resilient ~jobs messy_text in
+      let plain = Pipeline.infer_ndjson ~jobs messy_text in
       let sink = Telemetry.create () in
-      let observed =
-        Pipeline.infer_ndjson_resilient ~jobs ~telemetry:sink messy_text
-      in
+      let observed = Pipeline.infer_ndjson ~jobs ~telemetry:sink messy_text in
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d output identical under recording" jobs)
         (infer_fingerprint plain)
@@ -205,19 +198,21 @@ let test_determinism_validate () =
   let st = Datagen.rng ~seed:92 in
   let text = Datagen.to_ndjson (Datagen.events st ~fields:6 80) in
   let root =
-    match Pipeline.infer_ndjson ~name:"Root" text with
-    | Ok i -> i.Pipeline.json_schema
+    match Pipeline.strict (Pipeline.infer_ndjson ~name:"Root" text) with
+    | Ok (i, _, _) -> i.Pipeline.json_schema
     | Error m -> Alcotest.fail m
   in
-  let render (r, failures) =
-    String.concat "\n"
-      (Json.Printer.to_string (Resilient.report_to_json r.Resilient.report)
-       :: List.map
-            (fun (i, errs) ->
-              string_of_int i ^ ": "
-              ^ String.concat "; "
-                  (List.map Jsonschema.Validate.string_of_error errs))
-            failures)
+  let render = function
+    | Error e -> "error: " ^ e
+    | Ok (failures, (r : Resilient.ingest), _) ->
+        String.concat "\n"
+          (Json.Printer.to_string (Resilient.report_to_json r.Resilient.report)
+           :: List.map
+                (fun (i, errs) ->
+                  string_of_int i ^ ": "
+                  ^ String.concat "; "
+                      (List.map Jsonschema.Validate.string_of_error errs))
+                failures)
   in
   List.iter
     (fun jobs ->
@@ -365,7 +360,7 @@ let test_budget_causes () =
   in
   let seq = Resilient.ingest ~budget text in
   check_report "sequential" seq.Resilient.report;
-  let par = Parallel.ingest ~budget ~jobs:4 text in
+  let _, par, _ = Result.get_ok (Pipeline.ingest_ndjson ~budget ~jobs:4 text) in
   check_report "jobs=4 merged" par.Resilient.report;
   (* a clean report renders without the key at all *)
   let clean = Resilient.ingest "{\"a\":1}\n" in
