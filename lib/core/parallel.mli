@@ -1,7 +1,7 @@
 (** The runtime of sharded execution on OCaml 5 domains.
 
     The parametric inference of the tutorial is a map/reduce whose reduce —
-    {!Jtype.Merge.merge}, and the counting variant {!Jtype.Counting.merge}
+    {!Jtype.Merge.merge}, and the counting fold {!Jtype.Counting.merge_all}
     the pipelines run — is associative and commutative, so sharding a
     collection and fusing per-shard results is semantics-preserving by
     construction. This module supplies the runtime for that shape: a

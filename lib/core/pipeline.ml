@@ -345,12 +345,18 @@ let counting_to_payload c =
   Json.Value.Object [ ("counting", Jtype.Counting.to_json c) ]
 
 (* only [counting] is read, so a journal whose payloads also carry the
-   erased type as [jtype] resumes as well *)
-let counting_of_payload = function
+   erased type as [jtype] resumes as well. Every partial the fold writes is
+   canonical, a fixpoint of [merge_all]; a value that is not (a union nested
+   in a union, say) would be carried into the merge as a shape no merge
+   builds, so it is refused. *)
+let counting_of_payload ~equiv = function
   | Json.Value.Object fields -> (
       match List.assoc_opt "counting" fields with
-      | Some cj ->
-          Result.map_error (fun e -> "checkpoint: " ^ e) (Jtype.Counting.of_json cj)
+      | Some cj -> (
+          match Jtype.Counting.of_json cj with
+          | Ok c when Jtype.Counting.merge_all ~equiv [ c ] = c -> Ok c
+          | Ok _ -> Error "checkpoint: counting json: not a canonical counting type"
+          | Error e -> Error ("checkpoint: " ^ e))
       | None -> Error "checkpoint: inference payload missing counting")
   | _ -> Error "checkpoint: inference payload must be an object"
 
@@ -364,7 +370,7 @@ let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?budget ?options
       ~job:("infer:" ^ equiv_tag equiv)
       ~engine:(engine_name engine)
       { parse_doc; finish; encode = counting_to_payload;
-        decode = counting_of_payload }
+        decode = counting_of_payload ~equiv }
       text
   in
   (* a streaming shard's partial equals the tree shard's [Counting.infer]

@@ -165,7 +165,9 @@ val infer_ndjson :
     is the empty one ([Bot]); read [report.ok] to tell. A journal entry's
     payload is [{"counting": ...}]; decoding reads only [counting], so a
     payload that also carries [jtype] resumes too, and one that does not
-    decode (a record whose fields are not sorted) is an [Error]. The job
+    decode (a record whose fields are not sorted), or whose counting type
+    is not canonical ([merge_all ~equiv [c] <> c], e.g. a union nested in
+    a union), is an [Error]. The job
     tag includes [equiv]. Telemetry adds [infer.merge_ops] (documents − 1),
     one [infer.union_width] sample, the [infer.merge] span and the
     [kernel.*] deltas. *)

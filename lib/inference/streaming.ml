@@ -124,16 +124,16 @@ let rec type_value sc equiv dup =
   | 'i' -> typed_int
   | 'f' -> typed_float
   | 's' -> typed_str
-  | '[' -> type_elements sc equiv dup [] C.CBot
+  | '[' -> type_elements sc equiv dup [] []
   | _ (* '{' *) -> type_members sc equiv dup []
 
-and type_elements sc equiv dup ttys cacc =
-  (* [T.union] is order-insensitive; the counting merge runs in document
-     order, as [Counting.of_value]'s does *)
-  if S.at_close sc ']' then (T.arr (T.union ttys), C.CArr (1, cacc))
+and type_elements sc equiv dup ttys cs =
+  (* [T.union] and [C.merge_all] are order-insensitive; the elements are
+     merged once, at the bracket, as [Counting.of_value] merges them *)
+  if S.at_close sc ']' then (T.arr (T.union ttys), C.CArr (1, C.merge_all ~equiv cs))
   else
     let t, c = type_value sc equiv dup in
-    type_elements sc equiv dup (t :: ttys) (C.merge ~equiv cacc c)
+    type_elements sc equiv dup (t :: ttys) (c :: cs)
 
 and type_members sc equiv dup acc =
   if S.at_close sc '}' then close_record dup acc

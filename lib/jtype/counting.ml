@@ -21,40 +21,11 @@ let rec count = function
 
 let sort_fields = List.sort (fun a b -> String.compare a.fname b.fname)
 
-let rec of_value ~equiv (v : Json.Value.t) : t =
-  match v with
-  | Json.Value.Null -> CNull 1
-  | Json.Value.Bool _ -> CBool 1
-  | Json.Value.Int _ -> CInt 1
-  | Json.Value.Float _ -> CNum 1
-  | Json.Value.String _ -> CStr 1
-  | Json.Value.Array vs ->
-      (* element counts accumulate across all elements of this one array *)
-      let elem =
-        List.fold_left (fun acc x -> merge ~equiv acc (of_value ~equiv x)) CBot vs
-      in
-      CArr (1, elem)
-  | Json.Value.Object fields ->
-      let seen = Hashtbl.create 8 in
-      let uniq =
-        List.filter
-          (fun (k, _) ->
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              true
-            end)
-          (List.rev fields)
-      in
-      CRec
-        (1,
-         sort_fields
-           (List.map (fun (k, x) -> { fname = k; occurs = 1; ftype = of_value ~equiv x }) uniq))
+(* --- the paper's binary fusion ------------------------------------------- *)
 
-and merge_fields ~equiv total_other_absent xs ys =
+let rec merge_fields ~equiv xs ys =
   (* Both sorted. A field absent on one side keeps its count (it just
      becomes optional relative to the merged record count). *)
-  ignore total_other_absent;
   let rec go xs ys =
     match (xs, ys) with
     | [], rest | rest, [] -> rest
@@ -85,9 +56,9 @@ and fuse ~equiv a b : t option =
   | CArr (n, x), CArr (m, y) -> Some (CArr (n + m, merge ~equiv x y))
   | CRec (n, xs), CRec (m, ys) -> (
       match equiv with
-      | Merge.Kind -> Some (CRec (n + m, merge_fields ~equiv 0 xs ys))
+      | Merge.Kind -> Some (CRec (n + m, merge_fields ~equiv xs ys))
       | Merge.Label ->
-          if same_labels xs ys then Some (CRec (n + m, merge_fields ~equiv 0 xs ys))
+          if same_labels xs ys then Some (CRec (n + m, merge_fields ~equiv xs ys))
           else None)
   | _ -> None
 
@@ -108,9 +79,162 @@ and merge ~equiv a b =
   | [ t ] -> t
   | ts -> CUnion (List.sort Stdlib.compare ts)
 
-let merge_all ~equiv = function
-  | [] -> CBot
-  | t :: ts -> List.fold_left (merge ~equiv) t ts
+(* --- the n-ary fold ------------------------------------------------------
+
+   [merge] re-fuses the whole accumulated union on every call, so folding
+   it over N values costs N times the width of the type built so far. The
+   accumulator below keeps one slot per fusion class of [fuse] instead:
+   adding a value touches only the slots of its own branches, fields are
+   found by name and record branches by label set, so the cost of an add is
+   the size of the value added. The canonical value (fields by name,
+   branches by [Stdlib.compare]) is built once, by [freeze]. *)
+
+(* Record branches under [Label], keyed by their field names. Every name
+   enters the hash: [Hashtbl.hash] of a list stops after ten elements, and
+   wide records sharing a ten-key prefix would all chain in one bucket. *)
+module Labels = Hashtbl.Make (struct
+  type t = cfield list
+
+  let equal = same_labels
+  let hash = List.fold_left (fun h f -> (h * 31) + Hashtbl.hash f.fname) 0
+end)
+
+(* A scalar slot holds the branches of its class fused so far, [CBot] while
+   none was added: presence is not a nonzero count, since a decoded journal
+   may carry a count of 0. [num] is [CInt] until a [CNum] is added; under
+   [Kind] every record goes to the one key [[]]. *)
+type acc = {
+  mutable any : t;
+  mutable null : t;
+  mutable bool : t;
+  mutable num : t;
+  mutable str : t;
+  mutable arr : arr option;
+  mutable recs : record Labels.t option;
+}
+
+and arr = { mutable arrays : int; elems : acc }
+and record = { mutable records : int; fields : (string, field) Hashtbl.t }
+and field = { mutable occ : int; facc : acc }
+
+let create () =
+  { any = CBot; null = CBot; bool = CBot; num = CBot; str = CBot; arr = None;
+    recs = None }
+
+let rec add ~equiv a = function
+  | CBot -> ()
+  | CUnion ts -> List.iter (add ~equiv a) ts
+  | CAny n -> a.any <- CAny (n + count a.any)
+  | CNull n -> a.null <- CNull (n + count a.null)
+  | CBool n -> a.bool <- CBool (n + count a.bool)
+  | CStr n -> a.str <- CStr (n + count a.str)
+  | CInt n ->
+      a.num <- (match a.num with CNum m -> CNum (n + m) | prev -> CInt (n + count prev))
+  | CNum n -> a.num <- CNum (n + count a.num)
+  | CArr (n, elem) ->
+      let s =
+        match a.arr with
+        | Some s -> s
+        | None ->
+            let s = { arrays = 0; elems = create () } in
+            a.arr <- Some s;
+            s
+      in
+      s.arrays <- s.arrays + n;
+      add ~equiv s.elems elem
+  | CRec (n, fs) ->
+      let recs =
+        match a.recs with
+        | Some recs -> recs
+        | None ->
+            let recs = Labels.create 1 in
+            a.recs <- Some recs;
+            recs
+      in
+      let key = match equiv with Merge.Kind -> [] | Merge.Label -> fs in
+      let r =
+        match Labels.find_opt recs key with
+        | Some r -> r
+        | None ->
+            let r = { records = 0; fields = Hashtbl.create (List.length fs) } in
+            Labels.add recs key r;
+            r
+      in
+      r.records <- r.records + n;
+      List.iter
+        (fun f ->
+          let fa =
+            match Hashtbl.find_opt r.fields f.fname with
+            | Some fa -> fa
+            | None ->
+                let fa = { occ = 0; facc = create () } in
+                Hashtbl.add r.fields f.fname fa;
+                fa
+          in
+          fa.occ <- fa.occ + f.occurs;
+          add ~equiv fa.facc f.ftype)
+        fs
+
+(* A [CAny] absorbs every other branch, counts included, as in [fuse]. *)
+let rec freeze a =
+  let records =
+    match a.recs with
+    | None -> []
+    | Some recs -> Labels.fold (fun _ r bs -> freeze_record r :: bs) recs []
+  in
+  let arrays =
+    match a.arr with None -> [] | Some s -> [ CArr (s.arrays, freeze s.elems) ]
+  in
+  let branches =
+    List.filter
+      (function CBot -> false | _ -> true)
+      (a.null :: a.bool :: a.num :: a.str :: (arrays @ records))
+  in
+  match (a.any, branches) with
+  | CAny n, bs -> CAny (List.fold_left (fun n b -> n + count b) n bs)
+  | _, [] -> CBot
+  | _, [ b ] -> b
+  | _, bs -> CUnion (List.sort Stdlib.compare bs)
+
+and freeze_record r =
+  CRec
+    ( r.records,
+      sort_fields
+        (Hashtbl.fold
+           (fun fname f fs -> { fname; occurs = f.occ; ftype = freeze f.facc } :: fs)
+           r.fields []) )
+
+let merge_all ~equiv ts =
+  let a = create () in
+  List.iter (add ~equiv a) ts;
+  freeze a
+
+let rec of_value ~equiv (v : Json.Value.t) : t =
+  match v with
+  | Json.Value.Null -> CNull 1
+  | Json.Value.Bool _ -> CBool 1
+  | Json.Value.Int _ -> CInt 1
+  | Json.Value.Float _ -> CNum 1
+  | Json.Value.String _ -> CStr 1
+  | Json.Value.Array vs ->
+      (* element counts accumulate across all elements of this one array *)
+      CArr (1, merge_all ~equiv (List.map (of_value ~equiv) vs))
+  | Json.Value.Object fields ->
+      let seen = Hashtbl.create 8 in
+      let uniq =
+        List.filter
+          (fun (k, _) ->
+            if Hashtbl.mem seen k then false
+            else begin
+              Hashtbl.add seen k ();
+              true
+            end)
+          (List.rev fields)
+      in
+      CRec
+        (1,
+         sort_fields
+           (List.map (fun (k, x) -> { fname = k; occurs = 1; ftype = of_value ~equiv x }) uniq))
 
 let infer ~equiv values = merge_all ~equiv (List.map (of_value ~equiv) values)
 

@@ -28,11 +28,31 @@ val count : t -> int
 
 val of_value : equiv:Merge.equiv -> Json.Value.t -> t
 (** Counting typing of one value: every count is 1. The equivalence governs
-    how the element types of one array fuse, exactly as in {!Merge}. *)
+    how the element types of one array fuse, exactly as in {!Merge}; the
+    elements of an array are fused by one {!merge_all}. *)
 
 val merge : equiv:Merge.equiv -> t -> t -> t
+(** The paper's binary fusion: the branches of both sides are fused by
+    class (the kind, or the label set under [Label]) and counts add within
+    a class. It re-fuses the whole union on every call, so a fold of it
+    over N values costs N times the width of the type built so far; no
+    production path calls it. It stays as the reference {!merge_all} is
+    tested against. *)
+
 val merge_all : equiv:Merge.equiv -> t list -> t
+(** [merge_all ~equiv ts] equals [List.fold_left (merge ~equiv) CBot ts]
+    on canonical values, in time proportional to the total size of [ts]
+    plus one sort of the result: a mutable accumulator keeps one slot per
+    fusion class, record fields by name and record branches by label set,
+    and is frozen once into the canonical value (fields sorted by
+    [String.compare], union branches by [Stdlib.compare], no empty or
+    one-branch union, no union inside a union). There is no shortcut for
+    one value, so [merge_all ~equiv [c] = c] holds exactly when [c] is
+    canonical, which every value {!of_value} and [merge_all] build is. *)
+
 val infer : equiv:Merge.equiv -> Json.Value.t list -> t
+(** [merge_all] of the documents' {!of_value}: linear in the corpus size
+    under both equivalences. *)
 
 val scale : int -> t -> t
 (** [scale k t] multiplies every count in [t] by [k]: the counting type of
@@ -63,4 +83,6 @@ val of_json : Json.Value.t -> (t, string) result
 (** Inverse of {!to_json} ([of_json (to_json t) = Ok t]); lets
     {!Core.Checkpoint} journal and resume partial counting merges. JSON
     that {!to_json} never emits is an [Error], in particular a record
-    whose field names are not strictly increasing under [String.compare]. *)
+    whose field names are not strictly increasing under [String.compare].
+    Other non-canonical values (a union nested in a union, say) decode;
+    a caller that needs canonical input checks [merge_all ~equiv [c] = c]. *)

@@ -47,7 +47,9 @@ let indent n s =
        (String.split_on_char '\n' s))
 
 (* Emit declarations for a type, returning (swift type expression, nested
-   declaration blocks in dependency order). *)
+   declaration blocks in dependency order). The folds collect members and
+   declarations in reverse, so a record or union renders in time linear in
+   its width. *)
 let rec render name (t : Types.t) : string * string list =
   match t.Types.node with
   | Types.Rec fields ->
@@ -58,12 +60,12 @@ let rec render name (t : Types.t) : string * string list =
             let expr, decls = render field_type_name f.Types.ftype in
             let expr = if f.Types.optional then expr ^ "?" else expr in
             ( Printf.sprintf "let %s: %s" f.Types.fname expr :: members,
-              nested @ decls ))
+              List.rev_append decls nested ))
           ([], []) fields
       in
       let body =
         String.concat "\n"
-          (List.map (indent 4) (List.map Fun.id nested)
+          (List.rev_map (indent 4) nested
           @ List.rev_map (fun m -> "    " ^ m) members)
       in
       let decl = Printf.sprintf "struct %s: Codable {\n%s\n}" name body in
@@ -75,30 +77,31 @@ let rec render name (t : Types.t) : string * string list =
           let expr, decls = render name inner in
           (expr ^ "?", decls)
       | _ ->
+          (* each branch is rendered once: its expression serves both its
+             case and its decode attempt *)
           let cases, nested =
             List.fold_left
               (fun (cases, nested) branch ->
                 let cname = case_name branch in
                 let expr, decls = render (name ^ capitalize cname) branch in
-                ( Printf.sprintf "case %s(%s)" cname expr :: cases,
-                  nested @ decls ))
+                ((cname, expr) :: cases, List.rev_append decls nested))
               ([], []) rest
           in
           let cases = List.rev cases in
           let decode_attempts =
             List.map
-              (fun branch ->
-                let cname = case_name branch in
-                let expr, _ = render (name ^ capitalize cname) branch in
+              (fun (cname, expr) ->
                 Printf.sprintf
                   "if let v = try? container.decode(%s.self) { self = .%s(v); return }"
                   expr cname)
-              rest
+              cases
           in
           let body =
             String.concat "\n"
-              (List.map (indent 4) nested
-              @ List.map (fun c -> "    " ^ c) cases
+              (List.rev_map (indent 4) nested
+              @ List.map
+                  (fun (cname, expr) -> Printf.sprintf "    case %s(%s)" cname expr)
+                  cases
               @ [ "    init(from decoder: Decoder) throws {";
                   "        let container = try decoder.singleValueContainer()" ]
               @ List.map (fun a -> "        " ^ a) decode_attempts

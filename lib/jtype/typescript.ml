@@ -45,16 +45,21 @@ and array_expr elem =
 let declaration ~name t =
   let decls = ref [] in
   let fresh_names = Hashtbl.create 8 in
+  (* Names are only ever taken, so the smallest free suffix of a base never
+     decreases: probing resumes where the base's last probe stopped instead
+     of at 0, which keeps a union of many record branches linear. *)
+  let next_suffix = Hashtbl.create 8 in
   let fresh base =
     let rec try_ n =
       let candidate = if n = 0 then base else Printf.sprintf "%s%d" base n in
       if Hashtbl.mem fresh_names candidate then try_ (n + 1)
       else begin
         Hashtbl.add fresh_names candidate ();
+        Hashtbl.replace next_suffix base (n + 1);
         candidate
       end
     in
-    try_ 0
+    try_ (Option.value (Hashtbl.find_opt next_suffix base) ~default:0)
   in
   let rec lift prefix (t : Types.t) : Types.t * string option =
     match t.Types.node with

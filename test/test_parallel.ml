@@ -131,7 +131,8 @@ let test_strict_first_error () =
 let test_infer_identical () =
   (* the tree engine's sharded counting fold against the paper's
      sequential folds over the survivors of the sequential scan: the
-     [Types] fold for the type, the counting fold for the counts *)
+     [Types] fold for the type, the counting fold for the counts, which
+     must equal the paper's pairwise fold *)
   let docs = (Resilient.ingest messy_text).Resilient.docs in
   List.iter
     (fun equiv ->
@@ -142,6 +143,9 @@ let test_infer_identical () =
         Jtype.Counting.to_string
           (Inference.Parametric.infer_counting ~equiv docs)
       in
+      Alcotest.(check string) "counting fold = pairwise fold"
+        (Jtype.Counting.to_string (Pairwise.infer ~equiv docs))
+        ref_counting;
       List.iter
         (fun jobs ->
           let label what =
@@ -530,8 +534,12 @@ let concat_ingests (parts : Resilient.ingest list) =
         (fun acc r -> Parallel.merge_reports acc r.Resilient.report)
         Resilient.empty_report parts }
 
+(* the counting fold, checked against the paper's pairwise fold *)
 let counting_string ~equiv docs =
-  Jtype.Counting.to_string (Inference.Parametric.infer_counting ~equiv docs)
+  let c = Inference.Parametric.infer_counting ~equiv docs in
+  if c <> Pairwise.infer ~equiv docs then
+    QCheck2.Test.fail_reportf "counting fold differs from the pairwise fold";
+  Jtype.Counting.to_string c
 
 let type_string ~equiv docs =
   Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs)

@@ -595,12 +595,13 @@ let gen_repeating_ndjson : string QCheck2.Gen.t =
 
 (* Both engines fold counting types and read the type off by erasure, so
    tree = streaming alone cannot catch a fault the two share. The paper's
-   [Types] fold over the surviving documents is the independent reference
-   their type must print as. *)
+   folds over the surviving documents are the independent references: the
+   [Types] fold for the type, the pairwise counting fold for the counts. *)
 let matches_reference ~equiv (i : Pipeline.inferred) docs =
   String.equal
     (Jtype.Types.to_string i.Pipeline.jtype)
     (Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs))
+  && i.Pipeline.counting = Pairwise.infer ~equiv docs
 
 (* the three modes of the inference run the streaming reduce serves
    (strict, quarantining, retrying), streaming against tree at jobs 1, 2
@@ -810,11 +811,15 @@ let gen_template : template QCheck2.Gen.t =
 let dup_policies =
   Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ]
 
-(* the tree engine's answer for one document *)
+(* the tree engine's answer for one document, and the same document typed
+   with its array elements fused pairwise *)
 let tree_typed ~options ~equiv doc =
   match Json.Parser.parse_substring ~options doc ~pos:0 with
   | Ok (v, stop) ->
-      Ok ((Jtype.Types.of_value v, Jtype.Counting.of_value ~equiv v), stop)
+      Ok
+        ( (Jtype.Types.of_value v, Jtype.Counting.of_value ~equiv v),
+          Pairwise.of_value ~equiv v,
+          stop )
   | Error e -> Error e
 
 let same_typing ?telemetry ~scratch ~options ~equiv doc =
@@ -823,8 +828,8 @@ let same_typing ?telemetry ~scratch ~options ~equiv doc =
         ~pos:0,
       tree_typed ~options ~equiv doc )
   with
-  | Ok ((t, c), stop), Ok ((t', c'), stop') ->
-      Jtype.Types.equal t t' && c = c' && stop = stop'
+  | Ok ((t, c), stop), Ok ((t', c'), pairwise, stop') ->
+      Jtype.Types.equal t t' && c = c' && c' = pairwise && stop = stop'
   | Error e, Error e' -> e = e'
   | _ -> false
 
