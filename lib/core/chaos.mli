@@ -19,7 +19,7 @@
     value boundary, may otherwise leave the line valid), so [corrupting] is
     exactly the number of records a quarantining ingester must reject —
     tests assert equality, not inequality. The prefix is not what keeps the
-    error inside the line: {!Resilient.ingest_with} contains a line that is
+    error inside the line: {!Resilient.scan} contains a line that is
     a valid JSON prefix on its own. *)
 
 type fault = Truncate | Bit_flip | Duplicate_line | Oversize

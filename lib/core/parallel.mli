@@ -12,7 +12,7 @@
 
     A sharded run is {e byte-identical} to the sequential scan on
     newline-delimited input: dead letters carry whole-input line numbers
-    and byte offsets (via {!Resilient.ingest_with}'s rebasing parameters)
+    and byte offsets (via {!Resilient.scan}'s rebasing parameters)
     and are re-sorted by global position ({!dead_order}), and report
     counters are summed ({!merge_reports}). The one caveat is inherent to
     sharding: a single document spanning a shard boundary (pretty-printed

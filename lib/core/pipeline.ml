@@ -40,68 +40,13 @@ let infer ?(equiv = Jtype.Merge.Kind) ?(name = "Root")
   emit_inferred telemetry ~docs:(List.length values) i;
   i
 
-(* --- the engines' per-document steps ------------------------------------ *)
+(* --- engines and validation --------------------------------------------- *)
 
 type engine = [ `Tree | `Streaming ]
 
 let engine_name = function `Tree -> "tree" | `Streaming -> "streaming"
 
-(* Each step is a factory: the executor instantiates one per shard on the
-   domain that runs it, so per-shard scratch (interning tables, shape and
-   verdict caches) never crosses a domain. *)
-let tree_doc () ~options ~telemetry src ~pos =
-  Json.Parser.parse_substring ~options ~telemetry src ~pos
-
-let streaming_infer_doc ~equiv () =
-  let scratch = Inference.Streaming.scratch () in
-  fun ~options ~telemetry src ~pos ->
-    Inference.Streaming.infer_tokens ~options ~telemetry ~scratch ~equiv src
-      ~pos
-
-let streaming_validate_doc ?config plan () =
-  let scratch = Jsonschema.Compile.scratch () in
-  fun ~options ~telemetry src ~pos ->
-    Jsonschema.Compile.run_stream ?config ~options ~telemetry ~scratch plan src
-      ~pos
-
-(* A type whose documents count in many ways (arrays of many lengths) keeps
-   only its first [max_variants] counting values as group keys; the others
-   are merged one by one, as without grouping, so a lookup never costs more
-   than [max_variants] comparisons. No type of the 100k-tweet corpus has
-   more than 9. *)
-let max_variants = 16
-
-(* The streaming inference fold's [finish]: reduce a shard's per-document
-   (type, counting) pairs by one counting fold. Documents are grouped by
-   the interned id of their type; a group member is confirmed by its
-   counting value (physically equal when the shape cache answered both
-   documents, else compared structurally: arrays of one element type can
-   still count differently), and each distinct counting value is merged
-   once, scaled by its multiplicity. That equals the per-document fold
-   because the counting merge is commutative and associative on canonical
-   values and [merge c c = scale 2 c]. *)
-let reduce_streamed ~equiv pairs =
-  let groups = Hashtbl.create 64 in
-  let distinct =
-    List.fold_left
-      (fun distinct ((t : Jtype.Types.t), c) ->
-        let id = Jtype.Types.id t in
-        let variants = Option.value (Hashtbl.find_opt groups id) ~default:[] in
-        match List.find_opt (fun (c', _) -> c' == c || c' = c) variants with
-        | Some (_, k) ->
-            incr k;
-            distinct
-        | None ->
-            let v = (c, ref 1) in
-            if List.compare_length_with variants max_variants < 0 then
-              Hashtbl.replace groups id (v :: variants);
-            v :: distinct)
-      [] pairs
-  in
-  Jtype.Counting.merge_all ~equiv
-    (List.rev_map (fun (c, k) -> Jtype.Counting.scale !k c) distinct)
-
-(* failing indices of a shard's verdicts, local to the shard *)
+(* failing indices of a collection's verdicts *)
 let indexed_failures verdicts =
   List.mapi
     (fun i v -> match v with Ok () -> None | Error es -> Some (i, es))
@@ -133,12 +78,12 @@ type supervision = {
   sup_resumed : int;
 }
 
-type ('a, 'p) fold = {
-  parse_doc :
-    unit ->
-    options:Json.Parser.options -> telemetry:Telemetry.sink ->
-    string -> pos:int -> ('a * int, Json.Parser.error) result;
-  finish : 'a list -> 'p;
+type ('s, 'p) fold = {
+  init : unit -> 's;
+  step :
+    's -> options:Json.Parser.options -> telemetry:Telemetry.sink ->
+    string -> pos:int -> (int, Json.Parser.error) result;
+  finish : 's -> 'p;
   encode : 'p -> Json.Value.t;
   decode : Json.Value.t -> ('p, string) result;
 }
@@ -257,12 +202,15 @@ let run_shards ?(budget = Resilient.default_budget) ?options
               if sh.Parallel.s_len = n then text
               else String.sub text sh.Parallel.s_off sh.Parallel.s_len
             in
-            let docs, dead, report =
-              Resilient.ingest_with ~budget ?options
-                ~first_line:sh.Parallel.s_line ~base_offset:sh.Parallel.s_off
-                ~attempt ~tick ~telemetry ~parse_doc:(fold.parse_doc ()) src
+            (* a fresh state per attempt, made on the domain that runs
+               it: a retry never sees what a failed attempt took *)
+            let state = fold.init () in
+            let dead, report =
+              Resilient.scan ~budget ?options ~first_line:sh.Parallel.s_line
+                ~base_offset:sh.Parallel.s_off ~attempt ~tick ~telemetry
+                ~step:(fold.step state) src
             in
-            let p = fold.finish docs in
+            let p = fold.finish state in
             let ingest = { Resilient.docs = []; dead; report } in
             record sh ingest p;
             (ingest, p))
@@ -328,8 +276,16 @@ let ingest_ndjson ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
   let* parts, ingest, sup =
     run_shards ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
       ~telemetry ~job:"ingest" ~engine:"tree"
-      { parse_doc = tree_doc;
-        finish = Fun.id;
+      (* ingestion keeps its documents: they are its output *)
+      { init = (fun () -> ref []);
+        step =
+          (fun docs ~options ~telemetry src ~pos ->
+            match Json.Parser.parse_substring ~options ~telemetry src ~pos with
+            | Ok (v, stop) ->
+                docs := v :: !docs;
+                Ok stop
+            | Error e -> Error e);
+        finish = (fun docs -> List.rev !docs);
         encode = (fun docs -> Json.Value.Array docs);
         decode }
       text
@@ -360,25 +316,45 @@ let counting_of_payload ~equiv = function
       | None -> Error "checkpoint: inference payload missing counting")
   | _ -> Error "checkpoint: inference payload must be an object"
 
+type infer_state =
+  | Tree_acc of Jtype.Counting.acc
+  | Stream_shard of Inference.Streaming.shard
+
+(* Each document goes into the shard's counting accumulator as it is typed.
+   A streaming shard's partial equals the tree shard's [Counting.infer] of
+   its documents, so the two engines journal identical payloads. *)
+let infer_fold ~equiv engine =
+  { init =
+      (fun () ->
+        match engine with
+        | `Tree -> Tree_acc (Jtype.Counting.create ())
+        | `Streaming -> Stream_shard (Inference.Streaming.shard ~equiv ()));
+    step =
+      (fun state ~options ~telemetry src ~pos ->
+        match state with
+        | Tree_acc acc -> (
+            match Json.Parser.parse_substring ~options ~telemetry src ~pos with
+            | Ok (v, stop) ->
+                Jtype.Counting.add ~equiv acc (Jtype.Counting.of_value ~equiv v);
+                Ok stop
+            | Error e -> Error e)
+        | Stream_shard sh -> Inference.Streaming.step ~options ~telemetry sh src ~pos);
+    finish =
+      (function
+        | Tree_acc acc -> Jtype.Counting.freeze acc
+        | Stream_shard sh -> Inference.Streaming.finish sh);
+    encode = counting_to_payload;
+    decode = counting_of_payload ~equiv }
+
 let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?budget ?options
     ?policy ?inject ?checkpoint ?resume ?(engine = `Streaming) ?jobs
     ?(telemetry = Telemetry.nop) text =
   Parallel.with_kernel_stats telemetry @@ fun () ->
-  let run parse_doc finish =
+  let* parts, ingest, sup =
     run_shards ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
       ~telemetry
       ~job:("infer:" ^ equiv_tag equiv)
-      ~engine:(engine_name engine)
-      { parse_doc; finish; encode = counting_to_payload;
-        decode = counting_of_payload ~equiv }
-      text
-  in
-  (* a streaming shard's partial equals the tree shard's [Counting.infer]
-     of its documents, so the two engines journal identical payloads *)
-  let* parts, ingest, sup =
-    match engine with
-    | `Tree -> run tree_doc (Jtype.Counting.infer ~equiv)
-    | `Streaming -> run (streaming_infer_doc ~equiv) (reduce_streamed ~equiv)
+      ~engine:(engine_name engine) (infer_fold ~equiv engine) text
   in
   let i =
     build_inferred ~name
@@ -436,6 +412,35 @@ let failures_of_payload = function
            items)
   | _ -> Error "checkpoint: validation payload must be an array"
 
+(* A validation shard keeps a document index and its failures, indices
+   local to the shard. [verdict] makes the per-document check for one
+   attempt, so per-shard scratch (the verdict cache) never crosses a
+   domain. *)
+type tally = {
+  verdict :
+    options:Json.Parser.options -> telemetry:Telemetry.sink -> string ->
+    pos:int ->
+    ((unit, Jsonschema.Validate.error list) result * int, Json.Parser.error) result;
+  mutable index : int;
+  mutable failed : (int * Jsonschema.Validate.error list) list;
+}
+
+let tally_fold verdict =
+  { init = (fun () -> { verdict = verdict (); index = 0; failed = [] });
+    step =
+      (fun t ~options ~telemetry src ~pos ->
+        match t.verdict ~options ~telemetry src ~pos with
+        | Ok (v, stop) ->
+            (match v with
+             | Ok () -> ()
+             | Error es -> t.failed <- (t.index, es) :: t.failed);
+            t.index <- t.index + 1;
+            Ok stop
+        | Error e -> Error e);
+    finish = (fun t -> List.rev t.failed);
+    encode = failures_to_payload;
+    decode = failures_of_payload }
+
 let validate_ndjson ?config ?(compiled = true) ?budget ?options ?policy ?inject
     ?checkpoint ?resume ?(engine = `Streaming) ?jobs
     ?(telemetry = Telemetry.nop) ~root text =
@@ -447,24 +452,26 @@ let validate_ndjson ?config ?(compiled = true) ?budget ?options ?policy ?inject
      schema must not resume a run against another. The journal header
      records the engine that actually runs: the fused walk needs a compiled
      plan, so without one validation falls back to the tree engine. *)
-  let run ~engine parse_doc finish =
+  let run ~engine verdict =
     run_shards ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
       ~telemetry
       ~job:("validate:" ^ Checkpoint.fingerprint (Json.Printer.to_string root))
-      ~engine
-      { parse_doc; finish; encode = failures_to_payload;
-        decode = failures_of_payload }
-      text
+      ~engine (tally_fold verdict) text
   in
   let* parts, ingest, sup =
     match (engine, plan) with
     | `Streaming, Some (Ok plan) ->
-        run ~engine:"streaming" (streaming_validate_doc ?config plan)
-          indexed_failures
+        run ~engine:"streaming" (fun () ->
+            let scratch = Jsonschema.Compile.scratch () in
+            fun ~options ~telemetry src ~pos ->
+              Jsonschema.Compile.run_stream ?config ~options ~telemetry ~scratch
+                plan src ~pos)
     | _ ->
         let check = tree_check ?config ~plan root in
-        run ~engine:"tree" tree_doc (fun docs ->
-            indexed_failures (List.map check docs))
+        run ~engine:"tree" (fun () ~options ~telemetry src ~pos ->
+            match Json.Parser.parse_substring ~options ~telemetry src ~pos with
+            | Ok (v, stop) -> Ok (check v, stop)
+            | Error e -> Error e)
   in
   (* shift each shard's local failure indices past the documents of the
      shards before it *)

@@ -36,7 +36,7 @@ type engine = [ `Tree | `Streaming ]
 (** How a shard folds its documents. [`Tree] (the executable spec) parses
     every document into a {!Json.Value.t} and folds over the trees.
     [`Streaming] (the default) fuses parsing with the fold: inference types
-    the token stream directly ({!Inference.Streaming.infer_tokens}) and
+    the token stream directly ({!Inference.Streaming.step}) and
     validation walks a compiled plan over it, skimming subtrees the plan
     provably ignores ({!Jsonschema.Compile.run_stream}). The two engines
     produce byte-identical inferred types, verdicts, error lists, dead
@@ -73,22 +73,27 @@ type supervision = {
   sup_resumed : int;  (** shards restored from the checkpoint journal *)
 }
 
-type ('a, 'p) fold = {
-  parse_doc :
-    unit ->
-    options:Json.Parser.options -> telemetry:Telemetry.sink ->
-    string -> pos:int -> ('a * int, Json.Parser.error) result;
-      (** the per-document step of {!Resilient.ingest_with}, as a factory:
-          one instance per shard, made on the domain that runs it, so it
-          may carry mutable per-shard scratch *)
-  finish : 'a list -> 'p;
-      (** a shard's documents, in order, to the shard's partial result *)
+type ('s, 'p) fold = {
+  init : unit -> 's;
+      (** a fresh state for one shard attempt, made on the domain that runs
+          it, so it may carry mutable per-shard scratch; a retried attempt
+          starts from a new one *)
+  step :
+    's -> options:Json.Parser.options -> telemetry:Telemetry.sink ->
+    string -> pos:int -> (int, Json.Parser.error) result;
+      (** {!Resilient.scan}'s step: takes the document at [pos] into the
+          state and returns the offset one past it, or the parse error *)
+  finish : 's -> 'p;
+      (** the state, after the shard's last document, to the shard's
+          partial result *)
   encode : 'p -> Json.Value.t;
   decode : Json.Value.t -> ('p, string) result;
       (** the partial's journal codec; [decode (encode p) = Ok p] is what
           makes a resumed run byte-identical *)
 }
-(** What a job computes per shard. *)
+(** What a job computes per shard: a fold that takes each document as it is
+    scanned, so a shard keeps only its state, never a list of its
+    documents (unless its output is that list, as ingestion's is). *)
 
 val run_shards :
   ?budget:Resilient.budget -> ?options:Json.Parser.options ->
@@ -101,9 +106,10 @@ val run_shards :
 (** The executor. Splits [text] into at most [jobs] (default 1) shards —
     one whole-input shard under a [max_docs] budget, which is a global
     cap — and runs [fold] on each pending one under {!Supervisor.run} with
-    [policy] (default {!Supervisor.no_retry}): {!Resilient.ingest_with}
-    under [budget] (default {!Resilient.default_budget}) with the shard's
-    [parse_doc], then [finish]. A shard that covers the whole input is
+    [policy] (default {!Supervisor.no_retry}): each attempt makes a fresh
+    state with [init], runs {!Resilient.scan} under [budget] (default
+    {!Resilient.default_budget}) with [step] on it, then [finish]. A shard
+    that covers the whole input is
     read in place, never copied. [inject] is a worker-fault plan keyed by
     {e global} shard index (see {!Chaos.worker_faults}), consistent across
     retries and resume and never consulted for journaled shards.
@@ -157,11 +163,10 @@ val infer_ndjson :
   ?checkpoint:string -> ?resume:bool -> ?engine:engine -> ?jobs:int ->
   ?telemetry:Telemetry.sink -> string ->
   (inferred * Resilient.ingest * supervision, string) result
-(** Inference over the surviving documents: each shard folds its counting
-    type ({!Jtype.Counting.infer} of the parsed documents, or the grouped
-    reduce of the token-level types), one partial per shard crosses
-    domains, and the result is one {!Jtype.Counting.merge_all} of the
-    partials with the type read off by erasure. With no survivors the type
+(** Inference over the surviving documents: each shard runs
+    {!infer_fold}, one partial per shard crosses domains, and the result is
+    one {!Jtype.Counting.merge_all} of the partials with the type read off
+    by erasure. With no survivors the type
     is the empty one ([Bot]); read [report.ok] to tell. A journal entry's
     payload is [{"counting": ...}]; decoding reads only [counting], so a
     payload that also carries [jtype] resumes too, and one that does not
@@ -171,6 +176,20 @@ val infer_ndjson :
     tag includes [equiv]. Telemetry adds [infer.merge_ops] (documents − 1),
     one [infer.union_width] sample, the [infer.merge] span and the
     [kernel.*] deltas. *)
+
+type infer_state
+(** A shard attempt's inference state: a counting accumulator, and for the
+    [`Streaming] engine the shard's shape cache. *)
+
+val infer_fold :
+  equiv:Jtype.Merge.equiv -> engine -> (infer_state, Jtype.Counting.t) fold
+(** The inference job's shard fold. Each document goes into the shard's
+    {!Jtype.Counting} accumulator as it is typed: [`Tree] parses it and
+    adds its {!Jtype.Counting.of_value}; [`Streaming] runs
+    {!Inference.Streaming.step}, which types it from its tokens and adds a
+    repeated shape once, with its multiplicity. Either way the partial is
+    {!Jtype.Counting.infer} of the shard's documents, and no per-document
+    value survives its document. *)
 
 val validate_ndjson :
   ?config:Jsonschema.Validate.config -> ?compiled:bool ->

@@ -131,35 +131,36 @@ let global_error ~start_line (e : Json.Parser.error) =
 
 let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
-let ingest_with ?(budget = default_budget) ?options ?(first_line = 1)
+let scan ?(budget = default_budget) ?options ?(first_line = 1)
     ?(base_offset = 0) ?(attempt = 1) ?(tick = fun () -> ())
-    ?(telemetry = Telemetry.nop) ~parse_doc src =
+    ?(telemetry = Telemetry.nop) ~step src =
   let options =
     { (parser_options ?base:options budget) with Json.Parser.allow_trailing = true }
   in
   let n = String.length src in
-  (* incremental global line counter: newlines are counted exactly once.
-     [first_line]/[base_offset] let a shard of a larger input report
-     line numbers and byte offsets in the coordinates of the whole input. *)
+  (* line numbers are needed only by dead letters: newlines are counted
+     lazily, up to the start of each letter, and never twice. [first_line]
+     and [base_offset] let a shard of a larger input report line numbers
+     and byte offsets in the coordinates of the whole input. *)
   let line = ref first_line in
   let counted = ref 0 in
-  let advance_to off =
-    let off = min off n in
+  let line_at off =
     for i = !counted to off - 1 do
-      (* i < n by the clamp above *)
+      (* off <= n: every letter starts inside the text *)
       if String.unsafe_get src i = '\n' then incr line
     done;
-    counted := max !counted off
+    counted := max !counted off;
+    !line
   in
   let rec skip_ws pos = if pos < n && is_ws src.[pos] then skip_ws (pos + 1) else pos in
   let next_line off =
     match String.index_from_opt src off '\n' with Some i -> i + 1 | None -> n
   in
-  let docs = ref [] and dead = ref [] in
+  let dead = ref [] in
   let ok = ref 0 and quarantined = ref 0 and budget_killed = ref 0 in
   let causes = ref [] in
   let truncated = ref false in
-  let add_dead ~start ~stop ~error ~kind =
+  let add_dead ~line ~start ~stop ~error ~kind =
     (match kind with
      | Json.Parser.Budget_exceeded v ->
          incr budget_killed;
@@ -170,7 +171,7 @@ let ingest_with ?(budget = default_budget) ?options ?(first_line = 1)
          incr quarantined;
          Telemetry.count telemetry "ingest.docs_quarantined" 1);
     dead :=
-      { line = !line;
+      { line;
         byte_offset = base_offset + start;
         error;
         kind = Parse kind;
@@ -182,7 +183,6 @@ let ingest_with ?(budget = default_budget) ?options ?(first_line = 1)
   let rec go pos =
     tick ();
     let pos = skip_ws pos in
-    advance_to pos;
     if pos >= n then ()
     else
       match budget.max_docs with
@@ -190,52 +190,69 @@ let ingest_with ?(budget = default_budget) ?options ?(first_line = 1)
           (* the document-count budget: one dead letter for the cut, the
              rest of the input is not scanned *)
           truncated := true;
-          add_dead ~start:pos ~stop:n
+          let line = line_at pos in
+          add_dead ~line ~start:pos ~stop:n
             ~error:
               (Printf.sprintf "line %d: document budget of %d reached; remaining input dropped"
-                 !line cap)
+                 line cap)
             ~kind:(Json.Parser.Budget_exceeded Json.Parser.Documents_exceeded)
       | _ -> (
-          match parse_doc ~options ~telemetry src ~pos with
-          | Ok (v, next_pos) ->
+          match step ~options ~telemetry src ~pos with
+          | Ok next_pos ->
               incr ok;
               Telemetry.count telemetry "ingest.docs_ok" 1;
-              docs := v :: !docs;
-              advance_to next_pos;
               go next_pos
           | Error e ->
               (* quarantine the span and resume at the next line boundary.
                  A line that is a valid JSON prefix ([1,) drags the parser
                  into the lines after it; its error is then the one of that
                  line alone, as a shard cut after it would present it, so
-                 the healthy lines that follow survive at any job count *)
+                 the healthy lines that follow survive at any job count.
+                 The line is re-parsed by the tree parser, never by [step]:
+                 its error is the same by [step]'s contract, and a step
+                 that folds never sees a document twice. *)
               let err_off = max pos (min e.Json.Parser.position.Json.Lexer.offset n) in
               let e, resume =
                 match String.index_from_opt src pos '\n' with
                 | Some nl when err_off > nl -> (
                     let own = String.sub src pos (nl + 1 - pos) in
                     match
-                      parse_doc ~options ~telemetry:Telemetry.nop own ~pos:0
+                      Json.Parser.parse_substring ~options
+                        ~telemetry:Telemetry.nop own ~pos:0
                     with
                     | Error own_e -> (own_e, nl + 1)
                     | Ok _ -> (e, next_line err_off))
                 | _ -> (e, next_line err_off)
               in
-              add_dead ~start:pos ~stop:resume
-                ~error:(global_error ~start_line:!line e)
+              let line = line_at pos in
+              add_dead ~line ~start:pos ~stop:resume
+                ~error:(global_error ~start_line:line e)
                 ~kind:e.Json.Parser.kind;
-              advance_to resume;
               go resume)
   in
   go 0;
-  ( List.rev !docs,
-    List.rev !dead,
+  ( List.rev !dead,
     { ok = !ok;
       quarantined = !quarantined;
       budget_killed = !budget_killed;
       budget_causes = sort_causes !causes;
       poisoned = 0;
       truncated = !truncated } )
+
+let ingest_with ?budget ?options ?first_line ?base_offset ?attempt ?tick
+    ?telemetry ~parse_doc src =
+  let docs = ref [] in
+  let dead, report =
+    scan ?budget ?options ?first_line ?base_offset ?attempt ?tick ?telemetry
+      ~step:(fun ~options ~telemetry src ~pos ->
+        match parse_doc ~options ~telemetry src ~pos with
+        | Ok (v, stop) ->
+            docs := v :: !docs;
+            Ok stop
+        | Error e -> Error e)
+      src
+  in
+  (List.rev !docs, dead, report)
 
 let ingest ?budget ?options ?first_line ?base_offset ?attempt ?tick ?telemetry
     src =

@@ -98,6 +98,45 @@ type ingest = {
   report : report;
 }
 
+val scan :
+  ?budget:budget -> ?options:Json.Parser.options ->
+  ?first_line:int -> ?base_offset:int ->
+  ?attempt:int -> ?tick:(unit -> unit) -> ?telemetry:Telemetry.sink ->
+  step:
+    (options:Json.Parser.options -> telemetry:Telemetry.sink ->
+     string -> pos:int -> (int, Json.Parser.error) result) ->
+  string -> dead_letter list * report
+(** The ingestion loop, generic over what a document is taken into. [step]
+    is handed the resolved parser options (budget lowered, trailing input
+    allowed) and must consume exactly one document starting at [pos],
+    taking it into whatever state it closes over and returning the offset
+    one past it — or, taking nothing, the error
+    {!Json.Parser.parse_substring} would report there. [step] sees each
+    document once, in input order, and the loop keeps nothing of it: a fold
+    that adds each document to an accumulator runs in the memory of its
+    accumulator. The scanning, budget, quarantine, dead-letter and
+    telemetry behaviour is exactly {!ingest}'s. The streaming engine
+    ({!Pipeline}) plugs in token-level steps ({!Inference.Streaming.step},
+    {!Jsonschema.Compile.run_stream}) whose error behaviour is
+    byte-identical by contract, so dead letters and reports cannot differ
+    between engines.
+
+    Containment is per line. A failing document whose error lies past the
+    end of the line it starts on (a line that is a valid JSON prefix, such
+    as [[1,], reads on into the next one) is reported with the error of
+    that line alone — its bytes through the newline, re-parsed by
+    {!Json.Parser.parse_substring} (never by [step], which by its contract
+    fails the same way), exactly as a shard cut after it presents them —
+    and scanning resumes on the next line; the failure is counted once. So
+    the dead letters do not depend on where an input is cut into shards.
+    Valid multi-line documents still parse anywhere, but a failing one,
+    malformed or over budget, becomes a syntax error on its first line,
+    and its later lines are scanned as documents of their own.
+
+    Line numbers are counted only up to the start of each dead letter
+    (and of the [max_docs] cut), so the loop reads no byte of a healthy
+    document beyond what [step] reads. *)
+
 val ingest_with :
   ?budget:budget -> ?options:Json.Parser.options ->
   ?first_line:int -> ?base_offset:int ->
@@ -106,29 +145,11 @@ val ingest_with :
     (options:Json.Parser.options -> telemetry:Telemetry.sink ->
      string -> pos:int -> ('a * int, Json.Parser.error) result) ->
   string -> 'a list * dead_letter list * report
-(** The ingestion loop, generic over what one document becomes. [parse_doc]
-    is handed the resolved parser options (budget lowered, trailing input
-    allowed) and must consume exactly one document starting at [pos],
-    returning its payload and the offset one past it — or the error
-    {!Json.Parser.parse_substring} would report there. The scanning, budget,
-    quarantine, dead-letter and telemetry behaviour is exactly {!ingest}'s;
-    with [parse_doc = Json.Parser.parse_substring] the payloads are the
-    parsed documents and this {e is} {!ingest}. The streaming engine
-    ({!Pipeline}) plugs in token-level folds
-    ({!Inference.Streaming.infer_tokens}, {!Jsonschema.Compile.run_stream})
-    whose error behaviour is byte-identical by contract, so dead letters and
-    reports cannot differ between engines.
-
-    Containment is per line. A failing document whose error lies past the
-    end of the line it starts on (a line that is a valid JSON prefix, such
-    as [[1,], reads on into the next one) is reported with the error of
-    that line alone — its bytes through the newline, parsed through the
-    same [parse_doc], exactly as a shard cut after it presents them — and
-    scanning resumes on the next line; the failure is counted once. So the
-    dead letters do not depend on where an input is cut into shards.
-    Valid multi-line documents still parse anywhere, but a failing one,
-    malformed or over budget, becomes a syntax error on its first line,
-    and its later lines are scanned as documents of their own. *)
+(** {!scan} with a step that keeps each document's payload: [parse_doc]
+    returns the payload and the offset one past the document, and the
+    payloads come back in input order. With [parse_doc =
+    Json.Parser.parse_substring] the payloads are the parsed documents and
+    this {e is} {!ingest}. *)
 
 val ingest :
   ?budget:budget -> ?options:Json.Parser.options ->

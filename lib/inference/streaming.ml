@@ -1,7 +1,7 @@
 (* Token-level fused inference: fold the lexer's token stream directly into
-   hash-consed types, producing exactly what [Types.of_value] and
-   [Counting.of_value] would produce on the tree that
-   [Parser.parse_substring] would build — without building it.
+   counting types, producing exactly what [Counting.of_value] would produce
+   on the tree that [Parser.parse_substring] would build — without building
+   it.
 
    Each document goes through two steps.
 
@@ -15,9 +15,16 @@
    2. The typing judgment of a document depends only on its shape, so the
       shape is looked up in the shard's {!Json.Shape} cache. A hit —
       confirmed by comparing the whole recorded shape, never the hash
-      alone — returns the cached (type, counting) pair; a miss types the
+      alone — answers with the cached counting value; a miss types the
       recorded shape without touching the source again and caches the
       result.
+
+   A shard's fold ({!shard}) keeps one counting accumulator. A miss adds
+   its value at once. A hit only bumps its cache entry's count, and the
+   count is added with its multiplicity when the entry leaves the cache:
+   at the wholesale reset, at the switch-off, or at {!finish}. So a
+   repeated shape costs one increment, and nothing typed outlives its
+   document except through the accumulator and the cache.
 
    When the skim fails for any reason, or the shape is rejected by the
    duplicate-key policy, the document is re-parsed with the tree parser so
@@ -29,28 +36,29 @@
 module L = Json.Lexer
 module P = Json.Parser
 module S = Json.Shape
-module T = Jtype.Types
 module C = Jtype.Counting
 
 (* A cache entry is valid for one equivalence and one duplicate-key policy:
-   both change the typing of the same shape. *)
-type scratch = (T.t * C.t) S.t
+   both change the typing of the same shape. [hits] counts the documents
+   the entry answered whose value has not entered an accumulator yet. *)
+type entry = { value : C.t; mutable hits : int }
 
-let scratch : unit -> scratch = S.create
+type scratch = entry S.t
+
+let scratch () : scratch = S.create ()
 
 let context equiv dup =
   S.dup_context dup + match equiv with Jtype.Merge.Kind -> 0 | Jtype.Merge.Label -> 4
 
 (* --- the shape typer ---------------------------------------------------- *)
 
-(* Scalar results are identical for every occurrence — the type side is
-   hash-consed already, and a count-1 leaf is immutable — so one tuple per
-   kind serves the whole process instead of one per scalar. *)
-let typed_null = (T.null, C.CNull 1)
-let typed_bool = (T.bool, C.CBool 1)
-let typed_int = (T.int, C.CInt 1)
-let typed_float = (T.num, C.CNum 1)
-let typed_str = (T.str, C.CStr 1)
+(* A count-1 leaf is immutable, so one value per kind serves the whole
+   process instead of one per scalar. *)
+let typed_null = C.CNull 1
+let typed_bool = C.CBool 1
+let typed_int = C.CInt 1
+let typed_float = C.CNum 1
+let typed_str = C.CStr 1
 
 (* Raised when the duplicate-key policy rejects the shape; the tree parser
    then reports the canonical error. *)
@@ -86,8 +94,8 @@ let has_dup_keys acc =
 (* One member per key, as the tree engine ends up with: [Keep_first] keeps
    the first occurrence's value; [Keep_last] keeps the last one, and so
    does [Keep_all], through [of_value]'s own last-wins dedup. Member order
-   is irrelevant — both record constructors sort by field name. [acc] is
-   in reverse document order. *)
+   is irrelevant — the record is sorted by field name. [acc] is in reverse
+   document order. *)
 let resolve_fields dup acc =
   let in_order =
     match dup with
@@ -109,13 +117,10 @@ let close_record dup acc =
   (* No-dup fast path: every policy keeps every member when each key is
      distinct — the overwhelmingly common case. *)
   let uniq = if has_dup_keys acc then resolve_fields dup acc else acc in
-  ( T.rec_ (List.map (fun (k, (t, _)) -> T.field k t) uniq),
-    C.CRec
-      ( 1,
-        sort_cfields
-          (List.map
-             (fun (k, (_, c)) -> { C.fname = k; occurs = 1; ftype = c })
-             uniq) ) )
+  C.CRec
+    ( 1,
+      sort_cfields
+        (List.map (fun (k, c) -> { C.fname = k; occurs = 1; ftype = c }) uniq) )
 
 let rec type_value sc equiv dup =
   match S.take_code sc with
@@ -124,16 +129,14 @@ let rec type_value sc equiv dup =
   | 'i' -> typed_int
   | 'f' -> typed_float
   | 's' -> typed_str
-  | '[' -> type_elements sc equiv dup [] []
+  | '[' -> type_elements sc equiv dup []
   | _ (* '{' *) -> type_members sc equiv dup []
 
-and type_elements sc equiv dup ttys cs =
-  (* [T.union] and [C.merge_all] are order-insensitive; the elements are
-     merged once, at the bracket, as [Counting.of_value] merges them *)
-  if S.at_close sc ']' then (T.arr (T.union ttys), C.CArr (1, C.merge_all ~equiv cs))
-  else
-    let t, c = type_value sc equiv dup in
-    type_elements sc equiv dup (t :: ttys) (c :: cs)
+and type_elements sc equiv dup cs =
+  (* the elements are merged once, at the bracket, as [Counting.of_value]
+     merges them *)
+  if S.at_close sc ']' then C.CArr (1, C.merge_all ~equiv cs)
+  else type_elements sc equiv dup (type_value sc equiv dup :: cs)
 
 and type_members sc equiv dup acc =
   if S.at_close sc '}' then close_record dup acc
@@ -143,23 +146,28 @@ and type_members sc equiv dup acc =
     type_members sc equiv dup ((key, typed) :: acc)
   end
 
-(* The typed pair of the recorded shape, from the cache when it holds the
-   shape; [None] when the duplicate-key policy rejects it. *)
+(* The counting value of the recorded shape and whether it is new: a hit
+   bumps the cache entry's count and answers [false]; a miss types the
+   shape, caches it with no hits yet and answers [true]. [None] when the
+   duplicate-key policy rejects the shape. *)
 let shape_typed sc equiv dup =
   let ctx = context equiv dup in
   match S.find sc ~ctx with
-  | Some _ as cached -> cached
+  | Some e ->
+      e.hits <- e.hits + 1;
+      Some (e.value, false)
   | None -> (
       S.rewind sc;
       match type_value sc equiv dup with
       | exception (Rejected | Stack_overflow) -> None
-      | typed ->
-          S.add sc ~ctx typed;
-          Some typed)
+      | value ->
+          S.add sc ~ctx { value; hits = 0 };
+          Some (value, true))
 
-let infer_tokens ?(options = P.default_options) ?(telemetry = Telemetry.nop)
-    ?scratch ~equiv src ~pos =
-  let sc = match scratch with Some sc -> sc | None -> S.create () in
+(* One document: its counting value, whether it is new (see
+   [shape_typed]; a value typed from the tree always is), and the offset
+   one past it. *)
+let type_tokens ~options ~telemetry sc ~equiv src ~pos =
   let reuse0 = S.reuse sc and hits0 = S.hits sc and misses0 = S.misses sc in
   let w = S.walk sc options src ~pos in
   let skimmed =
@@ -173,7 +181,7 @@ let infer_tokens ?(options = P.default_options) ?(telemetry = Telemetry.nop)
     | Error _ -> None
   in
   match typed with
-  | Some typed ->
+  | Some (c, fresh) ->
       let stop = L.offset w.S.lx in
       P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.S.nodes;
       if Telemetry.is_recording telemetry then begin
@@ -182,11 +190,40 @@ let infer_tokens ?(options = P.default_options) ?(telemetry = Telemetry.nop)
         Telemetry.count telemetry "stream.shape.hits" (S.hits sc - hits0);
         Telemetry.count telemetry "stream.shape.misses" (S.misses sc - misses0)
       end;
-      Ok (typed, stop)
+      Ok (c, fresh, stop)
   | None -> (
       (* Canonical fallback: let the tree parser produce the authoritative
          error (and its telemetry); type its value classically in the
          unexpected case where it succeeds. *)
       match P.parse_substring ~options ~telemetry src ~pos with
-      | Ok (v, stop) -> Ok ((T.of_value v, C.of_value ~equiv v), stop)
+      | Ok (v, stop) -> Ok (C.of_value ~equiv v, true, stop)
       | Error e -> Error e)
+
+(* --- a shard's fold ------------------------------------------------------ *)
+
+type shard = { sc : scratch; acc : C.acc; equiv : Jtype.Merge.equiv }
+
+let shard ~equiv () =
+  let acc = C.create () in
+  (* an entry leaving the cache settles its hits, with their multiplicity *)
+  let drop e = if e.hits > 0 then C.add ~times:e.hits ~equiv acc e.value in
+  { sc = S.create ~drop (); acc; equiv }
+
+let step ?(options = P.default_options) ?(telemetry = Telemetry.nop) sh src
+    ~pos =
+  match type_tokens ~options ~telemetry sh.sc ~equiv:sh.equiv src ~pos with
+  | Ok (c, fresh, stop) ->
+      if fresh then C.add ~equiv:sh.equiv sh.acc c;
+      Ok stop
+  | Error e -> Error e
+
+let finish sh =
+  S.clear sh.sc;
+  C.freeze sh.acc
+
+let infer_tokens ?(options = P.default_options) ?(telemetry = Telemetry.nop)
+    ?scratch ~equiv src ~pos =
+  let sc = match scratch with Some sc -> sc | None -> S.create () in
+  match type_tokens ~options ~telemetry sc ~equiv src ~pos with
+  | Ok (c, _, stop) -> Ok ((C.erase c, c), stop)
+  | Error e -> Error e

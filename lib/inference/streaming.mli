@@ -3,14 +3,17 @@
     Mison's observation — type-aware parsers win by not building what
     downstream doesn't need — applied to parametric inference: the typing
     judgment of a document depends only on its shape, so the map step of the
-    Baazizi et al. fold never needed the value tree. {!infer_tokens} skims
-    each document once — string payloads are validated, not unescaped;
-    field names are interned in a per-shard {!scratch} table; no
-    intermediate {!Json.Value.t} exists — and records its shape: token
-    kinds and field names. Each distinct shape is typed into hash-consed
-    {!Jtype.Types} and {!Jtype.Counting} nodes once per scratch; repeats
-    are answered from a bounded cache that switches itself off on inputs
-    whose shapes do not repeat.
+    Baazizi et al. fold never needed the value tree. Each document is
+    skimmed once — string payloads are validated, not unescaped; field
+    names are interned in a per-shard {!scratch} table; no intermediate
+    {!Json.Value.t} exists — and its shape is recorded: token kinds and
+    field names. Each distinct shape is typed into a {!Jtype.Counting}
+    value once per scratch; repeats are answered from a bounded cache that
+    switches itself off on inputs whose shapes do not repeat.
+
+    A shard folds its documents into one counting accumulator as they are
+    typed ({!shard}, {!step}, {!finish}), the fusion being associative and
+    commutative; no per-document value or list is kept.
 
     The contract is byte-identity with the tree engine: same types, same
     errors (position, message, kind), same [parse.*] telemetry — enforced by
@@ -35,11 +38,42 @@ val infer_tokens :
   string ->
   pos:int ->
   ((Jtype.Types.t * Jtype.Counting.t) * int, Json.Parser.error) result
-(** Type one document starting at byte [pos]: exactly
-    [(Types.of_value v, Counting.of_value ~equiv v)] for the [v] that
+(** Type one document starting at byte [pos] on its own: [(Counting.erase
+    c, c)] for [c = Counting.of_value ~equiv v] and the [v] that
     {!Json.Parser.parse_substring} would return, plus the offset one past
-    the document — or exactly that parse's error. Telemetry: the parser's
-    per-document [parse.*] family as emitted by [parse_substring], plus
-    [stream.tokens] (tokens consumed), [stream.scratch.reuse] (interning
-    hits) and one of [stream.shape.hits] / [stream.shape.misses] (answered
-    from the shape cache / typed from the shape) on success. *)
+    the document — or exactly that parse's error. It runs the typer
+    {!step} runs, then erases the one value; the pipeline never calls it.
+    Telemetry: the parser's per-document [parse.*] family as emitted by
+    [parse_substring], plus [stream.tokens] (tokens consumed),
+    [stream.scratch.reuse] (interning hits) and one of [stream.shape.hits]
+    / [stream.shape.misses] (answered from the shape cache / typed from
+    the shape) on success. *)
+
+(** {1 A shard's fold} *)
+
+type shard
+(** One shard's scratch plus a {!Jtype.Counting.acc}. Not thread-safe —
+    made on the domain that runs the shard, one per attempt. *)
+
+val shard : equiv:Jtype.Merge.equiv -> unit -> shard
+
+val step :
+  ?options:Json.Parser.options ->
+  ?telemetry:Telemetry.sink ->
+  shard ->
+  string ->
+  pos:int ->
+  (int, Json.Parser.error) result
+(** Type the document at [pos] as {!infer_tokens} does and take it into
+    the shard's accumulator; the offset one past it, or the parse error
+    (the document is then not taken). A document typed from its shape
+    adds its counting value at once; one answered from the shape cache
+    only bumps the entry's hit count, which is added with its multiplicity
+    ({!Jtype.Counting.add}[ ~times]) when the entry leaves the cache: at
+    the cache's wholesale reset, at its switch-off, and at {!finish}. Same
+    telemetry as {!infer_tokens}. *)
+
+val finish : shard -> Jtype.Counting.t
+(** Settle the cache's hit counts and freeze the accumulator:
+    [Counting.merge_all ~equiv] of the [of_value] of every document the
+    shard took, in any order. *)

@@ -84,6 +84,7 @@ type 'a t = {
   mutable next_code : int;
   mutable next_key : int;
   (* the cache; [table] is allocated on first insertion *)
+  drop : 'a -> unit;
   mutable table : 'a entry list array;
   mutable entries : int;
   mutable caching : bool;
@@ -91,11 +92,11 @@ type 'a t = {
   mutable misses : int;
 }
 
-let create () =
+let create ?(drop = ignore) () =
   { slots = Array.make 128 sentinel; count = 0; reuse = 0; key_hash = 0;
     codes = Bytes.create 256; ncodes = 0; keys = Array.make 64 sentinel;
-    nkeys = 0; shape_hash = 0; next_code = 0; next_key = 0; table = [||];
-    entries = 0; caching = true; hits = 0; misses = 0 }
+    nkeys = 0; shape_hash = 0; next_code = 0; next_key = 0; drop;
+    table = [||]; entries = 0; caching = true; hits = 0; misses = 0 }
 
 let reuse sc = sc.reuse
 let key_hash sc = sc.key_hash
@@ -103,9 +104,15 @@ let hits sc = sc.hits
 let misses sc = sc.misses
 let caching sc = sc.caching
 
-let clear sc =
+(* every way an entry leaves the cache goes through here, so the owner's
+   [drop] sees each remembered value exactly once *)
+let empty sc =
+  if sc.entries > 0 then Array.iter (List.iter (fun e -> sc.drop e.e_value)) sc.table;
   sc.table <- [||];
-  sc.entries <- 0;
+  sc.entries <- 0
+
+let clear sc =
+  empty sc;
   sc.caching <- true;
   sc.hits <- 0;
   sc.misses <- 0
@@ -277,10 +284,8 @@ let find sc ~ctx =
     | None -> None
 
 let remember sc ctx v =
-  if sc.entries = 0 || sc.entries >= max_entries then begin
-    sc.table <- Array.make buckets [];
-    sc.entries <- 0
-  end;
+  if sc.entries >= max_entries then empty sc;
+  if sc.entries = 0 then sc.table <- Array.make buckets [];
   let e =
     { e_hash = sc.shape_hash; e_ctx = ctx;
       e_codes = Bytes.sub_string sc.codes 0 sc.ncodes;
@@ -296,8 +301,7 @@ let add sc ~ctx v =
     remember sc ctx v;
     if sc.hits + sc.misses >= warmup && sc.misses > sc.hits then begin
       sc.caching <- false;
-      sc.table <- [||];
-      sc.entries <- 0
+      empty sc
     end
   end
 

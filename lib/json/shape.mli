@@ -23,7 +23,11 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : ?drop:('a -> unit) -> unit -> 'a t
+(** [drop] (default [ignore]) is called on every remembered value as it
+    leaves the cache: at the wholesale reset, at the switch-off and at
+    {!clear}. A value whose owner counts uses on it (a hit count) can
+    settle them there before the entry is gone. *)
 
 (** {1 The bounded cache} *)
 
@@ -60,8 +64,8 @@ val key_hash : 'a t -> int
 (** The {!content_hash} of the key interned last. *)
 
 val clear : 'a t -> unit
-(** Forget every entry, reset the counters and switch the cache back on;
-    the intern table stays. *)
+(** Forget every entry (each through [drop]), reset the counters and switch
+    the cache back on; the intern table stays. *)
 
 (** {1 Reading a recorded shape back} *)
 

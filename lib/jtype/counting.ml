@@ -121,16 +121,21 @@ let create () =
   { any = CBot; null = CBot; bool = CBot; num = CBot; str = CBot; arr = None;
     recs = None }
 
-let rec add ~equiv a = function
+(* [add_k ~equiv k a t] adds [k] copies of [t]: every count of [t] enters
+   multiplied by [k], which is what [k] separate adds would sum to. *)
+let rec add_k ~equiv k a = function
   | CBot -> ()
-  | CUnion ts -> List.iter (add ~equiv a) ts
-  | CAny n -> a.any <- CAny (n + count a.any)
-  | CNull n -> a.null <- CNull (n + count a.null)
-  | CBool n -> a.bool <- CBool (n + count a.bool)
-  | CStr n -> a.str <- CStr (n + count a.str)
+  | CUnion ts -> List.iter (add_k ~equiv k a) ts
+  | CAny n -> a.any <- CAny ((k * n) + count a.any)
+  | CNull n -> a.null <- CNull ((k * n) + count a.null)
+  | CBool n -> a.bool <- CBool ((k * n) + count a.bool)
+  | CStr n -> a.str <- CStr ((k * n) + count a.str)
   | CInt n ->
-      a.num <- (match a.num with CNum m -> CNum (n + m) | prev -> CInt (n + count prev))
-  | CNum n -> a.num <- CNum (n + count a.num)
+      a.num <-
+        (match a.num with
+         | CNum m -> CNum ((k * n) + m)
+         | prev -> CInt ((k * n) + count prev))
+  | CNum n -> a.num <- CNum ((k * n) + count a.num)
   | CArr (n, elem) ->
       let s =
         match a.arr with
@@ -140,8 +145,8 @@ let rec add ~equiv a = function
             a.arr <- Some s;
             s
       in
-      s.arrays <- s.arrays + n;
-      add ~equiv s.elems elem
+      s.arrays <- s.arrays + (k * n);
+      add_k ~equiv k s.elems elem
   | CRec (n, fs) ->
       let recs =
         match a.recs with
@@ -160,7 +165,7 @@ let rec add ~equiv a = function
             Labels.add recs key r;
             r
       in
-      r.records <- r.records + n;
+      r.records <- r.records + (k * n);
       List.iter
         (fun f ->
           let fa =
@@ -171,9 +176,13 @@ let rec add ~equiv a = function
                 Hashtbl.add r.fields f.fname fa;
                 fa
           in
-          fa.occ <- fa.occ + f.occurs;
-          add ~equiv fa.facc f.ftype)
+          fa.occ <- fa.occ + (k * f.occurs);
+          add_k ~equiv k fa.facc f.ftype)
         fs
+
+let add ?(times = 1) ~equiv a t =
+  if times < 1 then invalid_arg "Counting.add: times must be positive";
+  add_k ~equiv times a t
 
 (* A [CAny] absorbs every other branch, counts included, as in [fuse]. *)
 let rec freeze a =
@@ -206,7 +215,7 @@ and freeze_record r =
 
 let merge_all ~equiv ts =
   let a = create () in
-  List.iter (add ~equiv a) ts;
+  List.iter (add_k ~equiv 1 a) ts;
   freeze a
 
 let rec of_value ~equiv (v : Json.Value.t) : t =
@@ -237,29 +246,6 @@ let rec of_value ~equiv (v : Json.Value.t) : t =
            (List.map (fun (k, x) -> { fname = k; occurs = 1; ftype = of_value ~equiv x }) uniq))
 
 let infer ~equiv values = merge_all ~equiv (List.map (of_value ~equiv) values)
-
-(* Multiplying every count by the same k > 0 keeps the relative order of
-   any two values under [Stdlib.compare] (the comparison is lexicographic
-   and reaches the counts only after the constructors and names agree), so
-   sorted union branches stay sorted. *)
-let scale k t =
-  if k < 1 then invalid_arg "Counting.scale: factor must be positive";
-  let rec go = function
-    | CBot -> CBot
-    | CNull n -> CNull (k * n)
-    | CBool n -> CBool (k * n)
-    | CInt n -> CInt (k * n)
-    | CNum n -> CNum (k * n)
-    | CStr n -> CStr (k * n)
-    | CAny n -> CAny (k * n)
-    | CArr (n, elem) -> CArr (k * n, go elem)
-    | CRec (n, fields) ->
-        CRec
-          (k * n,
-           List.map (fun f -> { f with occurs = k * f.occurs; ftype = go f.ftype }) fields)
-    | CUnion ts -> CUnion (List.map go ts)
-  in
-  if k = 1 then t else go t
 
 let rec erase (t : t) : Types.t =
   match t with

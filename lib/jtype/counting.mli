@@ -50,17 +50,33 @@ val merge_all : equiv:Merge.equiv -> t list -> t
     one value, so [merge_all ~equiv [c] = c] holds exactly when [c] is
     canonical, which every value {!of_value} and [merge_all] build is. *)
 
+(** {1 The accumulator behind [merge_all]}
+
+    A fold that receives its values one at a time (a shard scanning its
+    documents) adds each into an accumulator as it comes and freezes once
+    at the end, keeping no list of values. *)
+
+type acc
+(** Mutable; one per fold, never shared between domains. *)
+
+val create : unit -> acc
+(** The empty accumulator: it freezes to [CBot]. *)
+
+val add : ?times:int -> equiv:Merge.equiv -> acc -> t -> unit
+(** [add ~times:k ~equiv a c] adds [k] (default 1) copies of [c], in time
+    proportional to the size of [c] whatever [k]: every count of [c] enters
+    multiplied by [k]. On canonical values that is the same as [k] separate
+    adds, so a fold may count repeats of one value and add them once.
+    @raise Invalid_argument if [k < 1]. *)
+
+val freeze : acc -> t
+(** The canonical value of everything added so far: [freeze] after adding
+    [c1 … cn] is [merge_all ~equiv [c1; …; cn]]. The accumulator is not
+    consumed; adds may continue after a freeze. *)
+
 val infer : equiv:Merge.equiv -> Json.Value.t list -> t
 (** [merge_all] of the documents' {!of_value}: linear in the corpus size
     under both equivalences. *)
-
-val scale : int -> t -> t
-(** [scale k t] multiplies every count in [t] by [k]: the counting type of
-    a collection holding each value of [t]'s collection [k] times. On the
-    canonical values {!of_value} and {!merge} build, [scale k t] equals the
-    merge of [k] copies of [t], so a reduce may merge each distinct value
-    once, scaled by its multiplicity, instead of once per occurrence.
-    @raise Invalid_argument if [k < 1]. *)
 
 val erase : t -> Types.t
 (** Forget counts; field optional iff [occurs < record count]. *)

@@ -2,7 +2,8 @@
    included: the reference for the n-ary fold. [Counting.merge_all] runs
    the indexed accumulator, and so do [Counting.of_value]'s element folds,
    [Counting.infer] (= [Parametric.infer_counting]) and both engines'
-   reduces, so a reference built on any of them would share its faults. *)
+   shard folds, so a reference built on any of them would share its
+   faults. *)
 
 module C = Jtype.Counting
 
@@ -26,3 +27,29 @@ let rec of_value ~equiv (v : Json.Value.t) =
   | scalar -> C.of_value ~equiv scalar
 
 let infer ~equiv vs = fold ~equiv (List.map (of_value ~equiv) vs)
+
+(* [scale k t] multiplies every count in [t] by [k]: the counting type of a
+   collection holding each value of [t]'s collection [k] times, which is
+   what [Counting.add ~times:k] must add. Multiplying every count by the
+   same [k > 0] keeps the order of any two values under [Stdlib.compare]
+   (it reaches the counts only after the constructors and names agree), so
+   sorted union branches stay sorted. *)
+let scale k t =
+  let rec go = function
+    | C.CBot -> C.CBot
+    | C.CNull n -> C.CNull (k * n)
+    | C.CBool n -> C.CBool (k * n)
+    | C.CInt n -> C.CInt (k * n)
+    | C.CNum n -> C.CNum (k * n)
+    | C.CStr n -> C.CStr (k * n)
+    | C.CAny n -> C.CAny (k * n)
+    | C.CArr (n, elem) -> C.CArr (k * n, go elem)
+    | C.CRec (n, fields) ->
+        C.CRec
+          ( k * n,
+            List.map
+              (fun f -> { f with C.occurs = k * f.C.occurs; ftype = go f.C.ftype })
+              fields )
+    | C.CUnion ts -> C.CUnion (List.map go ts)
+  in
+  go t

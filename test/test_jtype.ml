@@ -614,10 +614,11 @@ let prop_counting_erase_coherent =
 
 (* --- counting reduce -------------------------------------------------------
 
-   The streaming reduce merges each distinct counting value once, scaled by
-   its multiplicity, and reads the type off by erasure. These properties pin
-   the algebra that makes that exact, under both equivalences, on corpora
-   drawn with repetition from a small pool. *)
+   The streaming shard fold adds a repeated document shape once, with its
+   hit count as the multiplicity ([Counting.add ~times]), and reads the type
+   off by erasure. These properties pin the algebra that makes that exact,
+   under both equivalences, on corpora drawn with repetition from a small
+   pool. *)
 
 let pool_specials =
   let open Json.Value in
@@ -657,8 +658,9 @@ let group_counts cs =
        [] cs)
 
 let grouped_fold ~equiv cs =
-  Counting.merge_all ~equiv
-    (List.map (fun (c, k) -> Counting.scale k c) (group_counts cs))
+  let a = Counting.create () in
+  List.iter (fun (c, k) -> Counting.add ~times:k ~equiv a c) (group_counts cs);
+  Counting.freeze a
 
 let both_equivs f = List.for_all f [ Merge.Kind; Merge.Label ]
 
@@ -669,7 +671,11 @@ let prop_counting_scale =
     (fun (vs, k) ->
       both_equivs (fun equiv ->
           let c = Counting.infer ~equiv vs in
-          Counting.scale k c = Counting.merge_all ~equiv (List.init k (fun _ -> c))))
+          let a = Counting.create () in
+          Counting.add ~times:k ~equiv a c;
+          let added = Counting.freeze a in
+          added = Counting.merge_all ~equiv (List.init k (fun _ -> c))
+          && added = Pairwise.scale k c))
 
 let prop_counting_grouped_fold =
   QCheck2.Test.make ~name:"counting grouped scaled fold = plain fold" ~count:1000
@@ -753,8 +759,8 @@ let prop_fold_documents =
 
 (* Canonical counting values under [equiv]: [CAny], [CBot] element types
    (empty arrays), [Int]/[Num] unions, counts of 0 (a decoded journal may
-   carry one) and multiplicities through [scale]. Unions are built by
-   [merge], so each value is one a fold can meet. *)
+   carry one) and multiplicities through [Pairwise.scale]. Unions are
+   built by [merge], so each value is one a fold can meet. *)
 let gen_counting equiv =
   QCheck2.Gen.(
     let n = int_range 0 3 in
@@ -786,7 +792,7 @@ let gen_counting equiv =
                  n
                  (list_size (int_range 0 3) (pair (oneofl [ "a"; "b"; "c" ]) (pair n sub))));
               (1, map (Pairwise.fold ~equiv) (list_size (int_range 2 3) sub));
-              (1, map2 Counting.scale (int_range 1 4) sub) ]))
+              (1, map2 Pairwise.scale (int_range 1 4) sub) ]))
 
 let prop_fold_counting_values =
   QCheck2.Test.make ~name:"merge_all = pairwise fold (counting values)" ~count:500

@@ -776,14 +776,19 @@ let test_shard_crash () =
     String.concat "" (List.init 40 (fun i -> Printf.sprintf "{\"a\":%d}\n" i))
   in
   let crash_fold =
-    { Pipeline.parse_doc =
-        (fun () ~options ~telemetry src ~pos ->
-          Json.Parser.parse_substring ~options ~telemetry src ~pos);
+    { Pipeline.init = (fun () -> ref []);
+      step =
+        (fun docs ~options ~telemetry src ~pos ->
+          match Json.Parser.parse_substring ~options ~telemetry src ~pos with
+          | Ok (v, stop) ->
+              docs := v :: !docs;
+              Ok stop
+          | Error e -> Error e);
       finish =
         (fun docs ->
-          if List.mem (Json.Parser.parse_exn {|{"a":25}|}) docs then
+          if List.mem (Json.Parser.parse_exn {|{"a":25}|}) !docs then
             failwith "boom"
-          else List.length docs);
+          else List.length !docs);
       encode = (fun n -> Json.Value.Int n);
       decode =
         (function Json.Value.Int n -> Ok n | _ -> Error "not a count") }
@@ -813,6 +818,291 @@ let test_shard_crash () =
     (String.starts_with
        ~prefix:(Printf.sprintf "shard at line %d poisoned after 1 attempt: crash:" d.Resilient.line)
        d.Resilient.error)
+
+(* --- dead-letter lines, computed independently --------------------------
+
+   The scan counts newlines only up to the start of a document that becomes
+   a dead letter (or of the [max_docs] cut). Whatever the job count, a
+   letter's [line] must be 1 + the newlines before its [byte_offset],
+   computed here from the text alone. *)
+
+let line_of text off =
+  let n = ref 1 in
+  for i = 0 to off - 1 do
+    if text.[i] = '\n' then incr n
+  done;
+  !n
+
+(* blank and whitespace-only lines, CRLF endings, lines that are a valid
+   JSON prefix followed by healthy lines, and broken lines. One document
+   per line: a shard cut would split a document spread over lines. *)
+let lines_text =
+  String.concat ""
+    [ "{\"a\": 1}\n"; "\n"; "   \n"; "{broken\n"; "{\"b\": 2}\r\n"; "\r\n";
+      "[1,\n"; "{\"c\": true}\n"; "{\"d\": [1, 2]}\r\n"; "\t\n";
+      "{\"e\":  [3,\t4]}\n"; "nope\r\n"; "\n"; "{\"f\": null}\n";
+      "[2,\r\n"; "{\"g\": \"x\"}\n"; "{\"h\": }\n"; "\n\n"; "{\"i\": 9}" ]
+
+let check_letter_lines ~what text (r : Resilient.ingest) =
+  List.iter
+    (fun (d : Resilient.dead_letter) ->
+      let want = line_of text d.Resilient.byte_offset in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: letter at byte %d" what d.Resilient.byte_offset)
+        want d.Resilient.line)
+    r.Resilient.dead
+
+let test_dead_letter_lines () =
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "jobs=%d" jobs in
+      let r, _ = ingest_run ~jobs lines_text in
+      (* pinned by hand: the letters start on these lines *)
+      Alcotest.(check (list int)) (what ^ ": letter lines") [ 4; 7; 12; 15; 17 ]
+        (List.map (fun (d : Resilient.dead_letter) -> d.Resilient.line)
+           r.Resilient.dead);
+      Alcotest.(check int) (what ^ ": survivors") 8 r.Resilient.report.Resilient.ok;
+      check_letter_lines ~what lines_text r;
+      List.iter
+        (fun engine ->
+          let _, ingest, _ = ok (Pipeline.infer_ndjson ~engine ~jobs lines_text) in
+          check_letter_lines ~what:(what ^ " infer") lines_text ingest)
+        [ `Tree; `Streaming ];
+      (* the document cut: one letter at the first document past the cap,
+         on the line that document starts on *)
+      List.iter
+        (fun cap ->
+          let budget =
+            { Resilient.default_budget with Resilient.max_docs = Some cap }
+          in
+          let r, _ = ingest_run ~budget ~jobs lines_text in
+          let what = Printf.sprintf "%s max_docs=%d" what cap in
+          check_letter_lines ~what lines_text r;
+          match List.rev r.Resilient.dead with
+          | cut :: _ ->
+              let line = line_of lines_text cut.Resilient.byte_offset in
+              Alcotest.(check string) (what ^ ": cut message")
+                (Printf.sprintf
+                   "line %d: document budget of %d reached; remaining input dropped"
+                   line cap)
+                cut.Resilient.error;
+              Alcotest.(check bool) (what ^ ": truncated") true
+                r.Resilient.report.Resilient.truncated
+          | [] -> Alcotest.fail (what ^ ": no cut"))
+        [ 1; 3; 5; 7 ])
+    [ 1; 2; 3; 4 ];
+  let budget = { Resilient.default_budget with Resilient.max_docs = Some 5 } in
+  let r, _ = ingest_run ~budget ~jobs:1 lines_text in
+  Alcotest.(check string) "cut after five documents"
+    "line 12: document budget of 5 reached; remaining input dropped"
+    (List.nth r.Resilient.dead (List.length r.Resilient.dead - 1)).Resilient.error
+
+(* --- the streamed shard fold against the pairwise fold -------------------
+
+   A streaming shard adds a document typed from its shape at once and
+   counts a cache hit on the entry, to be added with its multiplicity when
+   the entry leaves the cache. These corpora drive every way an entry
+   leaves: the wholesale reset at 4,096 entries (with hit counts pending),
+   the switch-off after the 1,024-document warm-up, the end of the shard,
+   and an attempt that fails mid-shard and is retried from a fresh state.
+   The reference is [Pairwise.infer] over the documents the tree parser
+   ingests under the same duplicate-key policy. *)
+
+let kind_values =
+  [| "null"; "true"; "1"; "2.5"; "\"s\""; "[1, 2.5, [true]]";
+     "{\"x\": [{\"y\": 1}, {\"z\": null}]}" |]
+
+(* five fields whose value kinds are the base-7 digits of [i]: 16,807
+   distinct shapes; with [dup] a repeated [f0] when [i mod 7 = 3], which
+   the duplicate-key policies resolve differently *)
+let shape_doc ?(dup = false) i =
+  let rec digits i n = if n = 0 then [] else (i mod 7) :: digits (i / 7) (n - 1) in
+  let fields =
+    List.mapi (fun j d -> Printf.sprintf "\"f%d\": %s" j kind_values.(d)) (digits i 5)
+  in
+  let fields =
+    if dup && i mod 7 = 3 then
+      fields @ [ Printf.sprintf "\"f0\": %s" kind_values.((i / 7) mod 7) ]
+    else fields
+  in
+  "{" ^ String.concat ", " fields ^ "}\n"
+
+(* 5,000 distinct shapes, each seen three times (twice in a row, once more
+   further on), so hits outnumber misses while the cache passes 4,096
+   entries; with broken lines and [[1,] prefix lines followed by healthy
+   ones *)
+let reset_text =
+  let b = Buffer.create (1 lsl 20) in
+  for i = 0 to 4999 do
+    let doc = shape_doc ~dup:true i in
+    Buffer.add_string b doc;
+    Buffer.add_string b doc;
+    Buffer.add_string b (shape_doc ~dup:true (i mod 97));
+    if i mod 1000 = 500 then Buffer.add_string b "[1,\n";
+    if i mod 1500 = 700 then Buffer.add_string b "{broken\n"
+  done;
+  Buffer.contents b
+
+(* one shape 400 times (one miss, 399 hits), then distinct shapes: misses
+   pass hits at document 1,024, where the cache switches off with the 399
+   hits pending; past 1,100 the repeated shape comes back, typed at once *)
+let switch_off_text n =
+  let b = Buffer.create 65536 in
+  for k = 0 to n - 1 do
+    let i = if k < 400 || (k > 1100 && k mod 3 = 0) then 0 else 7 * k + 1 in
+    Buffer.add_string b (shape_doc i);
+    if k = 1200 then Buffer.add_string b "[1,\n"
+  done;
+  Buffer.contents b
+
+let pairwise_reference ~options ~equiv text =
+  Pairwise.infer ~equiv (Resilient.ingest ~options text).Resilient.docs
+
+(* [reset_text]'s reference, shared by the tests that fold it *)
+let reset_reference =
+  let memo = Hashtbl.create 8 in
+  fun ~options ~equiv ->
+    let key = (options.Json.Parser.dup_keys, equiv) in
+    match Hashtbl.find_opt memo key with
+    | Some c -> c
+    | None ->
+        let c = pairwise_reference ~options ~equiv reset_text in
+        Hashtbl.add memo key c;
+        c
+
+let counting_eq what want got =
+  Alcotest.(check string) what (Jtype.Counting.to_string want)
+    (Jtype.Counting.to_string got)
+
+let with_dup_policies f =
+  List.iter
+    (fun dup_keys -> f { Json.Parser.default_options with dup_keys })
+    Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ]
+
+let equivs = Jtype.Merge.[ Kind; Label ]
+
+let infer_counting ?telemetry ~options ~equiv ~engine ~jobs text =
+  let i, _, _ =
+    ok (Pipeline.infer_ndjson ?telemetry ~options ~equiv ~engine ~jobs text)
+  in
+  i.Pipeline.counting
+
+let counter sink name =
+  Option.value ~default:0
+    (List.assoc_opt name (Telemetry.snapshot sink).Telemetry.counters)
+
+let test_fold_wholesale_reset () =
+  with_dup_policies (fun options ->
+      List.iter
+        (fun equiv ->
+          let want = reset_reference ~options ~equiv in
+          let sink = Telemetry.create () in
+          counting_eq "streaming, jobs=1" want
+            (infer_counting ~telemetry:sink ~options ~equiv ~engine:`Streaming
+               ~jobs:1 reset_text);
+          (* the corpus does what it is for: the cache passed 4,096 entries
+             and was still on, with hits pending *)
+          let hits = counter sink "stream.shape.hits"
+          and misses = counter sink "stream.shape.misses" in
+          Alcotest.(check bool)
+            (Printf.sprintf "past the reset (%d misses)" misses)
+            true (misses > 4096);
+          Alcotest.(check bool)
+            (Printf.sprintf "cache on (%d hits)" hits)
+            true (hits > misses);
+          List.iter
+            (fun (engine, jobs) ->
+              counting_eq
+                (Printf.sprintf "%s, jobs=%d" (engine_name engine) jobs)
+                want
+                (infer_counting ~options ~equiv ~engine ~jobs reset_text))
+            [ (`Streaming, 2); (`Tree, 1); (`Tree, 2) ])
+        equivs)
+
+let test_fold_switch_off () =
+  List.iter
+    (fun n ->
+      let text = switch_off_text n in
+      with_dup_policies (fun options ->
+          List.iter
+            (fun equiv ->
+              let sink = Telemetry.create () in
+              counting_eq (Printf.sprintf "%d documents" n)
+                (pairwise_reference ~options ~equiv text)
+                (infer_counting ~telemetry:sink ~options ~equiv
+                   ~engine:`Streaming ~jobs:1 text);
+              (* before the switch-off the one shape hits; after it every
+                 document is a miss *)
+              let hits = counter sink "stream.shape.hits" in
+              Alcotest.(check int) (Printf.sprintf "%d documents: hits" n) 399 hits)
+            equivs))
+    [ 1023; 1024; 1025; 1500 ]
+
+(* the inference fold, failing its [at]-th step once with a transient
+   worker fault: the retry must start from a fresh state *)
+let faulting_fold ~equiv ~engine ~at =
+  let fold = Pipeline.infer_fold ~equiv engine in
+  let steps = Atomic.make 0 in
+  { fold with
+    Pipeline.step =
+      (fun state ~options ~telemetry src ~pos ->
+        if Atomic.fetch_and_add steps 1 = at then
+          raise (Supervisor.Abort (Supervisor.Fault "test:mid-shard"));
+        fold.Pipeline.step state ~options ~telemetry src ~pos) }
+
+let test_fold_fault_mid_shard () =
+  with_dup_policies (fun options ->
+      List.iter
+        (fun equiv ->
+          let want = reset_reference ~options ~equiv in
+          List.iter
+            (fun (engine, jobs) ->
+              let parts, ingest, sup =
+                ok
+                  (Pipeline.run_shards ~options ~policy:(test_policy ~retries:1 ())
+                     ~jobs ~job:"infer:test" ~engine:(engine_name engine)
+                     (faulting_fold ~equiv ~engine ~at:6000)
+                     reset_text)
+              in
+              let what = Printf.sprintf "%s, jobs=%d" (engine_name engine) jobs in
+              Alcotest.(check int) (what ^ ": one retry") 1
+                sup.Pipeline.sup_stats.Supervisor.retries;
+              Alcotest.(check int) (what ^ ": nothing poisoned") 0
+                ingest.Resilient.report.Resilient.poisoned;
+              counting_eq what want
+                (Jtype.Counting.merge_all ~equiv (List.map snd parts)))
+            [ (`Streaming, 1); (`Streaming, 2); (`Tree, 1) ])
+        equivs)
+
+(* no production path builds a per-document [Types.t]: interning happens
+   only when the merged counting type is erased *)
+let test_fold_no_per_document_types () =
+  (* 2,000 documents, each its own subset of eleven keys: 2,000 distinct
+     types, one erased record of twelve nodes *)
+  let text =
+    String.concat ""
+      (List.init 2000 (fun d ->
+           let fields =
+             List.filter_map
+               (fun k ->
+                 if (d + 1) land (1 lsl k) <> 0 then
+                   Some (Printf.sprintf "\"k%d\": %d" k d)
+                 else None)
+               (List.init 11 Fun.id)
+           in
+           "{" ^ String.concat ", " fields ^ "}\n"))
+  in
+  List.iter
+    (fun (engine, jobs) ->
+      let sink = Telemetry.create () in
+      let i, _, _ = ok (Pipeline.infer_ndjson ~telemetry:sink ~engine ~jobs text) in
+      let nodes = counter sink "kernel.nodes" in
+      let size = Jtype.Types.size i.Pipeline.jtype in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, jobs=%d: %d new nodes < erased size %d"
+           (engine_name engine) jobs nodes size)
+        true (nodes < size))
+    [ (`Streaming, 1); (`Streaming, 2); (`Tree, 1); (`Tree, 2) ]
 
 (* --- checkpoint/resume -------------------------------------------------- *)
 
@@ -1041,7 +1331,9 @@ let () =
          Alcotest.test_case "max_docs fallback" `Quick test_ingest_max_docs_sequential_fallback;
          Alcotest.test_case "strict first error" `Quick test_strict_first_error;
          Alcotest.test_case "truncated line contained" `Quick test_truncation_repro;
-         qcheck prop_truncation_containment ]);
+         qcheck prop_truncation_containment;
+         Alcotest.test_case "dead-letter lines from the text" `Quick
+           test_dead_letter_lines ]);
       ("inference",
        [ Alcotest.test_case "types identical" `Quick test_infer_identical;
          Alcotest.test_case "pipeline resilient" `Quick test_pipeline_resilient_jobs ]);
@@ -1050,6 +1342,15 @@ let () =
       ("executor",
        [ Alcotest.test_case "shard crash" `Quick test_shard_crash;
          qcheck prop_one_executor ]);
+      (* no group name longer than "supervision": a longer one widens the
+         listing's name column and truncates every printed test name
+         differently *)
+      ("fold",
+       [ Alcotest.test_case "wholesale reset = pairwise" `Quick test_fold_wholesale_reset;
+         Alcotest.test_case "switch-off boundary = pairwise" `Quick test_fold_switch_off;
+         Alcotest.test_case "fault mid-shard = pairwise" `Quick test_fold_fault_mid_shard;
+         Alcotest.test_case "no per-document types" `Quick
+           test_fold_no_per_document_types ]);
       ("supervision",
        [ Alcotest.test_case "no faults identical" `Quick test_supervisor_no_faults_identical;
          Alcotest.test_case "transient recovered" `Quick test_supervisor_transient_recovered;

@@ -811,15 +811,14 @@ let gen_template : template QCheck2.Gen.t =
 let dup_policies =
   Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ]
 
-(* the tree engine's answer for one document, and the same document typed
-   with its array elements fused pairwise *)
+(* the tree engine's answer for one document (its counting value and that
+   value's erasure, which is what [infer_tokens] reports as the type), and
+   the same document typed with its array elements fused pairwise *)
 let tree_typed ~options ~equiv doc =
   match Json.Parser.parse_substring ~options doc ~pos:0 with
   | Ok (v, stop) ->
-      Ok
-        ( (Jtype.Types.of_value v, Jtype.Counting.of_value ~equiv v),
-          Pairwise.of_value ~equiv v,
-          stop )
+      let c = Jtype.Counting.of_value ~equiv v in
+      Ok ((Jtype.Counting.erase c, c), Pairwise.of_value ~equiv v, stop)
   | Error e -> Error e
 
 let same_typing ?telemetry ~scratch ~options ~equiv doc =
