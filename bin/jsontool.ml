@@ -97,7 +97,10 @@ let jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Shard the work across $(docv) domains (default 1, sequential). \
-                 Output is byte-identical for every job count.")
+                 On one-document-per-line input, output is byte-identical for \
+                 every job count. Shards are cut at newlines, so a document \
+                 written over several lines can be split between two shards \
+                 and fail to parse.")
 
 let engine_arg =
   Arg.(

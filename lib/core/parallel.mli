@@ -1,8 +1,9 @@
 (** The runtime of sharded execution on OCaml 5 domains.
 
     The parametric inference of the tutorial is a map/reduce whose reduce —
-    {!Jtype.Merge.merge}, and the counting fold {!Jtype.Counting.merge_all}
-    the pipelines run — is associative and commutative, so sharding a
+    the counting fold {!Jtype.Counting.merge_all}, which the pipelines run
+    and {!Jtype.Merge.merge_all} lifts plain types into — is associative
+    and commutative, so sharding a
     collection and fusing per-shard results is semantics-preserving by
     construction. This module supplies the runtime for that shape: a
     hand-rolled fixed pool of domains fed by a bounded work queue, NDJSON
@@ -54,8 +55,7 @@ val dead_order : Resilient.dead_letter -> Resilient.dead_letter -> int
 
 val with_kernel_stats : Telemetry.sink -> (unit -> 'a) -> 'a
 (** Run [f] and emit the {!Jtype.Kernel} counter deltas it caused
-    ([kernel.nodes], [kernel.intern.hits], and the
-    [kernel.{merge,fuse,simplify}.*] and [kernel.cache.clears] traffic of
-    any {!Jtype.Merge} fusion inside [f]) into the sink. No-op on
+    ([kernel.nodes], [kernel.intern.hits], and any other counter [f]
+    touched) into the sink. No-op on
     {!Telemetry.nop}. Call only around joined parallel sections (deltas
     are summed over all domains). *)

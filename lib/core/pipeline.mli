@@ -57,9 +57,12 @@ type engine = [ `Tree | `Streaming ]
     shard whose fold raises becomes a [shard:crash] dead letter instead of
     an exception.
 
-    Results are deterministic and byte-identical to the sequential scan
-    for any [jobs]: same input, same policy, same fault plan — same merged
-    output, interrupted and resumed or not. A shard that exhausts its
+    Results are deterministic, and on one-document-per-line input
+    byte-identical to the sequential scan for any [jobs]: same input, same
+    policy, same fault plan — same merged output, interrupted and resumed
+    or not. {!Parallel.shards} cuts at any newline, so a valid document
+    written over several lines can be split where a shard is cut, and its
+    pieces then fail as documents of their own. A shard that exhausts its
     attempts is {e quarantined} as one {!Resilient.dead_letter} with
     whole-input coordinates ([kind = Shard _], [report.poisoned] counts
     it); the job's result then lacks exactly that shard's documents.

@@ -40,16 +40,14 @@ let infer_partitioned ~equiv ~partitions values =
   | _ ->
       let parts = split_into partitions values in
       let partials = List.map (infer ~equiv) parts in
-      (* partials are already canonical: merge directly *)
-      tree_reduce (fun a b -> Jtype.Merge.merge ~equiv a b) partials
+      tree_reduce (Jtype.Merge.merge ~equiv) partials
 
 let infer_counting ~equiv values = Jtype.Counting.infer ~equiv values
 
 let infer_ndjson ~equiv src =
-  Json.Stream.fold_documents src ~init:Jtype.Types.bot ~f:(fun acc v ->
-      (* acc stays canonical across the fold; only the new document's type
-         needs simplification, which merge performs *)
-      Jtype.Merge.merge ~equiv acc (Jtype.Types.of_value v))
+  Result.map (Jtype.Merge.merge_all ~equiv)
+    (Json.Stream.fold_documents src ~init:[] ~f:(fun ts v ->
+         Jtype.Types.of_value v :: ts))
 
 let precision t values =
   match values with

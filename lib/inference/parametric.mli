@@ -3,7 +3,7 @@
 
     The algorithm is a map/reduce: {e map} types every value
     ({!Jtype.Types.of_value}), {e reduce} fuses the types with the
-    equivalence-parameterized merge ({!Jtype.Merge.merge}). Because the
+    equivalence-parameterized merge ({!Jtype.Merge.merge_all}). Because the
     merge is associative and commutative, the reduce can be evaluated in any
     tree shape; {!infer_partitioned} evaluates it as a balanced tree over
     partitions, which is exactly the shape a distributed runtime (the
@@ -13,11 +13,12 @@
     results identical to the sequential fold for any shard count. *)
 
 val infer : equiv:Jtype.Merge.equiv -> Json.Value.t list -> Jtype.Types.t
-(** Sequential fold: the paper's algorithm over the hash-consed kernel.
-    It is the reference the tests compare every inference pipeline
-    against, and the fold behind [stats] and [translate]; the pipelines of
-    [Core] run the counting fold ({!infer_counting}) instead and read the
-    type off by {!Jtype.Counting.erase}, which yields this type. *)
+(** One {!Jtype.Merge.merge_all} over the values' types: the fold behind
+    [stats] and [translate]. The pipelines of [Core] run the counting fold
+    ({!infer_counting}) instead and read the type off by
+    {!Jtype.Counting.erase}, which yields this type. Both run on
+    {!Jtype.Counting}'s accumulator, so the tests compare them with the
+    paper's pairwise fusion ([test/pairwise.ml]), not with each other. *)
 
 val union_width : Jtype.Types.t -> int
 (** Top-level union branch count: 0 for [Bot], 1 for any non-union type,
@@ -37,7 +38,8 @@ val infer_counting :
 val infer_ndjson :
   equiv:Jtype.Merge.equiv -> string -> (Jtype.Types.t, Json.Parser.error) result
 (** Stream over an NDJSON / concatenated-JSON text without materializing the
-    collection. *)
+    collection: it keeps each document's type (repeats share one node) and
+    fuses them with one {!Jtype.Merge.merge_all}. *)
 
 (** {1 Quality metrics used by the experiments} *)
 

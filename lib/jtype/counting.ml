@@ -21,73 +21,25 @@ let rec count = function
 
 let sort_fields = List.sort (fun a b -> String.compare a.fname b.fname)
 
-(* --- the paper's binary fusion ------------------------------------------- *)
+type equiv = Kind | Label
 
-let rec merge_fields ~equiv xs ys =
-  (* Both sorted. A field absent on one side keeps its count (it just
-     becomes optional relative to the merged record count). *)
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> rest
-    | (x :: xs' as xl), (y :: ys' as yl) ->
-        let c = String.compare x.fname y.fname in
-        if c = 0 then
-          { fname = x.fname;
-            occurs = x.occurs + y.occurs;
-            ftype = merge ~equiv x.ftype y.ftype }
-          :: go xs' ys'
-        else if c < 0 then x :: go xs' yl
-        else y :: go xl ys'
-  in
-  go xs ys
+let equiv_to_string = function Kind -> "kind" | Label -> "label"
 
-and same_labels xs ys =
+(* Two records are label-equivalent when they name the same fields. *)
+let same_labels xs ys =
   List.length xs = List.length ys
   && List.for_all2 (fun x y -> String.equal x.fname y.fname) xs ys
 
-and fuse ~equiv a b : t option =
-  match (a, b) with
-  | CAny n, other | other, CAny n -> Some (CAny (n + count other))
-  | CNull n, CNull m -> Some (CNull (n + m))
-  | CBool n, CBool m -> Some (CBool (n + m))
-  | CInt n, CInt m -> Some (CInt (n + m))
-  | CStr n, CStr m -> Some (CStr (n + m))
-  | (CNum n | CInt n), (CNum m | CInt m) -> Some (CNum (n + m))
-  | CArr (n, x), CArr (m, y) -> Some (CArr (n + m, merge ~equiv x y))
-  | CRec (n, xs), CRec (m, ys) -> (
-      match equiv with
-      | Merge.Kind -> Some (CRec (n + m, merge_fields ~equiv xs ys))
-      | Merge.Label ->
-          if same_labels xs ys then Some (CRec (n + m, merge_fields ~equiv xs ys))
-          else None)
-  | _ -> None
+(* --- the fold --------------------------------------------------------------
 
-and insert ~equiv branch acc =
-  let rec go seen = function
-    | [] -> List.rev (branch :: seen)
-    | candidate :: rest -> (
-        match fuse ~equiv candidate branch with
-        | Some fused -> insert ~equiv fused (List.rev_append seen rest)
-        | None -> go (candidate :: seen) rest)
-  in
-  go [] acc
-
-and merge ~equiv a b =
-  let branches = function CUnion ts -> ts | CBot -> [] | t -> [ t ] in
-  match List.fold_left (fun acc t -> insert ~equiv t acc) [] (branches a @ branches b) with
-  | [] -> CBot
-  | [ t ] -> t
-  | ts -> CUnion (List.sort Stdlib.compare ts)
-
-(* --- the n-ary fold ------------------------------------------------------
-
-   [merge] re-fuses the whole accumulated union on every call, so folding
-   it over N values costs N times the width of the type built so far. The
-   accumulator below keeps one slot per fusion class of [fuse] instead:
-   adding a value touches only the slots of its own branches, fields are
-   found by name and record branches by label set, so the cost of an add is
-   the size of the value added. The canonical value (fields by name,
-   branches by [Stdlib.compare]) is built once, by [freeze]. *)
+   The paper's fusion is binary: it fuses the branches of two values by
+   class (the kind, or the label set under [Label]) and adds counts within
+   a class, so folding it over N values re-fuses the whole union built so
+   far N times. The accumulator below keeps one slot per fusion class
+   instead: adding a value touches only the slots of its own branches,
+   fields are found by name and record branches by label set, so the cost
+   of an add is the size of the value added. The canonical value (fields by
+   name, branches by [Stdlib.compare]) is built once, by [freeze]. *)
 
 (* Record branches under [Label], keyed by their field names. Every name
    enters the hash: [Hashtbl.hash] of a list stops after ten elements, and
@@ -156,7 +108,7 @@ let rec add_k ~equiv k a = function
             a.recs <- Some recs;
             recs
       in
-      let key = match equiv with Merge.Kind -> [] | Merge.Label -> fs in
+      let key = match equiv with Kind -> [] | Label -> fs in
       let r =
         match Labels.find_opt recs key with
         | Some r -> r
@@ -184,7 +136,7 @@ let add ?(times = 1) ~equiv a t =
   if times < 1 then invalid_arg "Counting.add: times must be positive";
   add_k ~equiv times a t
 
-(* A [CAny] absorbs every other branch, counts included, as in [fuse]. *)
+(* A [CAny] absorbs every other branch, counts included. *)
 let rec freeze a =
   let records =
     match a.recs with
@@ -354,9 +306,8 @@ let rec to_json (t : t) : Json.Value.t =
 (* Inverse of [to_json]; the encoding is exact, so checkpoint journals can
    park a partial counting merge on disk and resume it without re-counting.
    Shapes [to_json] never emits are rejected, not repaired: among them a
-   record whose field names are not strictly increasing, which [merge]
-   (it walks field lists as sorted) and [erase] (through [Types.rec_])
-   cannot take. *)
+   record whose field names are not strictly increasing (a repeated name
+   makes [erase] raise in [Types.rec_]). *)
 let of_json (v : Json.Value.t) : (t, string) result =
   let ( let* ) = Result.bind in
   let member name = function

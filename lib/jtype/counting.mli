@@ -1,12 +1,16 @@
 (** Counting types (Baazizi et al., DBPL'17): the type algebra annotated
-    with cardinalities.
+    with cardinalities, and the one fusion core of parametric inference.
 
     Every node records how many values of the collection it described;
     record fields additionally record in how many of those records they
     occurred, so optionality becomes quantitative ("present in 93% of
-    tweets") instead of a bare [?]. Counting merge is the same fusion as
-    {!Merge.merge} with counts added pointwise, so it inherits
-    associativity/commutativity — the distribution property E3 tests. *)
+    tweets") instead of a bare [?]. Fusion adds counts within a fusion
+    class, so it is associative, commutative and, up to the counts,
+    idempotent — the distribution property E3 tests. The indexed
+    accumulator behind {!merge_all} is the only implementation of fusion:
+    {!Merge} lifts plain types into it and reads the result back through
+    {!erase}. The paper's pairwise fusion survives only as the tests'
+    reference. *)
 
 type t =
   | CNull of int
@@ -26,29 +30,42 @@ and cfield = { fname : string; occurs : int; ftype : t }
 val count : t -> int
 (** Total number of values described (sum over union branches). *)
 
-val of_value : equiv:Merge.equiv -> Json.Value.t -> t
-(** Counting typing of one value: every count is 1. The equivalence governs
-    how the element types of one array fuse, exactly as in {!Merge}; the
-    elements of an array are fused by one {!merge_all}. *)
+(** The equivalence that decides which union branches fuse
+    (Baazizi et al., VLDBJ'19):
 
-val merge : equiv:Merge.equiv -> t -> t -> t
-(** The paper's binary fusion: the branches of both sides are fused by
-    class (the kind, or the label set under [Label]) and counts add within
-    a class. It re-fuses the whole union on every call, so a fold of it
-    over N values costs N times the width of the type built so far; no
-    production path calls it. It stays as the reference {!merge_all} is
-    tested against. *)
+    - {b Kind equivalence} ([K]): any two types of the same kind fuse. All
+      record types collapse into one record whose fields are merged
+      field-wise (a field missing on one side becomes optional); all array
+      types collapse element-wise. Produces maximally concise, least precise
+      types.
+    - {b Label equivalence} ([L]): two record types fuse only when they have
+      exactly the same set of (mandatory and optional) field names;
+      otherwise both stay as separate union branches. Captures field
+      correlations that kind equivalence loses.
 
-val merge_all : equiv:Merge.equiv -> t list -> t
-(** [merge_all ~equiv ts] equals [List.fold_left (merge ~equiv) CBot ts]
-    on canonical values, in time proportional to the total size of [ts]
-    plus one sort of the result: a mutable accumulator keeps one slot per
-    fusion class, record fields by name and record branches by label set,
-    and is frozen once into the canonical value (fields sorted by
-    [String.compare], union branches by [Stdlib.compare], no empty or
-    one-branch union, no union inside a union). There is no shortcut for
-    one value, so [merge_all ~equiv [c] = c] holds exactly when [c] is
-    canonical, which every value {!of_value} and [merge_all] build is. *)
+    Under both, [Int] and [Num] fuse to [Num] and [Any] absorbs
+    everything. *)
+type equiv = Kind | Label
+
+val equiv_to_string : equiv -> string
+
+val of_value : equiv:equiv -> Json.Value.t -> t
+(** Counting typing of one value: every count is 1. The elements of an
+    array are fused by one {!merge_all}. *)
+
+val merge_all : equiv:equiv -> t list -> t
+(** [merge_all ~equiv ts] fuses the branches of every value of [ts] by
+    class (the kind, or the label set under [Label]), adding counts within
+    a class: the paper's binary fusion folded over [ts] from [CBot], which
+    [test/pairwise.ml] keeps as the reference. It runs in time proportional
+    to the total size of [ts] plus one sort of the result: a mutable
+    accumulator keeps one slot per fusion class, record fields by name and
+    record branches by label set, and is frozen once into the canonical
+    value (fields sorted by [String.compare], union branches by
+    [Stdlib.compare], no empty or one-branch union, no union inside a
+    union). There is no shortcut for one value, so [merge_all ~equiv [c] =
+    c] holds exactly when [c] is canonical, which every value {!of_value}
+    and [merge_all] build is. *)
 
 (** {1 The accumulator behind [merge_all]}
 
@@ -62,7 +79,7 @@ type acc
 val create : unit -> acc
 (** The empty accumulator: it freezes to [CBot]. *)
 
-val add : ?times:int -> equiv:Merge.equiv -> acc -> t -> unit
+val add : ?times:int -> equiv:equiv -> acc -> t -> unit
 (** [add ~times:k ~equiv a c] adds [k] (default 1) copies of [c], in time
     proportional to the size of [c] whatever [k]: every count of [c] enters
     multiplied by [k]. On canonical values that is the same as [k] separate
@@ -74,7 +91,7 @@ val freeze : acc -> t
     [c1 … cn] is [merge_all ~equiv [c1; …; cn]]. The accumulator is not
     consumed; adds may continue after a freeze. *)
 
-val infer : equiv:Merge.equiv -> Json.Value.t list -> t
+val infer : equiv:equiv -> Json.Value.t list -> t
 (** [merge_all] of the documents' {!of_value}: linear in the corpus size
     under both equivalences. *)
 

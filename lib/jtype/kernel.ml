@@ -1,9 +1,10 @@
 (* Per-domain counters for the hash-consed type kernel.
 
-   The kernel (interning in Types, memo caches in Merge) runs on every
-   domain of the parallel pipelines, so its statistics cannot live in one
-   mutable cell without cross-domain races — and taking a lock on the
-   fusion hot path would defeat the point of per-domain caches. Instead
+   The kernel (interning in Types, memoized decisions in Subtype) runs on
+   every domain of the parallel pipelines, so its statistics cannot live
+   in one mutable cell without cross-domain races — and taking a lock on
+   the interning hot path would defeat the point of per-domain tables.
+   Instead
    each (counter, domain) pair gets a private cell, created on the
    domain's first touch and registered in a global list under a mutex;
    [totals] folds the registry by counter name. Reading while other

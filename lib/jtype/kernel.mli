@@ -1,7 +1,7 @@
 (** Per-domain counters for the hash-consed type kernel.
 
-    {!Types} (interning) and {!Merge} (memoized fusion) keep their caches
-    domain-local — no cross-domain locking on the hot path — so their
+    {!Types} (interning) and {!Subtype} (memoized decisions) keep their
+    tables domain-local — no cross-domain locking on the hot path — so their
     statistics are domain-local too. A [counter] is a name; each domain
     that touches it gets a private cell, and {!totals} sums the cells of
     every domain that ever ran, grouped by name. The counters feed the

@@ -15,7 +15,7 @@
     constructors intern every node in a per-domain weak table, so within a
     domain one physical node stands for each distinct structural type —
     [equal] is pointer equality in the common case, [compare] short-circuits
-    on shared subtrees, and {!Merge} memoizes fusion on [(id, id)] pairs.
+    on shared subtrees, and {!Merge} adds each repeated type once.
     Nodes that cross a domain boundary (shard hand-off) are merely
     re-interned on the receiving domain; structural equality and the hash
     (computed from child hashes, not ids) are domain-independent. Pattern
@@ -68,7 +68,7 @@ val of_value : Json.Value.t -> t
 
 val id : t -> int
 (** Globally unique node identity (never reused, stable for the process
-    lifetime) — the memo-cache key of {!Merge}. *)
+    lifetime) — the key {!Merge} drops repeated types by. *)
 
 val hash : t -> int
 (** Precomputed structural hash: equal for structurally equal types on any

@@ -583,7 +583,7 @@ let prop_merge_idempotent =
     QCheck2.Gen.(pair gen_equiv gen_value)
     (fun (equiv, v) ->
       let t = Types.of_value v in
-      Types.equal (Merge.merge ~equiv t t) (Merge.simplify ~equiv t))
+      Types.equal (Merge.merge ~equiv t t) (Merge.merge_all ~equiv [ t ]))
 
 let prop_merge_upper_bound =
   QCheck2.Test.make ~name:"merge is an upper bound" ~count:300
@@ -608,9 +608,10 @@ let prop_counting_erase_coherent =
   QCheck2.Test.make ~name:"counting erase = plain inference" ~count:200
     QCheck2.Gen.(pair gen_equiv (list_size (int_range 1 6) gen_value))
     (fun (equiv, vs) ->
-      Types.equal
-        (Counting.erase (Counting.infer ~equiv vs))
-        (Merge.merge_all ~equiv (List.map Types.of_value vs)))
+      let erased = Counting.erase (Counting.infer ~equiv vs) in
+      Types.equal erased (Merge.merge_all ~equiv (List.map Types.of_value vs))
+      && String.equal (Types.to_string erased)
+           (Pairwise.Seed.to_string (Pairwise.Seed.infer ~equiv vs)))
 
 (* --- counting reduce -------------------------------------------------------
 

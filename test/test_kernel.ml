@@ -1,202 +1,19 @@
-(* Tests for the hash-consed type kernel (Jtype.Types interning +
-   Jtype.Merge memoized fusion).
+(* Tests for the hash-consed type kernel (Jtype.Types interning) and the
+   fusion behind Jtype.Merge.
 
-   The centerpiece is a differential oracle: [Seed] below is an
-   independent re-implementation of the pre-kernel representation — a
-   plain variant with deep-structural compare and the unmemoized fusion
-   algorithm — and the QCheck properties demand that kernel-backed
-   inference produce the same printed type for both equivalences on
-   random corpora. Physical-sharing and cache-determinism tests pin the
-   properties the memo caches rely on. *)
+   The centerpiece is a differential oracle: [Seed] (test/pairwise.ml) is
+   an independent re-implementation of the pre-kernel representation — a
+   plain variant with deep-structural compare and the paper's pairwise
+   fusion — and the QCheck properties demand that [Merge.merge_all], which
+   runs on [Counting]'s accumulator, produce the same printed type for
+   both equivalences, on types typed from random values and on types
+   generated directly. Physical-sharing and determinism tests pin the
+   properties the hash-consed kernel promises. *)
 
 open Jtype
+module Seed = Pairwise.Seed
 
 let ty = Alcotest.testable Types.pp Types.equal
-
-(* --- the seed oracle ---------------------------------------------------- *)
-
-module Seed = struct
-  type t =
-    | Bot
-    | Null
-    | Bool
-    | Int
-    | Num
-    | Str
-    | Arr of t
-    | Rec of field list
-    | Union of t list
-    | Any
-
-  and field = { fname : string; optional : bool; ftype : t }
-
-  let rank = function
-    | Bot -> 0 | Null -> 1 | Bool -> 2 | Int -> 3 | Num -> 4 | Str -> 5
-    | Arr _ -> 6 | Rec _ -> 7 | Union _ -> 8 | Any -> 9
-
-  let rec compare a b =
-    match (a, b) with
-    | Arr x, Arr y -> compare x y
-    | Rec xs, Rec ys -> compare_fields xs ys
-    | Union xs, Union ys -> compare_list xs ys
-    | _ -> Stdlib.compare (rank a) (rank b)
-
-  and compare_list xs ys =
-    match (xs, ys) with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: xs', y :: ys' ->
-        let c = compare x y in
-        if c <> 0 then c else compare_list xs' ys'
-
-  and compare_fields xs ys =
-    match (xs, ys) with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: xs', y :: ys' ->
-        let c = String.compare x.fname y.fname in
-        if c <> 0 then c
-        else
-          let c = Bool.compare x.optional y.optional in
-          if c <> 0 then c
-          else
-            let c = compare x.ftype y.ftype in
-            if c <> 0 then c else compare_fields xs' ys'
-
-  let union ts =
-    let rec flatten acc = function
-      | [] -> acc
-      | Union us :: rest -> flatten (flatten acc us) rest
-      | Bot :: rest -> flatten acc rest
-      | t :: rest -> flatten (t :: acc) rest
-    in
-    let flat = flatten [] ts in
-    if List.exists (fun t -> t = Any) flat then Any
-    else
-      match List.sort_uniq compare flat with
-      | [] -> Bot
-      | [ t ] -> t
-      | ts -> Union ts
-
-  let rec of_value (v : Json.Value.t) : t =
-    match v with
-    | Json.Value.Null -> Null
-    | Json.Value.Bool _ -> Bool
-    | Json.Value.Int _ -> Int
-    | Json.Value.Float _ -> Num
-    | Json.Value.String _ -> Str
-    | Json.Value.Array vs -> Arr (union (List.map of_value vs))
-    | Json.Value.Object fields ->
-        let seen = Hashtbl.create 8 in
-        let uniq =
-          List.filter
-            (fun (k, _) ->
-              if Hashtbl.mem seen k then false
-              else (Hashtbl.add seen k (); true))
-            (List.rev fields)
-        in
-        let fields =
-          List.sort
-            (fun (a, _) (b, _) -> String.compare a b)
-            (List.map (fun (k, x) -> (k, of_value x)) uniq)
-        in
-        Rec (List.map (fun (k, ft) -> { fname = k; optional = false; ftype = ft }) fields)
-
-  let rec merge_fields ~equiv xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> List.map (fun f -> { f with optional = true }) rest
-    | (x :: xs' as xl), (y :: ys' as yl) ->
-        let c = String.compare x.fname y.fname in
-        if c = 0 then
-          { fname = x.fname;
-            optional = x.optional || y.optional;
-            ftype = merge_canonical ~equiv x.ftype y.ftype }
-          :: merge_fields ~equiv xs' ys'
-        else if c < 0 then { x with optional = true } :: merge_fields ~equiv xs' yl
-        else { y with optional = true } :: merge_fields ~equiv xl ys'
-
-  and same_labels xs ys =
-    List.length xs = List.length ys
-    && List.for_all2 (fun x y -> String.equal x.fname y.fname) xs ys
-
-  and fuse ~equiv a b =
-    match (a, b) with
-    | Any, _ | _, Any -> Some Any
-    | Null, Null -> Some Null
-    | Bool, Bool -> Some Bool
-    | Int, Int -> Some Int
-    | Str, Str -> Some Str
-    | (Num | Int), (Num | Int) -> Some Num
-    | Arr x, Arr y -> Some (Arr (merge_canonical ~equiv x y))
-    | Rec xs, Rec ys -> (
-        match (equiv : Merge.equiv) with
-        | Kind -> Some (Rec (merge_fields ~equiv xs ys))
-        | Label ->
-            if same_labels xs ys then Some (Rec (merge_fields ~equiv xs ys))
-            else None)
-    | _ -> None
-
-  and insert ~equiv branch acc =
-    let rec go seen = function
-      | [] -> List.rev (branch :: seen)
-      | candidate :: rest -> (
-          match fuse ~equiv candidate branch with
-          | Some fused -> insert ~equiv fused (List.rev_append seen rest)
-          | None -> go (candidate :: seen) rest)
-    in
-    go [] acc
-
-  and merge_canonical ~equiv a b =
-    let branches = function Union ts -> ts | Bot -> [] | t -> [ t ] in
-    union
-      (List.fold_left (fun acc t -> insert ~equiv t acc) [] (branches a @ branches b))
-
-  and push_down ~equiv t =
-    match t with
-    | Bot | Null | Bool | Int | Num | Str | Any -> t
-    | Arr x -> Arr (simplify ~equiv x)
-    | Rec fields ->
-        Rec (List.map (fun f -> { f with ftype = simplify ~equiv f.ftype }) fields)
-    | Union ts -> union (List.map (push_down ~equiv) ts)
-
-  and simplify ~equiv t =
-    match t with
-    | Union ts ->
-        let ts = List.map (push_down ~equiv) ts in
-        union (List.fold_left (fun acc t -> insert ~equiv t acc) [] ts)
-    | t -> push_down ~equiv t
-
-  let merge_all ~equiv = function
-    | [] -> Bot
-    | t :: ts ->
-        List.fold_left
-          (fun acc t -> merge_canonical ~equiv acc (simplify ~equiv t))
-          (simplify ~equiv t) ts
-
-  let rec to_string t =
-    match t with
-    | Bot -> "Bot"
-    | Null -> "Null"
-    | Bool -> "Bool"
-    | Int -> "Int"
-    | Num -> "Num"
-    | Str -> "Str"
-    | Any -> "Any"
-    | Arr Bot -> "[]"
-    | Arr t -> "[" ^ to_string t ^ "]"
-    | Rec fields ->
-        let f { fname; optional; ftype } =
-          Printf.sprintf "%s%s: %s" fname (if optional then "?" else "")
-            (to_string ftype)
-        in
-        "{" ^ String.concat ", " (List.map f fields) ^ "}"
-    | Union ts -> String.concat " + " (List.map to_string_atom ts)
-
-  and to_string_atom t =
-    match t with Union _ -> "(" ^ to_string t ^ ")" | _ -> to_string t
-end
 
 (* --- generators (same shape as test_jtype's) ---------------------------- *)
 
@@ -246,20 +63,69 @@ let prop_oracle_merge =
       in
       String.equal kernel seed)
 
-let prop_oracle_memo_off =
-  (* the memo caches change cost, never results *)
-  QCheck2.Test.make ~name:"memoized merge == unmemoized merge" ~count:300
-    QCheck2.Gen.(pair gen_equiv (list_size (int_range 0 10) gen_value))
-    (fun (equiv, vs) ->
-      let ts () = List.map Types.of_value vs in
-      let memoized = Merge.merge_all ~equiv (ts ()) in
-      Merge.set_memoize false;
-      let plain =
-        Fun.protect
-          ~finally:(fun () -> Merge.set_memoize true)
-          (fun () -> Merge.merge_all ~equiv (ts ()))
-      in
-      memoized == plain)
+(* Types built through the smart constructors rather than typed from
+   values: optional fields, [Any] and [Bot] under fields and arrays, unions
+   whose branches the equivalence fuses ([Int + Num], records of one kind
+   or one label set) and unions of unions, empty records and arrays, and
+   labels that share a prefix. *)
+let gen_type =
+  QCheck2.Gen.(
+    let leaf =
+      frequency
+        (List.map (fun t -> (2, return t)) Types.[ bot; null; bool; int; num; str ]
+        @ [ (1, return Types.any) ])
+    in
+    let label = oneofl [ "a"; "ab"; "abc"; "b"; "ba" ] in
+    let record sub =
+      map
+        (fun fields ->
+          let seen = Hashtbl.create 4 in
+          Types.rec_
+            (List.filter_map
+               (fun (name, optional, t) ->
+                 if Hashtbl.mem seen name then None
+                 else begin
+                   Hashtbl.add seen name ();
+                   Some (Types.field ~optional name t)
+                 end)
+               fields))
+        (list_size (int_range 0 4) (triple label bool sub))
+    in
+    sized_size (int_range 0 12)
+    @@ fix (fun self n ->
+           if n <= 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [ (2, leaf);
+                 (2, map Types.arr sub);
+                 (3, record sub);
+                 (2, map Types.union (list_size (int_range 0 4) sub)) ]))
+
+let print_types ts = String.concat "\n" (List.map Types.to_string ts)
+
+let prop_oracle_generated =
+  QCheck2.Test.make ~name:"merge_all on generated types == seed fold (oracle)"
+    ~count:500 ~print:(fun (ts, _, _) -> print_types ts)
+    QCheck2.Gen.(
+      let* ts = list_size (int_range 0 8) gen_type in
+      let* shuffled = shuffle_l ts in
+      let+ dups = list_size (int_range 0 3) (oneofl (Types.bot :: ts)) in
+      (ts, shuffled, dups))
+    (fun (ts, shuffled, dups) ->
+      List.for_all
+        (fun equiv ->
+          let t = Merge.merge_all ~equiv ts in
+          String.equal (Types.to_string t)
+            (Seed.to_string (Seed.merge_all ~equiv (List.map Seed.of_types ts)))
+          && Types.equal (Merge.merge_all ~equiv (shuffled @ dups)) t
+          && Types.equal (List.fold_left (Merge.merge ~equiv) Types.bot ts) t
+          &&
+          match ts with
+          | a :: b :: _ ->
+              Types.equal (Merge.merge ~equiv a b) (Merge.merge_all ~equiv [ a; b ])
+          | _ -> true)
+        [ Merge.Kind; Merge.Label ])
 
 let prop_hash_structural =
   QCheck2.Test.make ~name:"hash is structural" ~count:300
@@ -334,8 +200,8 @@ let test_jobs_determinism () =
     [ Merge.Kind; Merge.Label ]
 
 let test_warm_cache_determinism () =
-  (* a warm memo cache must not perturb results: run the same inference
-     repeatedly and against a freshly cleared cache *)
+  (* repeated inference, before and after the (no-op) cache clear, returns
+     the same type *)
   let run () =
     Types.to_string
       (Inference.Parametric.infer ~equiv:Merge.Label determinism_corpus)
@@ -344,8 +210,7 @@ let test_warm_cache_determinism () =
   let warm = run () in
   let warm2 = run () in
   Alcotest.(check string) "warm == cold" cold warm;
-  Alcotest.(check string) "warm is stable" warm warm2;
-  Alcotest.(check bool) "cache grew" true (Merge.cache_size () > 0)
+  Alcotest.(check string) "warm is stable" warm warm2
 
 (* --- float print/parse round-trips --------------------------------------- *)
 
@@ -401,7 +266,7 @@ let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "kernel"
     [ ("oracle",
-       q [ prop_oracle_merge; prop_oracle_memo_off; prop_hash_structural ]);
+       q [ prop_oracle_merge; prop_oracle_generated; prop_hash_structural ]);
       ("sharing",
        [ Alcotest.test_case "interning shares" `Quick test_interning_shares;
          Alcotest.test_case "ids and hashes" `Quick test_ids_and_hashes;

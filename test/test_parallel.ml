@@ -129,10 +129,10 @@ let test_strict_first_error () =
 (* --- sharded inference ------------------------------------------------- *)
 
 let test_infer_identical () =
-  (* the tree engine's sharded counting fold against the paper's
-     sequential folds over the survivors of the sequential scan: the
-     [Types] fold for the type, the counting fold for the counts, which
-     must equal the paper's pairwise fold *)
+  (* the tree engine's sharded counting fold against the sequential folds
+     over the survivors of the sequential scan: the [Types] fold for the
+     type, the counting fold for the counts, each of which must equal the
+     paper's pairwise fold *)
   let docs = (Resilient.ingest messy_text).Resilient.docs in
   List.iter
     (fun equiv ->
@@ -143,6 +143,9 @@ let test_infer_identical () =
         Jtype.Counting.to_string
           (Inference.Parametric.infer_counting ~equiv docs)
       in
+      Alcotest.(check string) "type fold = pairwise fold"
+        (Pairwise.Seed.to_string (Pairwise.Seed.infer ~equiv docs))
+        reference;
       Alcotest.(check string) "counting fold = pairwise fold"
         (Jtype.Counting.to_string (Pairwise.infer ~equiv docs))
         ref_counting;
@@ -541,8 +544,12 @@ let counting_string ~equiv docs =
     QCheck2.Test.fail_reportf "counting fold differs from the pairwise fold";
   Jtype.Counting.to_string c
 
+(* the type fold, checked against the paper's pairwise fold of plain types *)
 let type_string ~equiv docs =
-  Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs)
+  let t = Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs) in
+  if t <> Pairwise.Seed.to_string (Pairwise.Seed.infer ~equiv docs) then
+    QCheck2.Test.fail_reportf "type fold differs from the pairwise fold";
+  t
 
 (* every run kind on one corpus and one setting against the sequential
    references over the shards [poisoned] leaves; [tag] says where *)

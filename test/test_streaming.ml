@@ -593,14 +593,16 @@ let gen_repeating_ndjson : string QCheck2.Gen.t =
   let* docs = list_size (int_range 1 40) (oneofl pool) in
   return (String.concat "\n" (List.map Json.Printer.to_string docs))
 
-(* Both engines fold counting types and read the type off by erasure, so
-   tree = streaming alone cannot catch a fault the two share. The paper's
-   folds over the surviving documents are the independent references: the
-   [Types] fold for the type, the pairwise counting fold for the counts. *)
+(* Both engines fold counting types and read the type off by erasure, and
+   so does [Parametric.infer], so tree = streaming alone cannot catch a
+   fault the three share. The paper's pairwise folds over the surviving
+   documents are the independent references: the plain one for the type,
+   the counting one for the counts. *)
 let matches_reference ~equiv (i : Pipeline.inferred) docs =
-  String.equal
-    (Jtype.Types.to_string i.Pipeline.jtype)
+  let printed = Jtype.Types.to_string i.Pipeline.jtype in
+  String.equal printed
     (Jtype.Types.to_string (Inference.Parametric.infer ~equiv docs))
+  && String.equal printed (Pairwise.Seed.to_string (Pairwise.Seed.infer ~equiv docs))
   && i.Pipeline.counting = Pairwise.infer ~equiv docs
 
 (* the three modes of the inference run the streaming reduce serves
