@@ -737,25 +737,35 @@ let compat_cmd =
     let old_s = load old_file and new_s = load new_file in
     (* backward compatibility: everything valid under the old schema must
        stay valid under the new one *)
-    (match Jtype.Containment.check old_s new_s with
-     | Jtype.Containment.Included ->
+    (match Jtype.Contain.check_schema ~sub:old_s new_s with
+     | Jtype.Contain.Contained ->
          print_endline "backward compatible: old instances remain valid"
-     | Jtype.Containment.Not_included cex ->
+     | Jtype.Contain.Not_contained cex ->
          Printf.printf "NOT backward compatible; counterexample:\n  %s\n"
            (Json.Printer.to_string cex);
          exit 1
-     | Jtype.Containment.Unknown ->
-         print_endline "backward compatibility: unknown (outside the decidable fragment)");
-    match Jtype.Containment.check new_s old_s with
-    | Jtype.Containment.Included ->
+     | Jtype.Contain.Unknown reason ->
+         Printf.printf "backward compatibility: unknown (%s)\n" reason);
+    match Jtype.Contain.check_schema ~sub:new_s old_s with
+    | Jtype.Contain.Contained ->
         print_endline "forward compatible: new instances validate against the old schema"
-    | Jtype.Containment.Not_included cex ->
+    | Jtype.Contain.Not_contained cex ->
         Printf.printf "not forward compatible (expected for widening changes); example:\n  %s\n"
           (Json.Printer.to_string cex)
-    | Jtype.Containment.Unknown -> print_endline "forward compatibility: unknown"
+    | Jtype.Contain.Unknown reason ->
+        Printf.printf "forward compatibility: unknown (%s)\n" reason
   in
   Cmd.v
-    (Cmd.info "compat" ~doc:"Check schema-evolution compatibility between two JSON Schemas.")
+    (Cmd.info "compat"
+       ~doc:"Check schema-evolution compatibility between two JSON Schemas: \
+             backward (every instance of $(i,OLD) is valid under $(i,NEW)), \
+             then forward (the reverse). A direction is decided when its \
+             sub-schema lies in the structural fragment the type algebra \
+             translates exactly (one $(b,type), $(b,items), closed objects, \
+             $(b,anyOf), booleans); otherwise it is refuted by 200 seeded \
+             samples of the sub-schema, or reported unknown with the reason. \
+             A counterexample is valid under one schema and rejected by the \
+             other. Exit 1 = not backward compatible, 0 otherwise.")
     Term.(const run $ old_schema $ new_schema)
 
 (* --- discover ---------------------------------------------------------------- *)

@@ -9,10 +9,14 @@
    own authority, and never claims [Contained] unless every applicable
    keyword was proved for every inhabited union branch.
 
-   Schemas in the exact structural fragment (Containment.exact: the image
-   of Interop.to_schema) skip the keyword walk entirely and are decided by
-   the kernel subtype procedure, whose verdicts come with their own
-   verified witnesses. *)
+   Schemas in the exact structural fragment (those Interop.of_schema
+   translates, Interop.to_schema's output among them) skip the keyword
+   walk entirely and are decided by the kernel subtype procedure, whose
+   verdicts come with their own verified witnesses.
+
+   Schema against schema ([check_schema]) runs the same walk on the
+   translation of the subschema, and only outside the fragment, or when
+   the walk does not know, refutes by seeded sampling. *)
 
 module V = Json.Value
 module S = Jsonschema.Schema
@@ -234,12 +238,13 @@ let resolve ctx target =
     else None
 
 let rec contain_ty ctx ~fuel (t : Types.t) (s : S.t) : outcome =
-  if Containment.exact s then
-    match Subtype.check t (Interop.of_schema s) with
-    | Subtype.Sub -> Proved
-    | Subtype.Not_sub w -> Refute ([ w ], "kernel subtype witness")
-    | Subtype.Unknown _ -> structural ctx ~fuel t s
-  else structural ctx ~fuel t s
+  match Interop.of_schema s with
+  | Some ts -> (
+      match Subtype.check t ts with
+      | Subtype.Sub -> Proved
+      | Subtype.Not_sub w -> Refute ([ w ], "kernel subtype witness")
+      | Subtype.Unknown _ -> structural ctx ~fuel t s)
+  | None -> structural ctx ~fuel t s
 
 and structural ctx ~fuel (t : Types.t) (s : S.t) : outcome =
   match s with
@@ -658,3 +663,42 @@ let check ?(config = Jsonschema.Validate.default_config) ~root (t : Types.t) :
           | None ->
               Kernel.hit c_unknown;
               Unknown reason))
+
+(* ------------------------------------------------------------------ *)
+
+(* Draws of the sampling refutation; the seed keeps its verdicts
+   reproducible. *)
+let refutation_draws = 200
+
+let refute ~sub super =
+  let st = Jsonschema.Generate.rng ~seed:97 in
+  let rec go k =
+    if k = 0 then None
+    else
+      match Jsonschema.Generate.generate_valid st ~root:sub with
+      | Some v when not (Jsonschema.Validate.is_valid ~root:super v) -> Some v
+      | Some _ | None -> go (k - 1)
+  in
+  go refutation_draws
+
+let check_schema ~sub super =
+  match (Jsonschema.Parse.of_json sub, Jsonschema.Parse.of_json super) with
+  | Error e, _ | _, Error e ->
+      Unknown ("schema does not parse: " ^ Jsonschema.Parse.string_of_error e)
+  | Ok sub_schema, Ok _ -> (
+      let decided =
+        match Interop.of_schema sub_schema with
+        | None -> Unknown "sub-schema outside the decided fragment"
+        | Some t -> (
+            match check ~root:super t with
+            | Not_contained w when not (Jsonschema.Validate.is_valid ~root:sub w)
+              ->
+                Unknown "witness rejected by the sub-schema"
+            | v -> v)
+      in
+      match decided with
+      | Unknown reason -> (
+          match refute ~sub super with
+          | Some w -> Not_contained w
+          | None -> Unknown reason)
+      | v -> v)

@@ -7,8 +7,8 @@
     schema keyword by keyword against each inhabited union branch of [t]:
     type-kind booleans, folded numeric bounds, [required]/[properties]
     coverage, [enum]/[const] sets, array shape. Schemas inside the exact
-    structural fragment ({!Containment.exact}) short-circuit through the
-    kernel subtype procedure {!Subtype.check}.
+    structural fragment (those {!Interop.of_schema} translates)
+    short-circuit through the kernel subtype procedure {!Subtype.check}.
 
     Three-valued and self-verifying: a [Not_contained w] verdict carries a
     concrete member [w] of [t] that {b both} validation engines
@@ -40,3 +40,20 @@ val check :
     schema is [Unknown], never a guess. *)
 
 val verdict_to_string : verdict -> string
+
+val check_schema : sub:Json.Value.t -> Json.Value.t -> verdict
+(** [check_schema ~sub super]: is every instance of the schema [sub] an
+    instance of the schema [super]? Both are JSON documents. Full JSON
+    Schema containment is EXPTIME-hard, so this decides through {!check}
+    when [sub] is in the structural fragment, and otherwise only refutes
+    by counterexample:
+
+    + if either side does not parse, [Unknown "schema does not parse: …"];
+    + if [sub] is in the fragment, {!check} decides its exact translation
+      {!Interop.of_schema} against [super]; a witness is also checked to
+      be valid under [sub];
+    + if [sub] is outside the fragment, or step 2 answers [Unknown], the
+      answer is [Not_contained w] for the first of 200 seeded draws from
+      [sub] that [super] rejects, and the [Unknown] otherwise.
+
+    [jsontool compat] prints this verdict in both directions. *)

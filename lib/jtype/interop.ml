@@ -31,98 +31,70 @@ let rec to_schema (t : Types.t) : Jsonschema.Schema.t =
 
 let to_schema_json t = Jsonschema.Print.to_json (to_schema t)
 
-let rec of_schema_in ~definitions ~seen (s : Jsonschema.Schema.t) : Types.t =
+(* A node of the fragment carries no keyword besides the ones [to_schema]
+   emits and the ones that never affect validation (annotations, and
+   [then]/[else] without [if]). Every field is named, so a keyword added
+   to [Schema.node] must be placed on one side or the other here. *)
+let fragment_keywords_only : Jsonschema.Schema.node -> bool = function
+  | { enum = None; const = None; multiple_of = None; maximum = None;
+      exclusive_maximum = None; minimum = None; exclusive_minimum = None;
+      min_length = None; max_length = None; pattern = None; format = None;
+      additional_items = None; min_items = None; max_items = None;
+      unique_items = false; contains = None; min_contains = None;
+      max_contains = None; pattern_properties = []; min_properties = None;
+      max_properties = None; property_names = None; dependencies = [];
+      all_of = []; one_of = []; not_ = None; if_ = None; ref_ = None;
+      definitions = [];
+      types = _; any_of = _; items = _; properties = _; required = _;
+      additional_properties = _; then_ = _; else_ = _; title = _;
+      description = _; default = _ } ->
+      true
+  | _ -> false
+
+let rec all f = function
+  | [] -> Some []
+  | x :: rest -> (
+      match f x with
+      | None -> None
+      | Some y -> Option.map (List.cons y) (all f rest))
+
+let rec of_schema (s : Jsonschema.Schema.t) : Types.t option =
   let open Jsonschema.Schema in
   match s with
-  | Bool_schema true -> Types.any
-  | Bool_schema false -> Types.bot
+  | Bool_schema true -> Some Types.any
+  | Bool_schema false -> Some Types.bot
+  | Schema n when not (fragment_keywords_only n) -> None
   | Schema n -> (
-      match n.ref_ with
-      | Some target when not (List.mem target seen) -> (
-          (* only "#/definitions/<name>" refs are resolved *)
-          match String.split_on_char '/' target with
-          | [ "#"; "definitions"; name ] -> (
-              match List.assoc_opt name definitions with
-              | Some sub -> of_schema_in ~definitions ~seen:(target :: seen) sub
-              | None -> Types.any)
-          | _ -> Types.any)
-      | Some _ -> Types.any (* cyclic: cut with Any *)
-      | None ->
-          if n.any_of <> [] then
-            Types.union (List.map (of_schema_in ~definitions ~seen) n.any_of)
-          else if n.one_of <> [] then
-            Types.union (List.map (of_schema_in ~definitions ~seen) n.one_of)
-          else if n.all_of <> [] then
-            (* approximate a conjunction by its first conjunct *)
-            of_schema_in ~definitions ~seen (List.hd n.all_of)
-          else
-            match n.types with
-            | None -> infer_untyped ~definitions ~seen n
-            | Some ts ->
-                Types.union (List.map (of_schema_typed ~definitions ~seen n) ts))
-
-and infer_untyped ~definitions ~seen n =
-  let open Jsonschema.Schema in
-  if n.properties <> [] || n.required <> [] then
-    of_schema_typed ~definitions ~seen n `Object
-  else if n.items <> None then of_schema_typed ~definitions ~seen n `Array
-  else if n.minimum <> None || n.maximum <> None || n.multiple_of <> None then
-    Types.num
-  else if n.pattern <> None || n.min_length <> None || n.max_length <> None then
-    Types.str
-  else
-    match (n.const, n.enum) with
-    | Some c, _ -> Types.of_value c
-    | None, Some vs -> Types.union (List.map Types.of_value vs)
-    | None, None -> Types.any
-
-and of_schema_typed ~definitions ~seen n t =
-  let open Jsonschema.Schema in
-  match t with
-  | `Null -> Types.null
-  | `Boolean -> Types.bool
-  | `Integer -> Types.int
-  | `Number -> Types.num
-  | `String -> Types.str
-  | `Array ->
-      let elem =
-        match n.items with
-        | Some (Items_one s) -> of_schema_in ~definitions ~seen s
-        | Some (Items_many ss) ->
-            Types.union (List.map (of_schema_in ~definitions ~seen) ss)
-        | None -> Types.any
+      let no_structure =
+        n.items = None && n.properties = [] && n.required = []
+        && n.additional_properties = None
       in
-      Types.arr elem
-  | `Object ->
-      if n.properties = [] && n.pattern_properties = [] && n.additional_properties = None
-      then
-        (* open object with no described fields: approximate as {} with
-           everything optional is wrong (closed); use Any-field record *)
-        Types.rec_
-          (List.map (fun r -> Types.field r Types.any) n.required)
-      else
-        let closed =
-          match n.additional_properties with
-          | Some (Bool_schema false) -> true
-          | _ -> false
-        in
-        ignore closed;
-        Types.rec_
-          (List.map
-             (fun (k, s) ->
-               Types.field
-                 ~optional:(not (List.mem k n.required))
-                 k
-                 (of_schema_in ~definitions ~seen s))
-             n.properties)
-
-let of_schema (s : Jsonschema.Schema.t) =
-  let definitions =
-    match s with Jsonschema.Schema.Schema n -> n.Jsonschema.Schema.definitions | _ -> []
-  in
-  of_schema_in ~definitions ~seen:[] s
-
-let of_schema_json j =
-  match Jsonschema.Parse.of_json j with
-  | Ok s -> Ok (of_schema s)
-  | Error e -> Error (Jsonschema.Parse.string_of_error e)
+      let scalar t = if no_structure then Some t else None in
+      match (n.types, n.any_of) with
+      | None, [] -> scalar Types.any
+      | None, branches when no_structure ->
+          Option.map Types.union (all of_schema branches)
+      | Some [ `Null ], [] -> scalar Types.null
+      | Some [ `Boolean ], [] -> scalar Types.bool
+      | Some [ `Integer ], [] -> scalar Types.int
+      | Some [ `Number ], [] -> scalar Types.num
+      | Some [ `String ], [] -> scalar Types.str
+      | Some [ `Array ], [] -> (
+          match (n.items, n.properties, n.required, n.additional_properties) with
+          | None, [], [], None -> Some (Types.arr Types.any)
+          | Some (Items_one e), [], [], None -> Option.map Types.arr (of_schema e)
+          | _ -> None)
+      | Some [ `Object ], [] -> (
+          match (n.items, n.additional_properties) with
+          | None, Some (Bool_schema false)
+            when List.for_all (fun r -> List.mem_assoc r n.properties) n.required
+            ->
+              Option.map Types.rec_
+                (all
+                   (fun (k, p) ->
+                     Option.map
+                       (Types.field ~optional:(not (List.mem k n.required)) k)
+                       (of_schema p))
+                   n.properties)
+          | _ -> None)
+      | _ -> None)

@@ -2,9 +2,10 @@
 
     [check a b] decides whether every value of type [a] also has type [b]
     under the exact denotational semantics of {!Typecheck.member} (closed
-    records, [Int] ⊆ [Num], unions as set union). Unlike the syntactic
-    approximation {!Typecheck.subtype}, a negative answer here carries a
-    {b witness}: a concrete JSON value [w] with [member w a] and
+    records, [Int] ⊆ [Num], unions as set union). It is the toolkit's one
+    inclusion check: {!Contain} (and through it [jsontool check] and
+    [jsontool compat]) and the query typer run on it. A negative answer
+    carries a {b witness}: a concrete JSON value [w] with [member w a] and
     [not (member w b)], verified before it is returned. When the decided
     fragment runs out — distribution of a record type over a union of
     record types is the one genuinely hard case — the verdict is

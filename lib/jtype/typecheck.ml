@@ -55,51 +55,3 @@ let check v t =
   match check_at [] v t with () -> Ok () | exception Mismatch m -> Error m
 
 let member v t = Result.is_ok (check v t)
-
-(* --- subtyping -------------------------------------------------------- *)
-
-let rec subtype (a : Types.t) (b : Types.t) =
-  a == b
-  || match (a.Types.node, b.Types.node) with
-  | Types.Bot, _ -> true
-  | _, Types.Any -> true
-  | Types.Any, _ -> false
-  | _, Types.Bot -> false
-  | Types.Null, Types.Null | Types.Bool, Types.Bool | Types.Str, Types.Str -> true
-  | Types.Int, (Types.Int | Types.Num) -> true
-  | Types.Num, Types.Num -> true
-  | Types.Arr x, Types.Arr y -> subtype x y
-  | Types.Rec xs, Types.Rec ys -> subtype_fields xs ys
-  | Types.Union ts, _ -> List.for_all (fun t -> subtype t b) ts
-  | _, Types.Union us -> List.exists (fun u -> subtype a u) us
-  | (Types.Null | Types.Bool | Types.Int | Types.Num | Types.Str | Types.Arr _
-    | Types.Rec _), _ ->
-      false
-
-(* Record subtyping with closed records: a record type xs is included in ys
-   iff every value of xs is a value of ys. Every field of xs must exist in
-   ys with a compatible type, and every mandatory field of ys must be
-   mandatory in xs. Fields of ys absent from xs must be optional. *)
-and subtype_fields xs ys =
-  let find name fs = List.find_opt (fun f -> String.equal f.Types.fname name) fs in
-  List.for_all
-    (fun (x : Types.field) ->
-      match find x.Types.fname ys with
-      | None -> false (* closed supertype forbids the extra field *)
-      | Some y ->
-          subtype x.Types.ftype y.Types.ftype
-          && ((not x.Types.optional) || y.Types.optional))
-    xs
-  && List.for_all
-       (fun (y : Types.field) ->
-         match find y.Types.fname xs with
-         | Some _ -> true
-         | None -> y.Types.optional)
-       ys
-
-let precision a b =
-  match (subtype a b, subtype b a) with
-  | true, true -> `Equal
-  | true, false -> `Less
-  | false, true -> `Greater
-  | false, false -> `Incomparable

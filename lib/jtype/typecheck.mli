@@ -1,9 +1,7 @@
-(** Semantic membership and subtyping for the type algebra.
+(** Semantic membership for the type algebra.
 
-    [member] is the denotational judgment v ∈ ⟦t⟧ — exact. [subtype] is a
-    sound syntactic approximation of ⟦a⟧ ⊆ ⟦b⟧ (it may answer [false] for
-    some true containments involving unions of records, but never answers
-    [true] wrongly); the property tests exercise this contract. *)
+    [member] is the denotational judgment v ∈ ⟦t⟧ — exact. It is the
+    semantics {!Subtype} decides inclusion for. *)
 
 val member : Json.Value.t -> Types.t -> bool
 
@@ -13,13 +11,3 @@ val check : Json.Value.t -> Types.t -> (unit, mismatch) result
 (** Like {!member} but reports the first (leftmost-innermost) mismatch. *)
 
 val string_of_mismatch : mismatch -> string
-
-val subtype : Types.t -> Types.t -> bool
-(** Sound approximation of semantic inclusion. Reflexive, transitive;
-    [Bot <= t <= Any] and [Int <= Num] hold; record width & depth
-    subtyping: more (or mandatory) fields is a subtype of fewer (or
-    optional), covariant in field and element types. *)
-
-val precision : Types.t -> Types.t -> [ `Equal | `Less | `Greater | `Incomparable ]
-(** Compare two types by {!subtype} both ways: [`Less] means strictly more
-    precise (smaller denotation). *)

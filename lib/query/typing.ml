@@ -92,7 +92,7 @@ let type_agg (ctx : Types.t) (agg : Ast.agg) : Types.t =
       (* eval: skips non-numeric values; an all-Int-or-Null operand column
          sums to Int, anything else may come out Float *)
       let t = type_expr ctx e in
-      if Typecheck.subtype t (union2 Types.int Types.null) then Types.int
+      if Subtype.is_sub t (union2 Types.int Types.null) then Types.int
       else union2 Types.int Types.num
   | Ast.Avg e -> (
       match numeric_status (type_expr ctx e) with

@@ -5,7 +5,9 @@
    folds and [Merge.merge_all] (= [Parametric.infer]), which lifts plain
    types into it and erases the result. A reference built on any of them
    would share its faults, so both algebras are re-implemented here: the
-   counting fusion at the top level, the plain one in [Seed]. *)
+   counting fusion at the top level, the plain one in [Seed]. [Syntactic]
+   keeps the syntactic subtyping the query typer ran before it moved to
+   [Subtype]: the floor [Subtype] must reach. *)
 
 module C = Jtype.Counting
 
@@ -324,4 +326,49 @@ module Seed = struct
 
   and to_string_atom t =
     match t with Union _ -> "(" ^ to_string t ^ ")" | _ -> to_string t
+end
+
+(* --- syntactic subtyping ----------------------------------------------------
+
+   A sound approximation of inclusion under [Typecheck.member]: it may
+   answer [false] for a true inclusion that needs a union distributed over
+   a record, or an uninhabited type, but never [true] wrongly. Everything
+   it proves, [Subtype.check] must prove too. *)
+
+module Syntactic = struct
+  module T = Jtype.Types
+
+  let rec subtype (a : T.t) (b : T.t) =
+    a == b
+    ||
+    match (a.T.node, b.T.node) with
+    | T.Bot, _ -> true
+    | _, T.Any -> true
+    | T.Any, _ -> false
+    | _, T.Bot -> false
+    | T.Null, T.Null | T.Bool, T.Bool | T.Str, T.Str -> true
+    | T.Int, (T.Int | T.Num) -> true
+    | T.Num, T.Num -> true
+    | T.Arr x, T.Arr y -> subtype x y
+    | T.Rec xs, T.Rec ys -> subtype_fields xs ys
+    | T.Union ts, _ -> List.for_all (fun t -> subtype t b) ts
+    | _, T.Union us -> List.exists (fun u -> subtype a u) us
+    | (T.Null | T.Bool | T.Int | T.Num | T.Str | T.Arr _ | T.Rec _), _ -> false
+
+  (* Closed records: every field of [xs] exists in [ys] with a compatible
+     type and is optional only where [ys]'s is, and every field of [ys]
+     absent from [xs] is optional. *)
+  and subtype_fields xs ys =
+    let find name fs = List.find_opt (fun f -> String.equal f.T.fname name) fs in
+    List.for_all
+      (fun (x : T.field) ->
+        match find x.T.fname ys with
+        | None -> false
+        | Some y ->
+            subtype x.T.ftype y.T.ftype && ((not x.T.optional) || y.T.optional))
+      xs
+    && List.for_all
+         (fun (y : T.field) ->
+           match find y.T.fname xs with Some _ -> true | None -> y.T.optional)
+         ys
 end

@@ -125,7 +125,7 @@ let test_label_more_precise_than_kind () =
       Alcotest.(check bool) "kind ok" true (Typecheck.member (parse src) k);
       Alcotest.(check bool) "label ok" true (Typecheck.member (parse src) l))
     docs;
-  Alcotest.(check bool) "label <= kind" true (Typecheck.subtype l k)
+  Alcotest.(check bool) "label <= kind" true (Subtype.is_sub l k)
 
 (* --- membership / subtyping ------------------------------------------- *)
 
@@ -158,7 +158,7 @@ let test_check_mismatch_location () =
       Alcotest.(check string) "pointer" "/a/1" (Json.Pointer.to_string m.Typecheck.at)
 
 let test_subtype () =
-  let sub = Typecheck.subtype in
+  let sub = Subtype.is_sub in
   Alcotest.(check bool) "bot <= int" true (sub Types.bot Types.int);
   Alcotest.(check bool) "int <= any" true (sub Types.int Types.any);
   Alcotest.(check bool) "int <= num" true (sub Types.int Types.num);
@@ -402,18 +402,25 @@ let test_to_schema () =
     (Jsonschema.Validate.is_valid ~root (parse {|{"id": 1, "zzz": 0}|}))
 
 let test_of_schema () =
-  let s =
-    Jsonschema.Parse.of_string_exn
-      {|{"type": "object",
-         "properties": {"id": {"type": "integer"},
-                        "vals": {"type": "array", "items": {"type": "number"}}},
-         "required": ["id"]}|}
+  let closed =
+    {|{"type": "object",
+       "properties": {"id": {"type": "integer"},
+                      "vals": {"type": "array", "items": {"type": "number"}}},
+       "required": ["id"], "additionalProperties": false}|}
   in
-  Alcotest.check ty "roundtrip structure"
-    (Types.rec_
-       [ Types.field "id" Types.int;
-         Types.field ~optional:true "vals" (Types.arr Types.num) ])
-    (Interop.of_schema s)
+  Alcotest.(check (option ty)) "closed object"
+    (Some
+       (Types.rec_
+          [ Types.field "id" Types.int;
+            Types.field ~optional:true "vals" (Types.arr Types.num) ]))
+    (Interop.of_schema (Jsonschema.Parse.of_string_exn closed));
+  (* the open form accepts {"id": 1, "x": 2}, which no closed record type
+     does: outside the fragment *)
+  Alcotest.(check (option ty)) "open object" None
+    (Interop.of_schema
+       (Jsonschema.Parse.of_string_exn
+          {|{"type": "object", "properties": {"id": {"type": "integer"}},
+             "required": ["id"]}|}))
 
 let test_schema_type_galois () =
   (* to_schema then of_schema loses nothing on the algebra's fragment *)
@@ -424,7 +431,7 @@ let test_schema_type_galois () =
       Types.rec_ [ Types.field "a" Types.int; Types.field ~optional:true "b" Types.str ] ]
   in
   List.iter
-    (fun t -> Alcotest.check ty "of_schema (to_schema t) = t" t
+    (fun t -> Alcotest.(check (option ty)) "of_schema (to_schema t) = t" (Some t)
         (Interop.of_schema (Interop.to_schema t)))
     types
 
@@ -600,7 +607,7 @@ let prop_subtype_sound_on_members =
       let ta = Types.of_value a in
       let tb = Merge.merge ~equiv:Merge.Kind ta (Types.of_value b) in
       (* ta <= tb by construction...if subtype says so, members must agree *)
-      (not (Typecheck.subtype ta tb))
+      (not (Subtype.is_sub ta tb))
       || (not (Typecheck.member v ta))
       || Typecheck.member v tb)
 
@@ -851,17 +858,138 @@ let prop_to_schema_sound =
       List.for_all (fun v -> Jsonschema.Validate.is_valid ~root v) vs)
 
 
-(* --- containment ------------------------------------------------------- *)
+(* --- of_schema: the exact translation -------------------------------------
+
+   [Contain] and [jsontool compat] decide a schema through [Subtype] exactly
+   when [Interop.of_schema] translates it, so the translation must agree
+   with both engines on every value. [integer] reads numbers by value and
+   [Int] by how they are written, so the values include integral floats,
+   and a value's type is read with those floats as integers. *)
+
+let rec integral_as_int (v : Json.Value.t) : Json.Value.t =
+  match v with
+  | Json.Value.Float f when Float.is_integer f -> Json.Value.Int (int_of_float f)
+  | Json.Value.Array vs -> Json.Value.Array (List.map integral_as_int vs)
+  | Json.Value.Object kvs ->
+      Json.Value.Object (List.map (fun (k, x) -> (k, integral_as_int x)) kvs)
+  | v -> v
+
+let rec ints_as_floats (v : Json.Value.t) : Json.Value.t =
+  match v with
+  | Json.Value.Int n -> Json.Value.Float (float_of_int n)
+  | Json.Value.Array vs -> Json.Value.Array (List.map ints_as_floats vs)
+  | Json.Value.Object kvs ->
+      Json.Value.Object (List.map (fun (k, x) -> (k, ints_as_floats x)) kvs)
+  | v -> v
+
+let gen_fragment_case =
+  QCheck2.Gen.(
+    pair gen_equiv
+      (pair (list_size (int_range 1 5) gen_value) (list_size (int_range 0 5) gen_value)))
+
+let prop_of_schema_exact =
+  QCheck2.Test.make ~name:"of_schema: member = both engines" ~count:300
+    gen_fragment_case
+    (fun (equiv, (vs, others)) ->
+      let root =
+        Interop.to_schema_json (Merge.merge_all ~equiv (List.map Types.of_value vs))
+      in
+      match
+        (Interop.of_schema (Jsonschema.Parse.of_json_exn root), Jsonschema.Compile.compile root)
+      with
+      | Some t, Ok plan ->
+          List.for_all
+            (fun v ->
+              let valid = Jsonschema.Validate.is_valid ~root v in
+              valid = Jsonschema.Compile.is_valid plan v
+              && valid = Typecheck.member (integral_as_int v) t
+              && ((not (Typecheck.member v t)) || valid))
+            (vs @ others @ List.map ints_as_floats (vs @ others))
+      | None, _ | _, Error _ -> false)
+
+(* One edit that takes a [to_schema] document out of the fragment, at the
+   [nth] schema node it applies to (pre-order through [items], [properties]
+   and [anyOf]); [None] when fewer nodes qualify. *)
+let edit_node ~nth edit root =
+  let k = ref nth in
+  let rec node (v : Json.Value.t) =
+    match v with
+    | Json.Value.Object kvs -> (
+        match edit kvs with
+        | Some kvs' when !k = 0 ->
+            decr k;
+            Json.Value.Object kvs'
+        | Some _ ->
+            decr k;
+            Json.Value.Object (children kvs)
+        | None -> Json.Value.Object (children kvs))
+    | v -> v
+  and children kvs =
+    List.map
+      (fun (key, x) ->
+        match (key, x) with
+        | "items", _ -> (key, node x)
+        | "properties", Json.Value.Object ps ->
+            (key, Json.Value.Object (List.map (fun (p, sub) -> (p, node sub)) ps))
+        | "anyOf", Json.Value.Array bs -> (key, Json.Value.Array (List.map node bs))
+        | _ -> (key, x))
+      kvs
+  in
+  let edited = node root in
+  if !k < 0 then Some edited else None
+
+let gen_edit =
+  let open Json.Value in
+  QCheck2.Gen.oneofl
+    [ (* one value keyword *)
+      (fun kvs -> Some (kvs @ [ ("minimum", Int 0) ]));
+      (fun kvs -> Some (kvs @ [ ("multipleOf", Int 2) ]));
+      (fun kvs -> Some (kvs @ [ ("maxLength", Int 3) ]));
+      (fun kvs -> Some (kvs @ [ ("pattern", String "a") ]));
+      (fun kvs -> Some (kvs @ [ ("enum", Array [ Int 1; String "a" ]) ]));
+      (fun kvs -> Some (kvs @ [ ("const", Int 1) ]));
+      (fun kvs -> Some (kvs @ [ ("minItems", Int 1) ]));
+      (fun kvs -> Some (kvs @ [ ("uniqueItems", Bool true) ]));
+      (fun kvs -> Some (kvs @ [ ("minProperties", Int 1) ]));
+      (* an open object *)
+      (fun kvs ->
+        if List.mem_assoc "additionalProperties" kvs then
+          Some (List.remove_assoc "additionalProperties" kvs)
+        else None);
+      (* a multi-kind type list *)
+      (fun kvs ->
+        match List.assoc_opt "type" kvs with
+        | Some (String k) ->
+            let other = if k = "null" then "string" else "null" in
+            Some
+              (List.map
+                 (fun (key, x) ->
+                   if key = "type" then (key, Array [ String k; String other ]) else (key, x))
+                 kvs)
+        | _ -> None) ]
+
+let prop_of_schema_refuses =
+  QCheck2.Test.make ~name:"of_schema: None outside the fragment" ~count:300
+    QCheck2.Gen.(triple gen_fragment_case gen_edit (int_range 0 3))
+    (fun ((equiv, (vs, _)), edit, nth) ->
+      let root =
+        Interop.to_schema_json (Merge.merge_all ~equiv (List.map Types.of_value vs))
+      in
+      match edit_node ~nth edit root with
+      | None -> true (* fewer than nth + 1 nodes this edit applies to *)
+      | Some edited -> Interop.of_schema (Jsonschema.Parse.of_json_exn edited) = None)
+
+(* --- containment: schema against schema -------------------------------- *)
 
 let test_containment_included () =
   let s = Json.Parser.parse_exn in
-  let check a b = Containment.check (s a) (s b) in
+  let check a b = Contain.check_schema ~sub:(s a) (s b) in
   (match check {|{"type": "integer"}|} {|{"type": "number"}|} with
-   | Containment.Included -> ()
-   | v -> Alcotest.fail ("int <= num: " ^ Containment.verdict_to_string v));
+   | Contain.Contained -> ()
+   | v -> Alcotest.fail ("int <= num: " ^ Contain.verdict_to_string v));
   (match check {|{"type": "integer"}|} {|{"anyOf": [{"type": "integer"}, {"type": "string"}]}|} with
-   | Containment.Included -> ()
-   | v -> Alcotest.fail ("int <= int|str: " ^ Containment.verdict_to_string v));
+   | Contain.Contained -> ()
+   | v -> Alcotest.fail ("int <= int|str: " ^ Contain.verdict_to_string v));
   (* a record with a mandatory field is included in one where it is optional *)
   match
     check
@@ -870,66 +998,55 @@ let test_containment_included () =
       {|{"type": "object", "properties": {"a": {"type": "integer"}},
          "additionalProperties": false}|}
   with
-  | Containment.Included -> ()
-  | v -> Alcotest.fail ("record width: " ^ Containment.verdict_to_string v)
+  | Contain.Contained -> ()
+  | v -> Alcotest.fail ("record width: " ^ Contain.verdict_to_string v)
 
 let test_containment_refuted () =
   let s = Json.Parser.parse_exn in
-  (match Containment.check (s {|{"type": "number"}|}) (s {|{"type": "integer"}|}) with
-   | Containment.Not_included cex ->
+  (match Contain.check_schema ~sub:(s {|{"type": "number"}|}) (s {|{"type": "integer"}|}) with
+   | Contain.Not_contained cex ->
        (* the counterexample really does separate the schemas *)
        Alcotest.(check bool) "cex valid for sub" true
          (Jsonschema.Validate.is_valid ~root:(s {|{"type": "number"}|}) cex);
        Alcotest.(check bool) "cex invalid for super" false
          (Jsonschema.Validate.is_valid ~root:(s {|{"type": "integer"}|}) cex)
-   | v -> Alcotest.fail ("num !<= int: " ^ Containment.verdict_to_string v));
+   | v -> Alcotest.fail ("num !<= int: " ^ Contain.verdict_to_string v));
   (* refutation works outside the structural fragment too *)
   match
-    Containment.check
-      (s {|{"type": "integer", "minimum": 0, "maximum": 100}|})
+    Contain.check_schema
+      ~sub:(s {|{"type": "integer", "minimum": 0, "maximum": 100}|})
       (s {|{"type": "integer", "minimum": 50}|})
   with
-  | Containment.Not_included _ -> ()
-  | v -> Alcotest.fail ("bounds: " ^ Containment.verdict_to_string v)
+  | Contain.Not_contained _ -> ()
+  | v -> Alcotest.fail ("bounds: " ^ Contain.verdict_to_string v)
 
 let test_containment_unknown_outside_fragment () =
   let s = Json.Parser.parse_exn in
   (* true containment but with keywords outside the fragment: Unknown, not
      a wrong answer *)
   match
-    Containment.check
-      (s {|{"type": "integer", "minimum": 5}|})
+    Contain.check_schema
+      ~sub:(s {|{"type": "integer", "minimum": 5}|})
       (s {|{"type": "integer", "minimum": 0}|})
   with
-  | Containment.Unknown | Containment.Included -> ()
-  | Containment.Not_included cex ->
+  | Contain.Unknown _ | Contain.Contained -> ()
+  | Contain.Not_contained cex ->
       Alcotest.fail
         ("must not produce a false counterexample: " ^ Json.Printer.to_string cex)
 
 let test_containment_equivalent () =
   let s = Json.Parser.parse_exn in
-  match
-    Containment.equivalent
-      (s {|{"anyOf": [{"type": "integer"}, {"type": "string"}]}|})
-      (s {|{"anyOf": [{"type": "string"}, {"type": "integer"}]}|})
-  with
-  | Containment.Included -> ()
-  | v -> Alcotest.fail ("union order: " ^ Containment.verdict_to_string v)
+  let a = s {|{"anyOf": [{"type": "integer"}, {"type": "string"}]}|}
+  and b = s {|{"anyOf": [{"type": "string"}, {"type": "integer"}]}|} in
+  List.iter
+    (fun (sub, super) ->
+      match Contain.check_schema ~sub super with
+      | Contain.Contained -> ()
+      | v -> Alcotest.fail ("union order: " ^ Contain.verdict_to_string v))
+    [ (a, b); (b, a) ]
 
-let test_satisfiable () =
-  let s = Json.Parser.parse_exn in
-  (match Containment.satisfiable (s {|{"type": "integer", "minimum": 3, "maximum": 5}|}) with
-   | Containment.Satisfiable w ->
-       Alcotest.(check bool) "witness valid" true
-         (Jsonschema.Validate.is_valid
-            ~root:(s {|{"type": "integer", "minimum": 3, "maximum": 5}|}) w)
-   | Containment.Maybe_unsatisfiable -> Alcotest.fail "should find a witness");
-  match Containment.satisfiable (s "false") with
-  | Containment.Maybe_unsatisfiable -> ()
-  | Containment.Satisfiable _ -> Alcotest.fail "false has no instances"
-
-(* property: check never returns a wrong Included on the fragment, tested
-   by sampling sub instances and validating against super *)
+(* property: check_schema never returns a wrong Contained on the fragment,
+   tested by sampling sub instances and validating against super *)
 let prop_containment_included_is_sound =
   QCheck2.Test.make ~name:"Included implies instance-level inclusion" ~count:60
     QCheck2.Gen.(pair (list_size (int_range 1 5) gen_value) (list_size (int_range 1 5) gen_value))
@@ -938,8 +1055,8 @@ let prop_containment_included_is_sound =
       let ta = Merge.merge_all ~equiv:Merge.Kind (List.map Types.of_value va) in
       let tb = Merge.merge_all ~equiv:Merge.Kind (List.map Types.of_value (va @ vb)) in
       let sa = Interop.to_schema_json ta and sb = Interop.to_schema_json tb in
-      match Containment.check ~samples:30 sa sb with
-      | Containment.Included ->
+      match Contain.check_schema ~sub:sa sb with
+      | Contain.Contained ->
           (* every sampled instance of sa must satisfy sb *)
           let st = Jsonschema.Generate.rng ~seed:7 in
           List.for_all
@@ -948,10 +1065,10 @@ let prop_containment_included_is_sound =
               | Some v -> Jsonschema.Validate.is_valid ~root:sb v
               | None -> true)
             (List.init 20 Fun.id)
-      | Containment.Not_included cex ->
+      | Contain.Not_contained cex ->
           Jsonschema.Validate.is_valid ~root:sa cex
           && not (Jsonschema.Validate.is_valid ~root:sb cex)
-      | Containment.Unknown -> true)
+      | Contain.Unknown _ -> true)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -987,8 +1104,7 @@ let () =
        [ Alcotest.test_case "included" `Quick test_containment_included;
          Alcotest.test_case "refuted" `Quick test_containment_refuted;
          Alcotest.test_case "unknown outside fragment" `Quick test_containment_unknown_outside_fragment;
-         Alcotest.test_case "equivalence" `Quick test_containment_equivalent;
-         Alcotest.test_case "satisfiability" `Quick test_satisfiable ]);
+         Alcotest.test_case "equivalence" `Quick test_containment_equivalent ]);
       ("counting",
        [ Alcotest.test_case "basics" `Quick test_counting_basic;
          Alcotest.test_case "erase" `Quick test_counting_erase;
@@ -1003,5 +1119,6 @@ let () =
            prop_counting_grouped_erase; prop_counting_chunked_merge;
            prop_counting_total; prop_fold_documents;
            prop_fold_counting_values; prop_fold_label_sets; prop_to_schema_sound;
+           prop_of_schema_exact; prop_of_schema_refuses;
            prop_containment_included_is_sound ]);
     ]

@@ -140,7 +140,14 @@ let test_typing_optional_fields () =
   (* arithmetic on maybe-null propagates nullability *)
   Alcotest.check ty "arith on optional int"
     Jtype.Types.int
-    (out "transform $.a + 1")
+    (out "transform $.a + 1");
+  (* a column within Int + Null sums to Int; any other may sum to a float *)
+  Alcotest.check ty "sum types"
+    (Jtype.Types.rec_
+       [ Jtype.Types.field "key" Jtype.Types.int;
+         Jtype.Types.field "s" Jtype.Types.int;
+         Jtype.Types.field "t" (Jtype.Types.union [ Jtype.Types.int; Jtype.Types.num ]) ])
+    (out "group by $.a into {s: sum $.a, t: sum $.b}")
 
 let test_typing_heterogeneous_arith () =
   let t = input_type [ {|{"v": 1}|}; {|{"v": "s"}|} ] in

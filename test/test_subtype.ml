@@ -13,8 +13,8 @@
      rather than against the checker itself.
 
    The conformance/containment/*.json corpus pins hand-written cases
-   (type, schema, expected verdict, witness validity) through the same
-   oracle. *)
+   (type or sub-schema, schema, expected verdict, witness validity)
+   through the same oracle. *)
 
 open Jtype
 module V = Json.Value
@@ -121,12 +121,13 @@ let prop_sub_sound_on_values =
       | Subtype.Not_sub _ | Subtype.Unknown _ -> true)
 
 let prop_at_least_syntactic =
-  (* the syntactic approximation is sound, so everything it proves the
-     witness engine must also prove — it can only be more complete *)
+  (* the syntactic approximation (once Typecheck.subtype, now the tests'
+     Pairwise.Syntactic) is sound, so everything it proves the witness
+     engine must also prove — it can only be more complete *)
   QCheck2.Test.make ~name:"subtype: refines Typecheck.subtype" ~count:1000
     QCheck2.Gen.(pair gen_type gen_type)
     (fun (a, b) ->
-      (not (Typecheck.subtype a b)) || Subtype.check a b = Subtype.Sub)
+      (not (Pairwise.Syntactic.subtype a b)) || Subtype.check a b = Subtype.Sub)
 
 let prop_union_monotone =
   QCheck2.Test.make ~name:"subtype: t ≤ t ∪ u" ~count:500
@@ -284,7 +285,15 @@ let test_contain_basics () =
   Alcotest.(check string) "enum pigeonholed over int" "not_contained"
     (kind (Contain.check ~root:(parse {|{"enum":[0,1,2]}|}) Types.int))
 
-(* --- conformance corpus: type, schema, expected verdict ----------------- *)
+(* --- conformance corpus: type or sub-schema, schema, expected verdict ---- *)
+
+(* [Some valid] when both engines agree on [w] under [root], [None] when
+   they disagree or [root] does not compile *)
+let engines_agree root w =
+  let interpreted = Jsonschema.Validate.is_valid ~root w in
+  match Jsonschema.Compile.compile root with
+  | Ok plan when Jsonschema.Compile.is_valid plan w = interpreted -> Some interpreted
+  | Ok _ | Error _ -> None
 
 let containment_corpus_case file case =
   let get k fields = List.assoc_opt k fields in
@@ -296,14 +305,6 @@ let containment_corpus_case file case =
         | _ -> "?"
       in
       let fail fmt = Alcotest.failf ("%s :: %s : " ^^ fmt) file name in
-      let t =
-        match get "type" fields with
-        | Some tj -> (
-            match Types.of_json tj with
-            | Ok t -> t
-            | Error e -> fail "bad type: %s" e)
-        | None -> fail "missing type"
-      in
       let root =
         match get "schema" fields with Some s -> s | None -> fail "missing schema"
       in
@@ -312,19 +313,27 @@ let containment_corpus_case file case =
         | Some (V.String s) -> s
         | _ -> fail "missing verdict"
       in
-      (match (Contain.check ~root t, expected) with
+      (* a case names either a type or a sub-schema; [is_member w] is the
+         corpus promise for a witness on the left-hand side *)
+      let verdict, is_member =
+        match (get "type" fields, get "sub" fields) with
+        | Some tj, None -> (
+            match Types.of_json tj with
+            | Ok t -> (Contain.check ~root t, fun w -> Typecheck.member w t)
+            | Error e -> fail "bad type: %s" e)
+        | None, Some sub ->
+            ( Contain.check_schema ~sub root,
+              fun w -> engines_agree sub w = Some true )
+        | _ -> fail "needs exactly one of type and sub"
+      in
+      (match (verdict, expected) with
       | Contain.Contained, "contained" -> ()
       | Contain.Not_contained w, "not_contained" ->
           (* the corpus promise: the witness is rejected by both engines *)
-          if Typecheck.member w t = false then
-            fail "witness %s not a member of the type" (Json.Printer.to_string w);
-          if Jsonschema.Validate.is_valid ~root w then
-            fail "witness %s accepted by Validate" (Json.Printer.to_string w);
-          (match Jsonschema.Compile.compile root with
-          | Ok plan ->
-              if Jsonschema.Compile.is_valid plan w then
-                fail "witness %s accepted by Compile" (Json.Printer.to_string w)
-          | Error _ -> fail "schema failed to compile")
+          if not (is_member w) then
+            fail "witness %s not on the left-hand side" (Json.Printer.to_string w);
+          if engines_agree root w <> Some false then
+            fail "witness %s not rejected by both engines" (Json.Printer.to_string w)
       | Contain.Unknown _, "unknown" -> ()
       | got, _ ->
           fail "expected %s, got %s" expected (Contain.verdict_to_string got))
