@@ -26,16 +26,7 @@ type journal = { oc : out_channel; buf : Buffer.t }
 
 let format_tag = "jsontool-checkpoint/1"
 
-(* FNV-1a 64-bit: cheap, dependency-free, and stable across runs —
-   collision resistance is irrelevant here, accidental-mismatch detection
-   (resuming against a different input or job kind) is the point *)
-let fingerprint s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+let fingerprint = Json.Fnv.hex
 
 let header_json ~job ~engine ~input_fp =
   Json.Value.Object

@@ -130,6 +130,8 @@ let global_error ~start_line (e : Json.Parser.error) =
     e.Json.Parser.position.Json.Lexer.column e.Json.Parser.message
 
 let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+let docs_ok_c = Telemetry.counter "ingest.docs_ok"
+let docs_quarantined_c = Telemetry.counter "ingest.docs_quarantined"
 
 let scan ?(budget = default_budget) ?options ?(first_line = 1)
     ?(base_offset = 0) ?(attempt = 1) ?(tick = fun () -> ())
@@ -169,7 +171,7 @@ let scan ?(budget = default_budget) ?options ?(first_line = 1)
            ("ingest.budget." ^ Json.Parser.violation_name v) 1
      | Json.Parser.Syntax ->
          incr quarantined;
-         Telemetry.count telemetry "ingest.docs_quarantined" 1);
+         Telemetry.add telemetry docs_quarantined_c 1);
     dead :=
       { line;
         byte_offset = base_offset + start;
@@ -200,7 +202,7 @@ let scan ?(budget = default_budget) ?options ?(first_line = 1)
           match step ~options ~telemetry src ~pos with
           | Ok next_pos ->
               incr ok;
-              Telemetry.count telemetry "ingest.docs_ok" 1;
+              Telemetry.add telemetry docs_ok_c 1;
               go next_pos
           | Error e ->
               (* quarantine the span and resume at the next line boundary.
@@ -301,7 +303,7 @@ let project ?(budget = default_budget) ?(telemetry = Telemetry.nop) ~fields src 
              match Fastjson.Mison.parse_line ~options t line_str with
              | Ok row ->
                  incr ok;
-                 Telemetry.count telemetry "ingest.docs_ok" 1;
+                 Telemetry.add telemetry docs_ok_c 1;
                  rows := row :: !rows
              | Error msg ->
                  (* classify by re-parsing: the fast path reports plain
@@ -319,7 +321,7 @@ let project ?(budget = default_budget) ?(telemetry = Telemetry.nop) ~fields src 
                         ("ingest.budget." ^ Json.Parser.violation_name v) 1
                   | Json.Parser.Syntax ->
                       incr quarantined;
-                      Telemetry.count telemetry "ingest.docs_quarantined" 1);
+                      Telemetry.add telemetry docs_quarantined_c 1);
                  dead :=
                    { line = lineno;
                      byte_offset = pos;

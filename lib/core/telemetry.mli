@@ -12,9 +12,21 @@
     - {b cheap when disabled}: every operation takes a {!sink}; the {!nop}
       sink reduces each call to one branch, so instrumentation can live on
       hot paths unconditionally;
-    - {b domain-safe when enabled}: a recording sink keeps one shard per
-      domain (matching the {!Parallel} pool) so worker domains never
-      contend on a write; shards are merged when a {!snapshot} is taken;
+    - {b cheap when enabled}: a metric name is resolved once to a handle
+      ({!counter}, {!gauge}, {!histogram}; at module initialisation for
+      the fixed names) that indexes the cells of a shard. A recording sink
+      keeps one shard per domain, which the domain reaches through
+      [Domain.DLS]; the sink's lock is taken only on a domain's first
+      touch, so [--jobs N] workers never contend on a write and a
+      recording call is a domain-local read plus an array update. Paired
+      in-process medians of a pipeline's time under a recording sink over
+      its time under {!nop} (release build, 2-core VM, 50k-100k
+      documents) read 1.03-1.10 at [--jobs 1] and 1.02-1.13 at
+      [--jobs 2], where they were 1.24-2.29 with a lock and a name lookup
+      per call: not yet the 1.05 that would make recording free to leave
+      on. The string-keyed {!count}, {!gauge_max} and {!observe} land in
+      the same cells, for rare and dynamic names; shards are merged when a
+      {!snapshot} is taken;
     - {b deterministic pipelines}: recording must never change a
       pipeline's output, only observe it (tested in [test_telemetry]).
 
@@ -75,15 +87,48 @@ val create : unit -> sink
 
 val is_recording : sink -> bool
 
+(** {2 Metric handles}
+
+    A handle names one metric of its kind for the life of the process;
+    resolving a name twice gives the same handle, and the string-keyed
+    calls below reach the same cells. Resolution takes a process-wide
+    lock: do it once, at module initialisation. *)
+
+type counter
+type gauge
+type histogram
+
+val counter : string -> counter
+val gauge : string -> gauge
+val histogram : string -> histogram
+
+val add : sink -> counter -> int -> unit
+(** Add to a monotonic counter (increments [<= 0] are ignored, so a
+    counter appears in a {!snapshot} only after a positive one). *)
+
+val raise_to : sink -> gauge -> float -> unit
+(** Raise a high-water-mark gauge ("max validation depth reached"): the
+    first value sets it, a later one replaces it when greater; shards
+    merge the same way. *)
+
+val sample : sink -> histogram -> float -> unit
+(** Record a histogram sample (a latency in seconds, a size in bytes).
+    The histogram appears in a {!snapshot} from its first sample on, even
+    one {!Histogram.observe} drops. *)
+
+(** {2 By name}
+
+    For rare and dynamic names ([ingest.budget.<cap>]): each call looks
+    its name up in a table of the calling domain's shard. *)
+
 val count : sink -> string -> int -> unit
-(** Add to a monotonic counter (negative increments are ignored). *)
+(** {!add} by name. *)
 
 val gauge_max : sink -> string -> float -> unit
-(** Raise a high-water-mark gauge ("max validation depth reached");
-    shards merge by max. *)
+(** {!raise_to} by name. *)
 
 val observe : sink -> string -> float -> unit
-(** Record a histogram sample (a latency in seconds, a size in bytes). *)
+(** {!sample} by name. *)
 
 val span : sink -> string -> (unit -> 'a) -> 'a
 (** [span sink name f] times [f ()] with [Unix.gettimeofday] and records
@@ -92,6 +137,22 @@ val span : sink -> string -> (unit -> 'a) -> 'a
     ...)] records under ["infer"] and ["infer/merge"]. Aggregated per path
     (call count, total and max seconds); re-raises whatever [f] raises,
     still closing the span. Nesting is tracked per domain. *)
+
+(** {1 Capture and replay} *)
+
+type recorded
+(** The counters and gauges one computation recorded, kept as handles. *)
+
+val nothing : recorded
+(** Records nothing. *)
+
+val capture : (sink -> 'a) -> 'a * recorded
+(** [capture f] runs [f] on a fresh recording sink and returns what it
+    counted and gauged; its histograms and spans are dropped. *)
+
+val replay : sink -> recorded -> unit
+(** Add a capture's counters and raise its gauges on [sink], as if the
+    captured computation had run on it. *)
 
 (** {1 Snapshots} *)
 

@@ -174,6 +174,13 @@ let parse_string_raw t src =
   in
   parse_record t idx ~lo:0 ~hi:(String.length src)
 
+let records_c = Telemetry.counter "mison.records"
+let input_bytes_c = Telemetry.counter "mison.input_bytes"
+let bytes_materialized_c = Telemetry.counter "mison.bytes_materialized"
+let bytes_pruned_c = Telemetry.counter "mison.bytes_pruned"
+let fields_materialized_c = Telemetry.counter "mison.fields_materialized"
+let fields_pruned_c = Telemetry.counter "mison.fields_pruned"
+
 (* Emit one record's byte accounting. [materialized] is clamped into
    [0, input_bytes] so the invariant [bytes_pruned + bytes_materialized <=
    mison.input_bytes] holds even for overlapping projections (a dotted path
@@ -181,16 +188,16 @@ let parse_string_raw t src =
 let emit_record t ~input_bytes ~materialized =
   if Telemetry.is_recording t.tele then begin
     let materialized = min (max 0 materialized) input_bytes in
-    Telemetry.count t.tele "mison.records" 1;
-    Telemetry.count t.tele "mison.input_bytes" input_bytes;
-    Telemetry.count t.tele "mison.bytes_materialized" materialized;
-    Telemetry.count t.tele "mison.bytes_pruned" (input_bytes - materialized)
+    Telemetry.add t.tele records_c 1;
+    Telemetry.add t.tele input_bytes_c input_bytes;
+    Telemetry.add t.tele bytes_materialized_c materialized;
+    Telemetry.add t.tele bytes_pruned_c (input_bytes - materialized)
   end
 
 let emit_fields t ~n_found ~n_colons =
   if Telemetry.is_recording t.tele then begin
-    Telemetry.count t.tele "mison.fields_materialized" n_found;
-    Telemetry.count t.tele "mison.fields_pruned" (max 0 (n_colons - n_found))
+    Telemetry.add t.tele fields_materialized_c n_found;
+    Telemetry.add t.tele fields_pruned_c (max 0 (n_colons - n_found))
   end
 
 let parse_string t src =

@@ -164,6 +164,11 @@ let shape_typed sc equiv dup =
           S.add sc ~ctx { value; hits = 0 };
           Some (value, true))
 
+let tokens_c = Telemetry.counter "stream.tokens"
+let reuse_c = Telemetry.counter "stream.scratch.reuse"
+let hits_c = Telemetry.counter "stream.shape.hits"
+let misses_c = Telemetry.counter "stream.shape.misses"
+
 (* One document: its counting value, whether it is new (see
    [shape_typed]; a value typed from the tree always is), and the offset
    one past it. *)
@@ -185,10 +190,10 @@ let type_tokens ~options ~telemetry sc ~equiv src ~pos =
       let stop = L.offset w.S.lx in
       P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.S.nodes;
       if Telemetry.is_recording telemetry then begin
-        Telemetry.count telemetry "stream.tokens" w.S.tokens;
-        Telemetry.count telemetry "stream.scratch.reuse" (S.reuse sc - reuse0);
-        Telemetry.count telemetry "stream.shape.hits" (S.hits sc - hits0);
-        Telemetry.count telemetry "stream.shape.misses" (S.misses sc - misses0)
+        Telemetry.add telemetry tokens_c w.S.tokens;
+        Telemetry.add telemetry reuse_c (S.reuse sc - reuse0);
+        Telemetry.add telemetry hits_c (S.hits sc - hits0);
+        Telemetry.add telemetry misses_c (S.misses sc - misses0)
       end;
       Ok (c, fresh, stop)
   | None -> (

@@ -174,29 +174,36 @@ let parse_value options lx =
    [telemetry] sink (default {!Telemetry.nop}, one branch per call).
    Headroom histograms record how close each document came to its budget —
    the early-warning signal for a corpus drifting toward its caps. *)
+let docs_c = Telemetry.counter "parse.docs"
+let bytes_c = Telemetry.counter "parse.bytes"
+let nodes_c = Telemetry.counter "parse.nodes"
+let doc_bytes_h = Telemetry.histogram "parse.doc_bytes"
+let doc_nodes_h = Telemetry.histogram "parse.doc_nodes"
+let headroom_bytes_h = Telemetry.histogram "parse.budget_headroom_bytes"
+let headroom_nodes_h = Telemetry.histogram "parse.budget_headroom_nodes"
+let syntax_errors_c = Telemetry.counter "parse.errors.syntax"
+
 let emit_doc tele options ~bytes ~nodes =
   if Telemetry.is_recording tele then begin
-    Telemetry.count tele "parse.docs" 1;
-    Telemetry.count tele "parse.bytes" bytes;
-    Telemetry.count tele "parse.nodes" nodes;
-    Telemetry.observe tele "parse.doc_bytes" (float_of_int bytes);
-    Telemetry.observe tele "parse.doc_nodes" (float_of_int nodes);
+    Telemetry.add tele docs_c 1;
+    Telemetry.add tele bytes_c bytes;
+    Telemetry.add tele nodes_c nodes;
+    Telemetry.sample tele doc_bytes_h (float_of_int bytes);
+    Telemetry.sample tele doc_nodes_h (float_of_int nodes);
     (match options.max_doc_bytes with
      | Some limit ->
-         Telemetry.observe tele "parse.budget_headroom_bytes"
-           (float_of_int (limit - bytes))
+         Telemetry.sample tele headroom_bytes_h (float_of_int (limit - bytes))
      | None -> ());
     match options.max_nodes with
     | Some limit ->
-        Telemetry.observe tele "parse.budget_headroom_nodes"
-          (float_of_int (limit - nodes))
+        Telemetry.sample tele headroom_nodes_h (float_of_int (limit - nodes))
     | None -> ()
   end
 
 let emit_error tele (e : error) =
   if Telemetry.is_recording tele then
     match e.kind with
-    | Syntax -> Telemetry.count tele "parse.errors.syntax" 1
+    | Syntax -> Telemetry.add tele syntax_errors_c 1
     | Budget_exceeded v ->
         Telemetry.count tele ("parse.errors.budget." ^ violation_name v) 1
 

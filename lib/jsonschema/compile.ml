@@ -74,38 +74,39 @@ let depth_error rt ~schema_at ~at =
 
 let budget_msg = "reference expansion budget exhausted (cyclic schema?)"
 
-(* keyword-counter keys, built once per module instead of per evaluation *)
-let kw_ref = "validate.kw.$ref"
-let kw_type = "validate.kw.type"
-let kw_enum = "validate.kw.enum"
-let kw_const = "validate.kw.const"
-let kw_minimum = "validate.kw.minimum"
-let kw_maximum = "validate.kw.maximum"
-let kw_exclusive_minimum = "validate.kw.exclusiveMinimum"
-let kw_exclusive_maximum = "validate.kw.exclusiveMaximum"
-let kw_multiple_of = "validate.kw.multipleOf"
-let kw_min_length = "validate.kw.minLength"
-let kw_max_length = "validate.kw.maxLength"
-let kw_pattern = "validate.kw.pattern"
-let kw_format = "validate.kw.format"
-let kw_min_items = "validate.kw.minItems"
-let kw_max_items = "validate.kw.maxItems"
-let kw_unique_items = "validate.kw.uniqueItems"
-let kw_items = "validate.kw.items"
-let kw_contains = "validate.kw.contains"
-let kw_min_properties = "validate.kw.minProperties"
-let kw_max_properties = "validate.kw.maxProperties"
-let kw_required = "validate.kw.required"
-let kw_property_names = "validate.kw.propertyNames"
-let kw_properties = "validate.kw.properties"
-let kw_pattern_properties = "validate.kw.patternProperties"
-let kw_additional_properties = "validate.kw.additionalProperties"
-let kw_dependencies = "validate.kw.dependencies"
-let kw_all_of = "validate.kw.allOf"
-let kw_any_of = "validate.kw.anyOf"
-let kw_one_of = "validate.kw.oneOf"
-let kw_not = "validate.kw.not"
-let kw_if = "validate.kw.if"
+(* keyword-counter handles, resolved once per module instead of per evaluation *)
+let kw_ref = Telemetry.counter "validate.kw.$ref"
+let kw_type = Telemetry.counter "validate.kw.type"
+let kw_enum = Telemetry.counter "validate.kw.enum"
+let kw_const = Telemetry.counter "validate.kw.const"
+let kw_minimum = Telemetry.counter "validate.kw.minimum"
+let kw_maximum = Telemetry.counter "validate.kw.maximum"
+let kw_exclusive_minimum = Telemetry.counter "validate.kw.exclusiveMinimum"
+let kw_exclusive_maximum = Telemetry.counter "validate.kw.exclusiveMaximum"
+let kw_multiple_of = Telemetry.counter "validate.kw.multipleOf"
+let kw_min_length = Telemetry.counter "validate.kw.minLength"
+let kw_max_length = Telemetry.counter "validate.kw.maxLength"
+let kw_pattern = Telemetry.counter "validate.kw.pattern"
+let kw_format = Telemetry.counter "validate.kw.format"
+let kw_min_items = Telemetry.counter "validate.kw.minItems"
+let kw_max_items = Telemetry.counter "validate.kw.maxItems"
+let kw_unique_items = Telemetry.counter "validate.kw.uniqueItems"
+let kw_items = Telemetry.counter "validate.kw.items"
+let kw_contains = Telemetry.counter "validate.kw.contains"
+let kw_min_properties = Telemetry.counter "validate.kw.minProperties"
+let kw_max_properties = Telemetry.counter "validate.kw.maxProperties"
+let kw_required = Telemetry.counter "validate.kw.required"
+let kw_property_names = Telemetry.counter "validate.kw.propertyNames"
+let kw_properties = Telemetry.counter "validate.kw.properties"
+let kw_pattern_properties = Telemetry.counter "validate.kw.patternProperties"
+let kw_additional_properties = Telemetry.counter "validate.kw.additionalProperties"
+let kw_dependencies = Telemetry.counter "validate.kw.dependencies"
+let kw_all_of = Telemetry.counter "validate.kw.allOf"
+let kw_any_of = Telemetry.counter "validate.kw.anyOf"
+let kw_one_of = Telemetry.counter "validate.kw.oneOf"
+let kw_not = Telemetry.counter "validate.kw.not"
+let kw_if = Telemetry.counter "validate.kw.if"
+let max_depth_g = Telemetry.gauge "validate.max_depth"
 
 (* --- hashed literal sets ----------------------------------------------- *)
 
@@ -191,16 +192,14 @@ let rec compile_schema b (s : Schema.t) : cc =
           fun rt _fuel depth schema_at at _v ->
             if depth > rt.max_depth then [ depth_error rt ~schema_at ~at ]
             else begin
-              Telemetry.gauge_max rt.tele "validate.max_depth"
-                (float_of_int depth);
+              Telemetry.raise_to rt.tele max_depth_g (float_of_int depth);
               []
             end
       | ks ->
           fun rt fuel depth schema_at at v ->
             if depth > rt.max_depth then [ depth_error rt ~schema_at ~at ]
             else begin
-              Telemetry.gauge_max rt.tele "validate.max_depth"
-                (float_of_int depth);
+              Telemetry.raise_to rt.tele max_depth_g (float_of_int depth);
               let errors = ref [] in
               Array.iter (fun k -> k rt errors fuel depth schema_at at v) ks;
               List.rev !errors
@@ -254,7 +253,7 @@ and kchecks b (n : Schema.node) : kc array =
        match resolve_target b target with
        | Ok cell ->
            addk (fun rt errors fuel depth schema_at at v ->
-               Telemetry.count rt.tele kw_ref 1;
+               Telemetry.add rt.tele kw_ref 1;
                if fuel <= 0 then
                  add errors (err ~at ~schema_at "$ref" budget_msg)
                else
@@ -262,7 +261,7 @@ and kchecks b (n : Schema.node) : kc array =
                    (!cell rt (fuel - 1) (depth + 1) (kp schema_at "$ref") at v))
        | Error msg ->
            addk (fun rt errors fuel _depth schema_at at _v ->
-               Telemetry.count rt.tele kw_ref 1;
+               Telemetry.add rt.tele kw_ref 1;
                if fuel <= 0 then
                  add errors (err ~at ~schema_at "$ref" budget_msg)
                else add errors (err ~at ~schema_at "$ref" msg))));
@@ -278,7 +277,7 @@ and kchecks b (n : Schema.node) : kc array =
          String.concat " or " (List.map Schema.type_name_to_string ts)
        in
        addk (fun rt errors _fuel _depth schema_at at v ->
-           Telemetry.count rt.tele kw_type 1;
+           Telemetry.add rt.tele kw_type 1;
            let ok =
              match v with
              | Json.Value.Null -> null_ok
@@ -305,7 +304,7 @@ and kchecks b (n : Schema.node) : kc array =
          else fun v -> List.exists (Json.Value.equal v) vs
        in
        addk (fun rt errors _fuel _depth schema_at at v ->
-           Telemetry.count rt.tele kw_enum 1;
+           Telemetry.add rt.tele kw_enum 1;
            if not (mem v) then
              add errors
                (err ~at ~schema_at "enum"
@@ -315,7 +314,7 @@ and kchecks b (n : Schema.node) : kc array =
    | Some c ->
        let msg = "expected " ^ Json.Printer.to_string c in
        addk (fun rt errors _fuel _depth schema_at at v ->
-           Telemetry.count rt.tele kw_const 1;
+           Telemetry.add rt.tele kw_const 1;
            if not (Json.Value.equal v c) then
              add errors (err ~at ~schema_at "const" msg)));
   (* numeric: bounds folded into one closure guarded by a single
@@ -326,7 +325,7 @@ and kchecks b (n : Schema.node) : kc array =
      | None -> ()
      | Some limit ->
          addn (fun rt errors schema_at at f _v ->
-             Telemetry.count rt.tele counter 1;
+             Telemetry.add rt.tele counter 1;
              if not (test f limit) then
                add errors (err ~at ~schema_at keyword (Printf.sprintf msg limit f)))
    in
@@ -342,7 +341,7 @@ and kchecks b (n : Schema.node) : kc array =
     | None -> ()
     | Some m ->
         addn (fun rt errors schema_at at f v ->
-            Telemetry.count rt.tele kw_multiple_of 1;
+            Telemetry.add rt.tele kw_multiple_of 1;
             if not (Validate.multiple_of_value_ok v m) then
               add errors
                 (err ~at ~schema_at "multipleOf"
@@ -363,7 +362,7 @@ and kchecks b (n : Schema.node) : kc array =
     | None -> ()
     | Some m ->
         adds (fun rt errors schema_at at _s len ->
-            Telemetry.count rt.tele kw_min_length 1;
+            Telemetry.add rt.tele kw_min_length 1;
             if len < m then
               add errors
                 (err ~at ~schema_at "minLength"
@@ -372,7 +371,7 @@ and kchecks b (n : Schema.node) : kc array =
     | None -> ()
     | Some m ->
         adds (fun rt errors schema_at at _s len ->
-            Telemetry.count rt.tele kw_max_length 1;
+            Telemetry.add rt.tele kw_max_length 1;
             if len > m then
               add errors
                 (err ~at ~schema_at "maxLength"
@@ -381,7 +380,7 @@ and kchecks b (n : Schema.node) : kc array =
     | None -> ()
     | Some (src, re) ->
         adds (fun rt errors schema_at at s _len ->
-            Telemetry.count rt.tele kw_pattern 1;
+            Telemetry.add rt.tele kw_pattern 1;
             if not (Re.execp re s) then
               add errors
                 (err ~at ~schema_at "pattern"
@@ -392,7 +391,7 @@ and kchecks b (n : Schema.node) : kc array =
         let checker = Validate.format_checker name in
         adds (fun rt errors schema_at at s _len ->
             if rt.formats then begin
-              Telemetry.count rt.tele kw_format 1;
+              Telemetry.add rt.tele kw_format 1;
               match checker with
               | Some f when not (f s) ->
                   add errors
@@ -439,7 +438,7 @@ and kchecks b (n : Schema.node) : kc array =
                 (match min_i with
                  | None -> ()
                  | Some m ->
-                     Telemetry.count rt.tele kw_min_items 1;
+                     Telemetry.add rt.tele kw_min_items 1;
                      if len < m then
                        add errors
                          (err ~at ~schema_at "minItems"
@@ -447,14 +446,14 @@ and kchecks b (n : Schema.node) : kc array =
                 match max_i with
                 | None -> ()
                 | Some m ->
-                    Telemetry.count rt.tele kw_max_items 1;
+                    Telemetry.add rt.tele kw_max_items 1;
                     if len > m then
                       add errors
                         (err ~at ~schema_at "maxItems"
                            (Printf.sprintf "%d items > %d" len m))
               end);
              if unique then begin
-               Telemetry.count rt.tele kw_unique_items 1;
+               Telemetry.add rt.tele kw_unique_items 1;
                let sorted = List.sort Json.Value.compare elems in
                let rec dup = function
                  | a :: (b :: _ as rest) ->
@@ -469,7 +468,7 @@ and kchecks b (n : Schema.node) : kc array =
              (match items_cc with
               | None -> ()
               | Some (`One cc) ->
-                  Telemetry.count rt.tele kw_items 1;
+                  Telemetry.add rt.tele kw_items 1;
                   let sat = kp schema_at "items" in
                   List.iteri
                     (fun i x ->
@@ -477,7 +476,7 @@ and kchecks b (n : Schema.node) : kc array =
                         (cc rt rt.max_fuel (depth + 1) sat (ip at i) x))
                     elems
               | Some (`Many (ccs, add_cc)) ->
-                  Telemetry.count rt.tele kw_items 1;
+                  Telemetry.add rt.tele kw_items 1;
                   let isat = kp schema_at "items" in
                   let nss = Array.length ccs in
                   let rec go i xs =
@@ -505,7 +504,7 @@ and kchecks b (n : Schema.node) : kc array =
              (match contains_cc with
               | None -> ()
               | Some cc ->
-                  Telemetry.count rt.tele kw_contains 1;
+                  Telemetry.add rt.tele kw_contains 1;
                   let csat = kp schema_at "contains" in
                   let hits =
                     List.length
@@ -574,7 +573,7 @@ and kchecks b (n : Schema.node) : kc array =
                 (match min_p with
                  | None -> ()
                  | Some m ->
-                     Telemetry.count rt.tele kw_min_properties 1;
+                     Telemetry.add rt.tele kw_min_properties 1;
                      if nfields < m then
                        add errors
                          (err ~at ~schema_at "minProperties"
@@ -582,14 +581,14 @@ and kchecks b (n : Schema.node) : kc array =
                 match max_p with
                 | None -> ()
                 | Some m ->
-                    Telemetry.count rt.tele kw_max_properties 1;
+                    Telemetry.add rt.tele kw_max_properties 1;
                     if nfields > m then
                       add errors
                         (err ~at ~schema_at "maxProperties"
                            (Printf.sprintf "%d properties > %d" nfields m))
               end);
              if required <> [] then begin
-               Telemetry.count rt.tele kw_required 1;
+               Telemetry.add rt.tele kw_required 1;
                List.iter
                  (fun r ->
                    if not (List.mem_assoc r fields) then
@@ -601,7 +600,7 @@ and kchecks b (n : Schema.node) : kc array =
              (match prop_names_cc with
               | None -> ()
               | Some cc ->
-                  Telemetry.count rt.tele kw_property_names 1;
+                  Telemetry.add rt.tele kw_property_names 1;
                   let psat = kp schema_at "propertyNames" in
                   List.iter
                     (fun (k, _) ->
@@ -622,7 +621,7 @@ and kchecks b (n : Schema.node) : kc array =
                          | None -> ()
                          | Some cc ->
                              matched := true;
-                             Telemetry.count rt.tele kw_properties 1;
+                             Telemetry.add rt.tele kw_properties 1;
                              add_all errors
                                (cc rt rt.max_fuel (depth + 1)
                                   (kp (kp schema_at "properties") k) (kp at k)
@@ -631,7 +630,7 @@ and kchecks b (n : Schema.node) : kc array =
                       (fun (src, re, cc) ->
                         if Re.execp re k then begin
                           matched := true;
-                          Telemetry.count rt.tele kw_pattern_properties 1;
+                          Telemetry.add rt.tele kw_pattern_properties 1;
                           add_all errors
                             (cc rt rt.max_fuel (depth + 1)
                                (kp (kp schema_at "patternProperties") src)
@@ -642,7 +641,7 @@ and kchecks b (n : Schema.node) : kc array =
                       match add_props with
                       | None -> ()
                       | Some cc ->
-                          Telemetry.count rt.tele kw_additional_properties 1;
+                          Telemetry.add rt.tele kw_additional_properties 1;
                           add_all errors
                             (cc rt rt.max_fuel (depth + 1)
                                (kp schema_at "additionalProperties") (kp at k)
@@ -651,7 +650,7 @@ and kchecks b (n : Schema.node) : kc array =
              List.iter
                (fun (trigger, dep) ->
                  if List.mem_assoc trigger fields then begin
-                   Telemetry.count rt.tele kw_dependencies 1;
+                   Telemetry.add rt.tele kw_dependencies 1;
                    match dep with
                    | Cdep_required needed ->
                        List.iter
@@ -676,7 +675,7 @@ and kchecks b (n : Schema.node) : kc array =
    | ss ->
        let ccs = Array.of_list (List.map (compile_schema b) ss) in
        addk (fun rt errors fuel depth schema_at at v ->
-           Telemetry.count rt.tele kw_all_of 1;
+           Telemetry.add rt.tele kw_all_of 1;
            let asat = kp schema_at "allOf" in
            Array.iteri
              (fun i cc ->
@@ -687,7 +686,7 @@ and kchecks b (n : Schema.node) : kc array =
    | ss ->
        let ccs = Array.of_list (List.map (compile_schema b) ss) in
        addk (fun rt errors fuel depth schema_at at v ->
-           Telemetry.count rt.tele kw_any_of 1;
+           Telemetry.add rt.tele kw_any_of 1;
            let sat = kp schema_at "anyOf" in
            if not (Array.exists (fun cc -> cc rt fuel (depth + 1) sat at v = []) ccs)
            then
@@ -700,7 +699,7 @@ and kchecks b (n : Schema.node) : kc array =
    | ss ->
        let ccs = Array.of_list (List.map (compile_schema b) ss) in
        addk (fun rt errors fuel depth schema_at at v ->
-           Telemetry.count rt.tele kw_one_of 1;
+           Telemetry.add rt.tele kw_one_of 1;
            let sat = kp schema_at "oneOf" in
            let hits =
              Array.fold_left
@@ -719,7 +718,7 @@ and kchecks b (n : Schema.node) : kc array =
    | Some s ->
        let cc = compile_schema b s in
        addk (fun rt errors fuel depth schema_at at v ->
-           Telemetry.count rt.tele kw_not 1;
+           Telemetry.add rt.tele kw_not 1;
            if cc rt fuel (depth + 1) (kp schema_at "not") at v = [] then
              add errors
                (err ~at ~schema_at "not" "value matches the negated schema")));
@@ -730,7 +729,7 @@ and kchecks b (n : Schema.node) : kc array =
        let then_cc = Option.map (compile_schema b) n.Schema.then_ in
        let else_cc = Option.map (compile_schema b) n.Schema.else_ in
        addk (fun rt errors fuel depth schema_at at v ->
-           Telemetry.count rt.tele kw_if 1;
+           Telemetry.add rt.tele kw_if 1;
            let branch, which =
              if cond_cc rt fuel (depth + 1) (kp schema_at "if") at v = [] then
                (then_cc, "then")
@@ -1032,6 +1031,11 @@ let is_valid ?config plan v = Result.is_ok (run ?config plan v)
 
 (* --- streaming execution ------------------------------------------------- *)
 
+let tokens_c = Telemetry.counter "stream.tokens"
+let skipped_bytes_c = Telemetry.counter "stream.skipped_bytes"
+let hits_c = Telemetry.counter "stream.shape.hits"
+let misses_c = Telemetry.counter "stream.shape.misses"
+
 (* Walk one document at token level, materializing only what [plan.access]
    demands and planting placeholders elsewhere, then run the ordinary plan
    on the pruned tree. The walk is a line-by-line mirror of
@@ -1168,8 +1172,8 @@ let walk_pruned ~options ~telemetry access src ~pos =
       let stop = (L.position lx).L.offset in
       P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes;
       if Telemetry.is_recording telemetry then begin
-        Telemetry.count telemetry "stream.tokens" !tokens;
-        Telemetry.count telemetry "stream.skipped_bytes" !skipped
+        Telemetry.add telemetry tokens_c !tokens;
+        Telemetry.add telemetry skipped_bytes_c !skipped
       end;
       Ok (v, stop)
   | Error _ as e -> e
@@ -1275,8 +1279,7 @@ and shape_fields w na depth tok =
    [validate.max_depth]), replayed on every hit. *)
 type outcome = {
   verdict : (unit, error list) result;
-  counters : (string * int) list;
-  gauges : (string * float) list;
+  recorded : Telemetry.recorded;
 }
 
 (* Entries hold for one plan and one config (its sink included); the
@@ -1300,19 +1303,14 @@ let bind sc plan config =
    once on the caller's sink by the replay, never twice. *)
 let run_captured ~config plan v =
   if not (Telemetry.is_recording config.Validate.telemetry) then
-    { verdict = run ~config plan v; counters = []; gauges = [] }
+    { verdict = run ~config plan v; recorded = Telemetry.nothing }
   else begin
-    let capture = Telemetry.create () in
-    let verdict =
-      run ~config:{ config with Validate.telemetry = capture } plan v
+    let verdict, recorded =
+      Telemetry.capture (fun telemetry ->
+          run ~config:{ config with Validate.telemetry } plan v)
     in
-    let snap = Telemetry.snapshot capture in
-    { verdict; counters = snap.Telemetry.counters; gauges = snap.Telemetry.gauges }
+    { verdict; recorded }
   end
-
-let replay tele o =
-  List.iter (fun (k, n) -> Telemetry.count tele k n) o.counters;
-  List.iter (fun (k, x) -> Telemetry.gauge_max tele k x) o.gauges
 
 let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
   let w = S.walk ~integral:plan.integral sc.shapes options src ~pos in
@@ -1330,19 +1328,19 @@ let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
           Json.Parser.emit_doc telemetry options ~bytes:(stop - pos)
             ~nodes:w.S.nodes;
           if Telemetry.is_recording telemetry then begin
-            Telemetry.count telemetry "stream.tokens" w.S.tokens;
-            Telemetry.count telemetry "stream.skipped_bytes" w.S.skipped;
-            Telemetry.count telemetry "stream.shape.hits" 1
+            Telemetry.add telemetry tokens_c w.S.tokens;
+            Telemetry.add telemetry skipped_bytes_c w.S.skipped;
+            Telemetry.add telemetry hits_c 1
           end;
-          replay config.Validate.telemetry o;
+          Telemetry.replay config.Validate.telemetry o.recorded;
           Ok (o.verdict, stop)
       | None -> (
           match walk_pruned ~options ~telemetry plan.access src ~pos with
           | Ok (v, stop) ->
               let o = run_captured ~config plan v in
-              replay config.Validate.telemetry o;
+              Telemetry.replay config.Validate.telemetry o.recorded;
               S.add sc.shapes ~ctx o;
-              Telemetry.count telemetry "stream.shape.misses" 1;
+              Telemetry.add telemetry misses_c 1;
               Ok (o.verdict, stop)
           | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos))
 
@@ -1358,7 +1356,7 @@ let run_stream ?(config = Validate.default_config)
       else begin
         (* switched off: the documents are validated by the walk alone *)
         let r = walk_and_run ~config ~options ~telemetry plan src ~pos in
-        if Result.is_ok r then Telemetry.count telemetry "stream.shape.misses" 1;
+        if Result.is_ok r then Telemetry.add telemetry misses_c 1;
         r
       end
   | Some _ | None -> walk_and_run ~config ~options ~telemetry plan src ~pos
@@ -1367,14 +1365,7 @@ let run_stream ?(config = Validate.default_config)
 
 (* FNV-1a 64 over the canonical printed schema document. The printer is
    deterministic, so structurally identical schema values share a plan. *)
-let fingerprint root =
-  let s = Json.Printer.to_string root in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+let fingerprint root = Json.Fnv.hex (Json.Printer.to_string root)
 
 (* Plans are immutable, so concurrent readers are safe once a plan is
    published; the mutex only guards the table itself. Capacity is a blunt

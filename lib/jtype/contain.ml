@@ -670,16 +670,50 @@ let check ?(config = Jsonschema.Validate.default_config) ~root (t : Types.t) :
    reproducible. *)
 let refutation_draws = 200
 
+(* [v] with one member whose key neither [v] nor the schema's root
+   [properties] declares, if [v] is an object: the generator only emits
+   declared members, so without this an open object schema never meets
+   the instance that tells it from its closed form. *)
+let with_undeclared sub v =
+  match v with
+  | Json.Value.Object fields ->
+      let declared =
+        match sub with
+        | Json.Value.Object kws -> (
+            match List.assoc_opt "properties" kws with
+            | Some (Json.Value.Object props) -> List.map fst props
+            | Some _ | None -> [])
+        | _ -> []
+      in
+      let taken k = List.mem_assoc k fields || List.mem k declared in
+      let rec key i =
+        let k = if i = 0 then "x" else "x" ^ string_of_int i in
+        if taken k then key (i + 1) else k
+      in
+      Some (Json.Value.Object (fields @ [ (key 0, Json.Value.Int 0) ]))
+  | _ -> None
+
 let refute ~sub super =
-  let st = Jsonschema.Generate.rng ~seed:97 in
-  let rec go k =
-    if k = 0 then None
-    else
-      match Jsonschema.Generate.generate_valid st ~root:sub with
-      | Some v when not (Jsonschema.Validate.is_valid ~root:super v) -> Some v
-      | Some _ | None -> go (k - 1)
+  let rejected v = not (Jsonschema.Validate.is_valid ~root:super v) in
+  let draws pick =
+    let st = Jsonschema.Generate.rng ~seed:97 in
+    let rec go k =
+      if k = 0 then None
+      else
+        match Option.bind (Jsonschema.Generate.generate_valid st ~root:sub) pick with
+        | Some _ as w -> w
+        | None -> go (k - 1)
+    in
+    go refutation_draws
   in
-  go refutation_draws
+  match draws (fun v -> if rejected v then Some v else None) with
+  | Some _ as w -> w
+  | None ->
+      (* the same draws again, each widened by an undeclared member *)
+      draws (fun v ->
+          match with_undeclared sub v with
+          | Some w when Jsonschema.Validate.is_valid ~root:sub w && rejected w -> Some w
+          | Some _ | None -> None)
 
 let check_schema ~sub super =
   match (Jsonschema.Parse.of_json sub, Jsonschema.Parse.of_json super) with

@@ -565,6 +565,23 @@ let test_skim_allocation_free () =
       Alcotest.(check (float 0.0)) "minor words per skim loop" (w1 -. w0) (w2 -. w1))
     [ None; Some 4096 ]
 
+(* the published FNV-1a 64 test vectors; the checkpoint journals and the
+   plan cache key on these digests *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, hex) -> Alcotest.(check string) (Printf.sprintf "%S" s) hex (Json.Fnv.hex s))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+(* hashing a megabyte allocates what a short string does: nothing per byte *)
+let test_fnv_allocation_free () =
+  let big = String.make 1_000_000 'x' in
+  let words s =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Json.Fnv.hash64 s));
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0)) "minor words" (words "x") (words big)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "json"
@@ -602,6 +619,9 @@ let () =
       ("jsonpath", [ Alcotest.test_case "eval" `Quick test_jsonpath ]);
       ("lexer",
        [ Alcotest.test_case "skim allocation-free" `Quick test_skim_allocation_free ]);
+      ("fnv",
+       [ Alcotest.test_case "FNV-1a 64 vectors" `Quick test_fnv_vectors;
+         Alcotest.test_case "allocation-free" `Quick test_fnv_allocation_free ]);
       ("stream",
        [ Alcotest.test_case "events" `Quick test_stream_events;
          Alcotest.test_case "errors" `Quick test_stream_errors;

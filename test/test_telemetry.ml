@@ -157,6 +157,130 @@ let test_spans_close_on_raise () =
   Alcotest.(check int) "stack unwound" 1 (span_calls snap "after");
   Alcotest.(check int) "no orphan nesting" 0 (span_calls snap "boom/after")
 
+(* --- key-set rules ------------------------------------------------------- *)
+
+let test_key_set_rules () =
+  let s = Telemetry.create () in
+  let c = Telemetry.counter "keyset.c" in
+  Telemetry.count s "keyset.c" 0;
+  Telemetry.add s c (-3);
+  Alcotest.(check int) "no counter before a positive count" 0
+    (List.length (Telemetry.snapshot s).Telemetry.counters);
+  Telemetry.add s c 2;
+  Telemetry.count s "keyset.c" 1;
+  Alcotest.(check (list (pair string int))) "one cell behind handle and name"
+    [ ("keyset.c", 3) ] (Telemetry.snapshot s).Telemetry.counters;
+  Telemetry.observe s "keyset.nan" Float.nan;
+  Telemetry.sample s (Telemetry.histogram "keyset.nan") Float.nan;
+  match histo (Telemetry.snapshot s) "keyset.nan" with
+  | None -> Alcotest.fail "a NaN-only histogram is listed"
+  | Some h ->
+      Alcotest.(check int) "with count 0" 0 h.Telemetry.h_count;
+      Alcotest.(check (float 0.0)) "and zero extrema" 0.0
+        (h.Telemetry.h_min +. h.Telemetry.h_max)
+
+(* --- one snapshot, whatever the domain split ---------------------------- *)
+
+(* A program of recording calls, over names and handles of the same
+   metrics. Gauges see no NaN: a NaN first value would pin a shard's gauge
+   whatever follows, so no merge order could be invariant. Samples are
+   integers or halves, so their sums are exact in any order. *)
+type op =
+  | Count of int * int * bool (* metric, n, through its handle *)
+  | Gauge of int * float * bool
+  | Observe of int * float * bool
+  | Span of int * op list
+
+let metric_names = [| "prop.a"; "prop.b"; "prop.c" |]
+let counters = Array.map Telemetry.counter metric_names
+let gauges = Array.map Telemetry.gauge metric_names
+let histograms = Array.map Telemetry.histogram metric_names
+
+let rec exec sink = function
+  | Count (m, n, true) -> Telemetry.add sink counters.(m) n
+  | Count (m, n, false) -> Telemetry.count sink metric_names.(m) n
+  | Gauge (m, v, true) -> Telemetry.raise_to sink gauges.(m) v
+  | Gauge (m, v, false) -> Telemetry.gauge_max sink metric_names.(m) v
+  | Observe (m, v, true) -> Telemetry.sample sink histograms.(m) v
+  | Observe (m, v, false) -> Telemetry.observe sink metric_names.(m) v
+  | Span (m, body) ->
+      Telemetry.span sink metric_names.(m) (fun () -> List.iter (exec sink) body)
+
+let gen_program : op list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let metric = int_range 0 2 in
+  let number = map float_of_int (int_range (-1000) 100_000) in
+  let gauge_value = oneof [ number; return infinity; return neg_infinity ] in
+  let sample =
+    oneof
+      [ number;
+        map (fun i -> float_of_int i /. 2.0) (int_range 1 10_000);
+        return 0.0;
+        return Float.nan;
+        return infinity;
+        return neg_infinity ]
+  in
+  let leaf =
+    oneof
+      [ map3 (fun m n h -> Count (m, n, h)) metric (int_range (-3) 1000) bool;
+        map3 (fun m v h -> Gauge (m, v, h)) metric gauge_value bool;
+        map3 (fun m v h -> Observe (m, v, h)) metric sample bool ]
+  in
+  let rec op depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (4, leaf);
+          (1, map2 (fun m body -> Span (m, body)) metric
+                (list_size (int_range 0 4) (op (depth - 1)))) ]
+  in
+  list_size (int_range 0 40) (op 2)
+
+(* what a snapshot says apart from time *)
+let untimed (snap : Telemetry.snapshot) =
+  ( snap.Telemetry.counters,
+    snap.Telemetry.gauges,
+    snap.Telemetry.histograms,
+    List.map (fun sp -> (sp.Telemetry.sp_path, sp.Telemetry.sp_calls))
+      snap.Telemetry.spans )
+
+(* [program] cut into [k] consecutive parts (cuts from [seeds]) *)
+let split program k seeds =
+  let n = List.length program in
+  let cuts = List.sort_uniq compare (List.map (fun x -> x mod (n + 1)) seeds) in
+  let cuts = List.filteri (fun i _ -> i < k - 1) cuts @ [ n ] in
+  let _, parts =
+    List.fold_left
+      (fun (from, acc) upto ->
+        (upto, List.filteri (fun i _ -> i >= from && i < upto) program :: acc))
+      (0, []) cuts
+  in
+  List.rev parts
+
+let prop_domain_split =
+  QCheck2.Test.make ~name:"one snapshot whatever the domain split"
+    ~count:(count_cases 150)
+    QCheck2.Gen.(
+      quad gen_program (int_range 1 4) (list_repeat 3 small_nat) (list_repeat 4 bool))
+    (fun (program, k, seeds, decoys) ->
+      let whole = Telemetry.create () in
+      List.iter (exec whole) program;
+      let shared = Telemetry.create () in
+      List.mapi
+        (fun i part ->
+          Domain.spawn (fun () ->
+              (* a domain that also records each call into a sink of its
+                 own switches its cached shard between the two sinks *)
+              let decoy = if List.nth decoys i then Some (Telemetry.create ()) else None in
+              List.iter
+                (fun op ->
+                  Option.iter (fun d -> exec d op) decoy;
+                  exec shared op)
+                part))
+        (split program k seeds)
+      |> List.iter Domain.join;
+      untimed (Telemetry.snapshot whole) = untimed (Telemetry.snapshot shared))
+
 (* --- recording never changes pipeline output ---------------------------- *)
 
 let messy_text =
@@ -389,6 +513,9 @@ let () =
       ("spans",
        [ Alcotest.test_case "nested paths" `Quick test_spans_nested;
          Alcotest.test_case "closes on raise" `Quick test_spans_close_on_raise ]);
+      ("sinks",
+       [ Alcotest.test_case "key-set rules" `Quick test_key_set_rules;
+         qcheck prop_domain_split ]);
       ("determinism",
        [ Alcotest.test_case "infer pipeline" `Quick test_determinism_infer;
          Alcotest.test_case "validate pipeline" `Quick
