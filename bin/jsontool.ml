@@ -405,18 +405,9 @@ let validate_cmd =
                    re-interprets it per document. Affects cost only — \
                    verdicts and error reports are byte-identical.")
   in
-  let validate_cache =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "validate-cache" ]
-             ~doc:"Fingerprint-keyed compiled-schema cache: on (default) or \
-                   off. Affects cost only, never verdicts; off forces a \
-                   fresh compilation per run and drops the \
-                   validate.cache.* counters.")
-  in
-  let run language formats compiled validate_cache engine sup jobs stats
-      stats_json schema_file file =
+  let run language formats compiled engine sup jobs stats stats_json
+      schema_file file =
     require_checkpoint sup;
-    Jsonschema.Compile.set_cache validate_cache;
     let sink = make_sink ~stats ~stats_json in
     let schema_json = or_die (Result.map_error Json.Parser.string_of_error (Json.Parser.parse (read_input schema_file))) in
     (* the fused walk needs a compiled plan; JSound has none *)
@@ -475,9 +466,8 @@ let validate_cmd =
     if !failures > 0 then exit 1
   in
   Cmd.v (Cmd.info "validate" ~doc:"Validate documents against a schema.")
-    Term.(const run $ language $ formats $ compiled $ validate_cache
-          $ engine_arg $ sup_term $ jobs_arg $ stats_arg $ stats_json_arg
-          $ schema_file $ input_arg)
+    Term.(const run $ language $ formats $ compiled $ engine_arg $ sup_term
+          $ jobs_arg $ stats_arg $ stats_json_arg $ schema_file $ input_arg)
 
 (* --- infer ----------------------------------------------------------- *)
 

@@ -64,7 +64,7 @@ let tree_check ?config ~plan root =
 
 let validate_collection ?config ?(compiled = true) ?telemetry ~root values =
   let plan =
-    if compiled then Some (Jsonschema.Compile.plan_for ?telemetry root)
+    if compiled then Some (Jsonschema.Compile.compile ?telemetry root)
     else None
   in
   match indexed_failures (List.map (tree_check ?config ~plan root) values) with
@@ -441,22 +441,39 @@ let tally_fold verdict =
     encode = failures_to_payload;
     decode = failures_of_payload }
 
+(* The config fields that decide verdicts, each named only where it differs
+   from the default, so a journal written under the default keeps its tag. *)
+let verdict_config_tag = function
+  | None -> ""
+  | Some (c : Jsonschema.Validate.config) ->
+      let d = Jsonschema.Validate.default_config in
+      (if c.assert_formats <> d.assert_formats then ":assert-formats" else "")
+      ^ (if c.max_ref_expansions <> d.max_ref_expansions then
+           Printf.sprintf ":max-ref-expansions=%d" c.max_ref_expansions
+         else "")
+      ^
+      if c.max_depth <> d.max_depth then Printf.sprintf ":max-depth=%d" c.max_depth
+      else ""
+
 let validate_ndjson ?config ?(compiled = true) ?budget ?options ?policy ?inject
     ?checkpoint ?resume ?(engine = `Streaming) ?jobs
     ?(telemetry = Telemetry.nop) ~root text =
   let plan =
-    if compiled then Some (Jsonschema.Compile.plan_for ~telemetry root)
-    else None
+    if compiled then Some (Jsonschema.Compile.compile ~telemetry root) else None
   in
-  (* the schema is part of the job identity: a journal written against one
-     schema must not resume a run against another. The journal header
+  (* the schema and the verdict-deciding config are part of the job
+     identity: a journal written against one schema, or with formats
+     asserted, must not resume a run against another. The journal header
      records the engine that actually runs: the fused walk needs a compiled
      plan, so without one validation falls back to the tree engine. *)
+  let job =
+    "validate:"
+    ^ Checkpoint.fingerprint (Json.Printer.to_string root)
+    ^ verdict_config_tag config
+  in
   let run ~engine verdict =
     run_shards ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
-      ~telemetry
-      ~job:("validate:" ^ Checkpoint.fingerprint (Json.Printer.to_string root))
-      ~engine (tally_fold verdict) text
+      ~telemetry ~job ~engine (tally_fold verdict) text
   in
   let* parts, ingest, sup =
     match (engine, plan) with

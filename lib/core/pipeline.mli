@@ -212,8 +212,11 @@ val validate_ndjson :
     [engine]. Each shard reports indices local to it, and the merge shifts
     them past the preceding shards' documents. A journal entry's payload
     is the shard's failure list. The job tag fingerprints the schema and
-    the journal header records the engine that ran ([config] is not
-    fingerprinted — resume with the same flags). Span: [validate.merge]. *)
+    names each verdict-deciding [config] field ([assert_formats],
+    [max_ref_expansions], [max_depth]) that differs from
+    {!Jsonschema.Validate.default_config}, so a journal resumes only under
+    the settings that wrote it; the journal header records the engine that
+    ran. Span: [validate.merge]. *)
 
 val validate_ndjson_strict :
   ?config:Jsonschema.Validate.config -> ?compiled:bool -> ?engine:engine ->

@@ -60,87 +60,6 @@ let skip_value s i =
     | '{' | '[' -> skip_container s i
     | _ -> skip_literal s i
 
-(* Token-level validating skip: consume exactly one JSON value from the
-   lexer, checking everything [Json.Parser.parse_value] would check — depth,
-   per-token node/byte budgets (via the caller's hooks, so the accounting is
-   shared with the enclosing document walk), string budgets, grammar, and
-   duplicate keys under [Reject] — without building any [Value.t]. Failure
-   positions, messages, and kinds are identical to the tree parser's, which
-   is what lets a streaming engine skip plan-irrelevant subtrees and still
-   report byte-identical errors. *)
-let skim_value lx ~dup_keys ~max_depth ~depth ~spend_node ~check_bytes =
-  let module L = Json.Lexer in
-  let module P = Json.Parser in
-  let reject = dup_keys = P.Reject in
-  (* Under [Reject] field names must be materialized for the duplicate
-     check; otherwise they are skimmed like any other string. *)
-  let next_key () = if reject then L.next lx else L.next_skimming lx in
-  let rec value depth =
-    if depth > max_depth then
-      P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
-        "maximum nesting depth exceeded";
-    let tok, pos = L.next_skimming lx in
-    spend_node pos;
-    check_bytes pos;
-    value_tok tok pos depth
-  and value_tok tok pos depth =
-    match tok with
-    | L.Null_tok | L.True | L.False | L.Number_tok _ | L.String_tok _ -> ()
-    | L.Lbracket -> array depth
-    | L.Lbrace -> object_ depth
-    | (L.Rbrace | L.Rbracket | L.Colon | L.Comma | L.Eof) as t ->
-        P.fail pos (Printf.sprintf "expected a value, got %s" (L.token_name t))
-  and array depth =
-    (* The tree parser peeks for ']' — lexing the first element's token
-       before the depth check, with [position] left past it. Reading the
-       token first and depth-checking second reproduces that order. *)
-    let tok, pos = L.next_skimming lx in
-    match tok with
-    | L.Rbracket -> ()
-    | _ ->
-        if depth + 1 > max_depth then
-          P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
-            "maximum nesting depth exceeded";
-        spend_node pos;
-        check_bytes pos;
-        value_tok tok pos (depth + 1);
-        elements depth
-  and elements depth =
-    let tok, pos = L.next_skimming lx in
-    match tok with
-    | L.Comma -> value (depth + 1); elements depth
-    | L.Rbracket -> ()
-    | t -> P.fail pos (Printf.sprintf "expected ',' or ']', got %s" (L.token_name t))
-  and object_ depth =
-    let tok, pos = next_key () in
-    match tok with
-    | L.Rbrace -> ()
-    | _ -> fields [] tok pos depth
-  and fields acc tok key_pos depth =
-    match tok with
-    | L.String_tok key -> (
-        let tok, pos = L.next lx in
-        match tok with
-        | L.Colon -> (
-            value (depth + 1);
-            let tok, pos = L.next lx in
-            match tok with
-            | L.Comma ->
-                let tok, key_pos = next_key () in
-                fields ((key, ()) :: acc) tok key_pos depth
-            | L.Rbrace ->
-                if reject then
-                  ignore (P.apply_dup_policy dup_keys ((key, ()) :: acc) pos)
-            | t ->
-                P.fail pos
-                  (Printf.sprintf "expected ',' or '}', got %s" (L.token_name t)))
-        | t -> P.fail pos (Printf.sprintf "expected ':', got %s" (L.token_name t)))
-    | t ->
-        P.fail key_pos
-          (Printf.sprintf "expected a field name, got %s" (L.token_name t))
-  in
-  value depth
-
 let raw_key_at s ~colon =
   (* walk back over whitespace, expect closing quote, then scan to the
      opening quote (a quote preceded by an even number of backslashes) *)

@@ -18,25 +18,6 @@ val skip_value : string -> int -> (int, string) result
     in-string awareness; scalars by delimiter scanning. The value is not
     validated beyond bracket balance. *)
 
-val skim_value :
-  Json.Lexer.t ->
-  dup_keys:Json.Parser.dup_policy ->
-  max_depth:int ->
-  depth:int ->
-  spend_node:(Json.Lexer.position -> unit) ->
-  check_bytes:(Json.Lexer.position -> unit) ->
-  unit
-(** Consume exactly one JSON value from the lexer without building a tree,
-    validating everything [Json.Parser] would: grammar, [max_depth] (the
-    value itself sits at [depth], matching [parse_value]'s [value depth]),
-    per-token node/byte budgets via the caller's hooks (shared with the
-    enclosing document walk), string budgets, and duplicate keys under
-    [Reject]. String payloads are skimmed ({!Json.Lexer.next_skimming});
-    field names are materialized only when [dup_keys = Reject]. Raises the
-    parser's own exceptions with byte-identical positions, messages, and
-    kinds — recover with [Json.Parser.run]. This is the streaming
-    validator's instrument for subtrees its plan provably ignores. *)
-
 val raw_key_at : string -> colon:int -> (string * int, string) result
 (** Scan {e backward} from a colon position to extract the raw (still
     escaped) field name, returning the name and the offset of its opening

@@ -174,10 +174,11 @@ let misses_c = Telemetry.counter "stream.shape.misses"
    one past it. *)
 let type_tokens ~options ~telemetry sc ~equiv src ~pos =
   let reuse0 = S.reuse sc and hits0 = S.hits sc and misses0 = S.misses sc in
-  let w = S.walk sc options src ~pos in
+  S.restart sc;
+  let w = S.walk options src ~pos in
   let skimmed =
     P.run w.S.lx (fun () ->
-        S.record w 0;
+        S.record sc w 0;
         S.check_bytes_end w)
   in
   let typed =

@@ -288,60 +288,58 @@ let skim_string lx =
 (* Largest digit count that can never overflow a 63-bit [int]. *)
 let max_safe_int_digits = 18
 
-(* Number scan that avoids the literal copy on the common integer path.
-   Consumes exactly the span [read_number] would, then classifies: a plain
-   in-range integer literal is evaluated in place; anything else (floats,
-   oversized or malformed literals) falls back to [Number.parse] on the
-   substring so values and error messages stay identical. *)
-let skim_number lx =
-  let n = String.length lx.src in
-  let start = lx.pos in
-  let neg = lx.pos < n && lx.src.[lx.pos] = '-' in
-  if neg then lx.pos <- lx.pos + 1;
-  let digits_start = lx.pos in
-  while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done;
-  let digits_stop = lx.pos in
-  let has_frac = lx.pos < n && lx.src.[lx.pos] = '.' in
-  if has_frac then begin
+(* Step over a number literal: the longest run of
+   '-'? digits ('.' digits)? ([eE] [+-]? digits)?, every part allowed
+   empty; [number_at] judges the span. *)
+let scan_number lx =
+  let src = lx.src in
+  let n = String.length src in
+  if lx.pos < n && src.[lx.pos] = '-' then lx.pos <- lx.pos + 1;
+  while lx.pos < n && is_digit src.[lx.pos] do lx.pos <- lx.pos + 1 done;
+  if lx.pos < n && src.[lx.pos] = '.' then begin
     lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done
+    while lx.pos < n && is_digit src.[lx.pos] do lx.pos <- lx.pos + 1 done
   end;
-  let has_exp = lx.pos < n && (lx.src.[lx.pos] = 'e' || lx.src.[lx.pos] = 'E') in
-  if has_exp then begin
+  if lx.pos < n && (src.[lx.pos] = 'e' || src.[lx.pos] = 'E') then begin
     lx.pos <- lx.pos + 1;
-    if lx.pos < n && (lx.src.[lx.pos] = '+' || lx.src.[lx.pos] = '-') then
+    if lx.pos < n && (src.[lx.pos] = '+' || src.[lx.pos] = '-') then
       lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end;
-  let ndigits = digits_stop - digits_start in
-  let valid_int =
-    (not has_frac) && (not has_exp) && ndigits > 0
-    && (lx.src.[digits_start] <> '0' || ndigits = 1)
-    && ndigits <= max_safe_int_digits
-  in
-  if valid_int then begin
-    let v = ref 0 in
-    for i = digits_start to digits_stop - 1 do
-      v := (!v * 10) + (Char.code lx.src.[i] - Char.code '0')
-    done;
-    Number_tok (Number.Int_lit (if neg then - !v else !v))
+    while lx.pos < n && is_digit src.[lx.pos] do lx.pos <- lx.pos + 1 done
   end
+
+(* The value of the number literal spanning [start, stop). A plain
+   in-range integer literal is evaluated in place, without the literal's
+   copy; anything else (floats, oversized or malformed literals) goes
+   through [Number.parse] on the substring, so values and error messages
+   are [Number.parse]'s. *)
+let number_at lx start stop =
+  let src = lx.src in
+  let neg = String.unsafe_get src start = '-' in
+  let first = if neg then start + 1 else start in
+  let v = ref 0 and i = ref first in
+  while !i < stop && is_digit (String.unsafe_get src !i) do
+    v := (!v * 10) + (Char.code (String.unsafe_get src !i) - Char.code '0');
+    incr i
+  done;
+  let ndigits = !i - first in
+  if !i = stop && ndigits > 0 && ndigits <= max_safe_int_digits
+     && (String.unsafe_get src first <> '0' || ndigits = 1)
+  then Number.Int_lit (if neg then - !v else !v)
   else
-    let literal = String.sub lx.src start (lx.pos - start) in
-    match Number.parse literal with
-    | Ok parsed -> Number_tok parsed
+    match Number.parse (String.sub src start (stop - start)) with
+    | Ok parsed -> parsed
     | Error msg -> error lx start msg
 
 (* --- Allocation-free skim tokens ----------------------------------------
 
-   [skim] is [next_skimming] stripped for fused hot loops: every token is an
+   [skim] is the token source of every streaming walk: every token is an
    immediate constant, the start offset is latched in [tok_start] (a
    position record is built only on demand via [tok_pos]), string contents
    stay in the source (recoverable through [last_string_start] /
    [string_of_last]), and numbers are classified int-vs-float without
-   materializing a value. Scanning, budgets, and every malformed-input
-   error are shared with the materializing paths, so a skim loop fails at
-   exactly the byte a full lex would. *)
+   materializing a value (recoverable through [number_of_last]). Scanning,
+   budgets, and every malformed-input error are shared with [next], so a
+   skim loop fails at exactly the byte a full lex would. *)
 
 type skim_tok =
   | S_lbrace
@@ -376,7 +374,7 @@ let skim_name = function
    provably fits the double range return without allocating; everything
    else — oversized integers, huge exponents, malformed literals — falls
    back to [Number.parse] on the substring so classification and error
-   messages match [skim_number] exactly (overflow to infinity is a parse
+   messages match [number_at] exactly (overflow to infinity is a parse
    error, so it must not be classified blindly as a float). *)
 let number_kind_fallback lx start =
   let literal = String.sub lx.src start (lx.pos - start) in
@@ -489,27 +487,10 @@ let string_of_last lx =
     s
   end
 
-let source lx = lx.src
+(* [skim] left [pos] just past the number it classified *)
+let number_of_last lx = number_at lx lx.tok_start lx.pos
 
-let read_number lx =
-  let n = String.length lx.src in
-  let start = lx.pos in
-  if lx.pos < n && lx.src.[lx.pos] = '-' then lx.pos <- lx.pos + 1;
-  while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done;
-  if lx.pos < n && lx.src.[lx.pos] = '.' then begin
-    lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end;
-  if lx.pos < n && (lx.src.[lx.pos] = 'e' || lx.src.[lx.pos] = 'E') then begin
-    lx.pos <- lx.pos + 1;
-    if lx.pos < n && (lx.src.[lx.pos] = '+' || lx.src.[lx.pos] = '-') then
-      lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end;
-  let literal = String.sub lx.src start (lx.pos - start) in
-  match Number.parse literal with
-  | Ok parsed -> Number_tok parsed
-  | Error msg -> error lx start msg
+let source lx = lx.src
 
 let lex_token lx =
   skip_ws lx;
@@ -529,7 +510,9 @@ let lex_token lx =
       | 'f' -> expect_keyword lx "false" False
       | 'n' -> expect_keyword lx "null" Null_tok
       | '"' -> String_tok (read_string lx)
-      | '-' | '0' .. '9' -> read_number lx
+      | '-' | '0' .. '9' ->
+          scan_number lx;
+          Number_tok (number_at lx start lx.pos)
       | c -> error lx start (Printf.sprintf "unexpected character %C" c)
   in
   (tok, pos)
@@ -548,38 +531,3 @@ let peek lx =
       let t = lex_token lx in
       lx.lookahead <- Some t;
       t
-
-(* Like [next], but string literals are skimmed instead of unescaped: the
-   returned token is [String_tok ""] with the same budget enforcement and
-   error behavior as a materializing lex. A pending [peek]ed token is
-   consumed as-is (its string, if any, is already materialized). *)
-let next_skimming lx =
-  match lx.lookahead with
-  | Some (tok, pos) ->
-      lx.lookahead <- None;
-      let tok = match tok with String_tok _ -> String_tok "" | t -> t in
-      (tok, pos)
-  | None ->
-      skip_ws lx;
-      let start = lx.pos in
-      let pos = position_at lx start in
-      let tok =
-        if lx.pos >= String.length lx.src then Eof
-        else
-          match lx.src.[lx.pos] with
-          | '{' -> lx.pos <- lx.pos + 1; Lbrace
-          | '}' -> lx.pos <- lx.pos + 1; Rbrace
-          | '[' -> lx.pos <- lx.pos + 1; Lbracket
-          | ']' -> lx.pos <- lx.pos + 1; Rbracket
-          | ':' -> lx.pos <- lx.pos + 1; Colon
-          | ',' -> lx.pos <- lx.pos + 1; Comma
-          | 't' -> expect_keyword lx "true" True
-          | 'f' -> expect_keyword lx "false" False
-          | 'n' -> expect_keyword lx "null" Null_tok
-          | '"' ->
-              let _len = skim_string lx in
-              String_tok ""
-          | '-' | '0' .. '9' -> skim_number lx
-          | c -> error lx start (Printf.sprintf "unexpected character %C" c)
-      in
-      (tok, pos)

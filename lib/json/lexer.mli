@@ -1,8 +1,11 @@
 (** Hand-written JSON lexer with byte-accurate source positions.
 
-    The lexer is shared by the tree parser ({!Parser}) and the event parser
-    ({!Stream}). It performs string unescaping (including surrogate pairs)
-    and validates UTF-8 in string literals. *)
+    It has two token APIs over one set of scanners. {!next} and {!peek}
+    serve the tree parser ({!Parser}) and the event parser ({!Stream}):
+    each token comes with its position, strings unescaped (surrogate pairs
+    included) and numbers evaluated. {!skim} serves every streaming walk
+    ({!Shape}, and through it inference and validation): tokens are
+    constants and payloads stay in the source until asked for. *)
 
 type position = { offset : int; line : int; column : int }
 (** 0-based byte [offset]; 1-based [line] and [column]. *)
@@ -43,16 +46,6 @@ val next : t -> token * position
 val peek : t -> token * position
 (** Like {!next} without consuming. *)
 
-val next_skimming : t -> token * position
-(** Like {!next}, but string literals are validated and skipped without
-    materializing their unescaped contents: the token comes back as
-    [String_tok ""]. Budget enforcement ([max_string_bytes], counted in
-    decoded bytes) and every malformed-input error — position and message —
-    are identical to {!next}, so a skimming parse fails exactly where a
-    materializing parse would. A token already buffered by {!peek} is
-    returned as lexed. The streaming engines use this for payloads whose
-    contents provably don't influence the result. *)
-
 val position : t -> position
 (** Current position (after the last consumed token). *)
 
@@ -64,15 +57,16 @@ val token_name : token -> string
 
 (** {2 Allocation-free skim tokens}
 
-    The fused streaming engines lex millions of tokens per shard; returning
-    a [(token * position)] tuple plus a position record per token is pure
-    GC pressure when the consumer only branches on the token's kind. [skim]
-    returns an immediate constant instead: numbers are classified
-    int-vs-float in place, string contents stay in the source (recover them
-    with {!last_string_start} / {!string_of_last}), and the token's start
-    offset is latched on the lexer ({!tok_start}, {!tok_pos}). Scanning,
-    budgets, and malformed-input errors are shared with {!next}, so a skim
-    loop fails at exactly the byte a materializing lex would. *)
+    The token source of every streaming walk. The walks lex millions of
+    tokens per shard; returning a [(token * position)] tuple plus a
+    position record per token is pure GC pressure when the consumer mostly
+    branches on the token's kind. [skim] returns an immediate constant
+    instead: numbers are classified int-vs-float in place (evaluate one
+    with {!number_of_last}), string contents stay in the source (recover
+    them with {!last_string_start} / {!string_of_last}), and the token's
+    start offset is latched on the lexer ({!tok_start}, {!tok_pos}).
+    Scanning, budgets, and malformed-input errors are shared with {!next},
+    so a skim loop fails at exactly the byte a materializing lex would. *)
 
 type skim_tok =
   | S_lbrace
@@ -120,6 +114,13 @@ val string_of_last : t -> string
 (** Decoded contents of the last [S_string] token: a direct substring when
     the span is escape-free, otherwise a re-lex through the canonical
     unescaper. *)
+
+val number_of_last : t -> Number.parsed
+(** Value of the number token {!skim} just returned ([S_int] or
+    [S_float]), called before the next {!skim}: what {!next}'s
+    [Number_tok] carries for the same literal, from the same evaluator
+    (an integer evaluated in place, anything else through
+    {!Number.parse}). *)
 
 val source : t -> string
 (** The document being lexed (for span-based consumers). *)

@@ -305,11 +305,15 @@ let add sc ~ctx v =
     end
   end
 
-(* --- the grammar-and-budget walk ----------------------------------------- *)
+(* --- the grammar-and-budget walk -----------------------------------------
 
-type 'a walk = {
+   A walk is a cursor over one document: its lexer, its limits and its
+   counts, in one flat record. It holds no shape buffer: the recording
+   functions take the buffer as an argument, so a buffer can keep one
+   document's recorded shape while another walk reads the document. *)
+
+type walk = {
   lx : L.t;
-  sc : 'a t;
   start : int;
   max_depth : int;
   max_nodes : int option;
@@ -320,14 +324,16 @@ type 'a walk = {
   mutable skipped : int;
 }
 
-let walk ?(integral = false) sc (options : P.options) src ~pos =
-  sc.ncodes <- 0;
-  sc.nkeys <- 0;
-  sc.shape_hash <- 0;
+let walk ?(integral = false) (options : P.options) src ~pos =
   { lx = L.create ~pos ?max_string_bytes:options.P.max_string_bytes src;
-    sc; start = pos; max_depth = options.P.max_depth;
+    start = pos; max_depth = options.P.max_depth;
     max_nodes = options.P.max_nodes; max_doc_bytes = options.P.max_doc_bytes;
     integral; nodes = 0; tokens = 0; skipped = 0 }
+
+let restart sc =
+  sc.ncodes <- 0;
+  sc.nkeys <- 0;
+  sc.shape_hash <- 0
 
 let next w =
   w.tokens <- w.tokens + 1;
@@ -365,15 +371,15 @@ let check_depth w depth =
 let unexpected w what t =
   P.fail (L.tok_pos w.lx) (Printf.sprintf "expected %s, got %s" what (L.skim_name t))
 
-let intern_key w =
+let intern_key sc w =
   let lx = w.lx in
   let key =
-    if L.last_string_escaped lx then intern_string w.sc (L.string_of_last lx)
+    if L.last_string_escaped lx then intern_string sc (L.string_of_last lx)
     else
-      intern_span w.sc (L.source lx) (L.last_string_start lx)
+      intern_span sc (L.source lx) (L.last_string_start lx)
         (L.last_string_stop lx)
   in
-  push_key w.sc key;
+  push_key sc key;
   key
 
 (* Whether the float literal just skimmed denotes an integral double, as
@@ -404,74 +410,73 @@ let integral_float lx =
   if !i = stop && not !nonzero then true
   else if !i = stop && !int_digits + !frac_digits <= 15 then false
   else
-    let start = L.tok_start lx in
-    match Number.parse (String.sub src start (stop - start)) with
-    | Ok (Number.Float_lit f) -> Float.is_integer f
-    | Ok (Number.Int_lit _) | Error _ -> false
+    match L.number_of_last lx with
+    | Number.Float_lit f -> Float.is_integer f
+    | Number.Int_lit _ -> false
 
 let float_code w = if w.integral && integral_float w.lx then 'g' else 'f'
 
 (* --- recording every token: value, array, elements, object, fields ------- *)
 
-let rec record w depth =
+let rec record sc w depth =
   check_depth w depth;
   let tok = next w in
   spend_node w;
   check_bytes_tok w;
-  record_tok w tok depth
+  record_tok sc w tok depth
 
-and record_tok w tok depth =
+and record_tok sc w tok depth =
   match tok with
-  | L.S_null -> push_code w.sc 'n'
-  | L.S_true | L.S_false -> push_code w.sc 'b'
-  | L.S_int -> push_code w.sc 'i'
-  | L.S_float -> push_code w.sc (float_code w)
-  | L.S_string -> push_code w.sc 's'
+  | L.S_null -> push_code sc 'n'
+  | L.S_true | L.S_false -> push_code sc 'b'
+  | L.S_int -> push_code sc 'i'
+  | L.S_float -> push_code sc (float_code w)
+  | L.S_string -> push_code sc 's'
   | L.S_lbracket ->
-      push_code w.sc '[';
-      record_array w depth
+      push_code sc '[';
+      record_array sc w depth
   | L.S_lbrace ->
-      push_code w.sc '{';
-      record_object w depth
+      push_code sc '{';
+      record_object sc w depth
   | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
       unexpected w "a value" tok
 
-and record_array w depth =
+and record_array sc w depth =
   (* [parse_value] peeks for ']', lexing the first element's token before
      its depth check; reading the token first reproduces that failure
      order exactly. *)
   match next w with
-  | L.S_rbracket -> push_code w.sc ']'
+  | L.S_rbracket -> push_code sc ']'
   | tok ->
       check_depth w (depth + 1);
       spend_node w;
       check_bytes_tok w;
-      record_tok w tok (depth + 1);
-      record_elements w depth
+      record_tok sc w tok (depth + 1);
+      record_elements sc w depth
 
-and record_elements w depth =
+and record_elements sc w depth =
   match next w with
   | L.S_comma ->
-      record w (depth + 1);
-      record_elements w depth
-  | L.S_rbracket -> push_code w.sc ']'
+      record sc w (depth + 1);
+      record_elements sc w depth
+  | L.S_rbracket -> push_code sc ']'
   | t -> unexpected w "',' or ']'" t
 
-and record_object w depth =
+and record_object sc w depth =
   match next w with
-  | L.S_rbrace -> push_code w.sc '}'
-  | tok -> record_fields w depth tok
+  | L.S_rbrace -> push_code sc '}'
+  | tok -> record_fields sc w depth tok
 
-and record_fields w depth tok =
+and record_fields sc w depth tok =
   match tok with
   | L.S_string -> (
-      ignore (intern_key w);
+      ignore (intern_key sc w);
       match next w with
       | L.S_colon -> (
-          record w (depth + 1);
+          record sc w (depth + 1);
           match next w with
-          | L.S_comma -> record_fields w depth (next w)
-          | L.S_rbrace -> push_code w.sc '}'
+          | L.S_comma -> record_fields sc w depth (next w)
+          | L.S_rbrace -> push_code sc '}'
           | t -> unexpected w "',' or '}'" t)
       | t -> unexpected w "':'" t)
   | t -> unexpected w "a field name" t
@@ -532,8 +537,7 @@ and skim_fields w depth tok =
 let skip w depth =
   let before = L.offset w.lx in
   skim_value w depth;
-  w.skipped <- w.skipped + (L.offset w.lx - before);
-  push_code w.sc 'x'
+  w.skipped <- w.skipped + (L.offset w.lx - before)
 
 let skip_tok w tok depth =
   let before = L.offset w.lx in
@@ -541,5 +545,4 @@ let skip_tok w tok depth =
   spend_node w;
   check_bytes_tok w;
   skim_tok w tok depth;
-  w.skipped <- w.skipped + (L.offset w.lx - before);
-  push_code w.sc 'x'
+  w.skipped <- w.skipped + (L.offset w.lx - before)

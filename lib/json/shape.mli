@@ -17,9 +17,11 @@
     The walk helpers mirror {!Parser.parse_value}'s accounting exactly
     (node and byte budgets spent at the same token positions, the same
     depth checks, the same grammar), so a walk that succeeds has accepted
-    exactly what the tree parser accepts. Their failures are the parser's
-    {!Parser.Parse_error} and lexer exceptions; run a walk under
-    {!Parser.run}. *)
+    exactly what the tree parser accepts. They are the one copy of that
+    accounting outside the parser: the inference typer, the validator's
+    shape pass and its pruned walk all read their tokens through them.
+    Their failures are the parser's {!Parser.Parse_error} and lexer
+    exceptions; run a walk under {!Parser.run}. *)
 
 type 'a t
 
@@ -76,11 +78,16 @@ val at_close : 'a t -> char -> bool
 
 val take_key : 'a t -> string
 
-(** {1 Walking one document} *)
+(** {1 Walking one document}
 
-type 'a walk = {
+    A {!walk} is a cursor over one document: its lexer, its limits and its
+    counts. It holds no shape buffer; the recording functions take the
+    buffer as an argument, so a buffer keeps the shape it recorded while
+    another walk reads the same document (the validator's walk after a
+    cache miss). *)
+
+type walk = {
   lx : Lexer.t;
-  sc : 'a t;
   start : int;
   max_depth : int;
   max_nodes : int option;
@@ -93,38 +100,39 @@ type 'a walk = {
   mutable skipped : int;  (** bytes stepped over by {!skip} / {!skip_tok} *)
 }
 
-val walk :
-  ?integral:bool -> 'a t -> Parser.options -> string -> pos:int -> 'a walk
-(** Start a walk of the document at byte [pos] and clear the recorded
-    shape. *)
+val walk : ?integral:bool -> Parser.options -> string -> pos:int -> walk
+(** Start a walk of the document at byte [pos]. *)
 
-val next : 'a walk -> Lexer.skim_tok
+val restart : 'a t -> unit
+(** Clear the recorded shape, before recording the next document's. *)
+
+val next : walk -> Lexer.skim_tok
 (** {!Lexer.skim}, counted in [tokens]. *)
 
-val spend_node : 'a walk -> unit
-val check_bytes_tok : 'a walk -> unit
-val check_bytes_end : 'a walk -> unit
-val check_depth : 'a walk -> int -> unit
-val unexpected : 'a walk -> string -> Lexer.skim_tok -> 'b
+val spend_node : walk -> unit
+val check_bytes_tok : walk -> unit
+val check_bytes_end : walk -> unit
+val check_depth : walk -> int -> unit
+val unexpected : walk -> string -> Lexer.skim_tok -> 'b
 
 val push_code : 'a t -> char -> unit
 
-val intern_key : 'a walk -> string
+val intern_key : 'a t -> walk -> string
 (** Intern the string token just skimmed and record it as the next key. *)
 
-val record : 'a walk -> int -> unit
+val record : 'a t -> walk -> int -> unit
 (** Read and record one value at the given depth, every token counted. *)
 
-val record_tok : 'a walk -> Lexer.skim_tok -> int -> unit
+val record_tok : 'a t -> walk -> Lexer.skim_tok -> int -> unit
 (** {!record} for a value whose first token is already read, counted and
     budget-checked. *)
 
-val skip : 'a walk -> int -> unit
+val skip : walk -> int -> unit
 (** Check one value at the given depth exactly as {!record} would, but
-    record it as the single code ['x'] and count none of its tokens; its
-    bytes, from the current offset to its end, go to [skipped]. *)
+    record nothing and count none of its tokens; its bytes, from the
+    current offset to its end, go to [skipped]. *)
 
-val skip_tok : 'a walk -> Lexer.skim_tok -> int -> unit
+val skip_tok : walk -> Lexer.skim_tok -> int -> unit
 (** {!skip} for a value whose first token is already read (and not
     counted): the depth, node and byte checks run here, and [skipped]
     counts from the end of that token. *)

@@ -30,8 +30,7 @@
    [test/test_jsonschema.ml] enforce the contract.
 
    Plans are immutable after [compile] returns and hold only immutable
-   data, so one plan is safely shared across domains; the fingerprint cache
-   below lets sharded pipelines reuse one compilation per schema. *)
+   data, so one plan is safely shared across domains. *)
 
 type error = Validate.error
 
@@ -748,9 +747,9 @@ and kchecks b (n : Schema.node) : kc array =
 
    - [A_skip]: the check outcome is constant in the value (boolean schemas,
      annotation-only nodes, positions no keyword ever visits). The walker
-     skims the subtree at token level ({!Fastjson.Rawscan.skim_value}) and
-     plants [Null]; any constant check still runs on the placeholder and
-     behaves identically.
+     skims the subtree at token level ({!Json.Shape.skip}) and plants
+     [Null]; any constant check still runs on the placeholder and behaves
+     identically.
    - [A_node]: only the selected parts matter. The value's *kind* is always
      preserved (for [type] dispatch), numbers and booleans are materialized
      for real (they are free at token level), but string payloads are
@@ -1036,147 +1035,138 @@ let skipped_bytes_c = Telemetry.counter "stream.skipped_bytes"
 let hits_c = Telemetry.counter "stream.shape.hits"
 let misses_c = Telemetry.counter "stream.shape.misses"
 
-(* Walk one document at token level, materializing only what [plan.access]
-   demands and planting placeholders elsewhere, then run the ordinary plan
-   on the pruned tree. The walk is a line-by-line mirror of
-   [Json.Parser.parse_value] — same peek-based empty-container detection,
-   same node/byte spends at the same positions, same depth checks, same
-   duplicate-key resolution — so parse failures are byte-identical; the
-   pruning soundness invariant (see {!access}) makes the verdicts, error
-   lists, and [validate.kw.*] counters byte-identical too. *)
-let walk_pruned ~options ~telemetry access src ~pos =
-  let module L = Json.Lexer in
-  let module P = Json.Parser in
-  let lx = L.create ~pos ?max_string_bytes:options.P.max_string_bytes src in
-  let tokens = ref 0 in
-  let skipped = ref 0 in
-  let walk_doc () =
-    let nodes = ref 0 in
-    let spend_node p =
-      incr nodes;
-      match options.P.max_nodes with
-      | Some limit when !nodes > limit ->
-          P.fail ~kind:(P.Budget_exceeded P.Nodes_exceeded) p
-            (Printf.sprintf "document exceeds %d nodes" limit)
-      | _ -> ()
-    in
-    let check_bytes p =
-      match options.P.max_doc_bytes with
-      | Some limit when p.L.offset - pos > limit ->
-          P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) p
-            (Printf.sprintf "document exceeds %d bytes" limit)
-      | _ -> ()
-    in
-    let next_full () = incr tokens; L.next lx in
-    let next_skim () = incr tokens; L.next_skimming lx in
-    let rec walk a depth =
+module S = Json.Shape
+module L = Json.Lexer
+
+(* The telemetry of a document the cursor accepted: the parser's
+   per-document family, the tokens it read and the bytes it skipped.
+   Returns the offset one past the document. *)
+let emit_walk telemetry options w ~pos =
+  let stop = L.offset w.S.lx in
+  Json.Parser.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.S.nodes;
+  if Telemetry.is_recording telemetry then begin
+    Telemetry.add telemetry tokens_c w.S.tokens;
+    Telemetry.add telemetry skipped_bytes_c w.S.skipped
+  end;
+  stop
+
+(* Walk one document on [Json.Shape]'s cursor, materializing only what the
+   access tree demands and planting placeholders elsewhere, for the
+   ordinary plan to run on. The cursor's helpers carry the tree
+   parser's accounting (node and byte spends, depth checks, grammar), and
+   the walk reads, counts and skips the tokens the shape pass below reads,
+   counts and skips. A payload is read from its token's span only where
+   the access tree reads it: a string's contents under [a_str], a number's
+   value wherever its position is walked. The pruning soundness invariant
+   (see {!access}) makes the verdicts, error lists and [validate.kw.*]
+   counters those of the tree parser's document. *)
+
+let blank = Json.Value.String ""
+
+(* the access of a member or an element of a walked value (an [A_skip]
+   value is never walked) *)
+let member_access a k =
+  match a with A_node na -> key_access na k | A_full | A_skip -> A_full
+
+let element_access a i =
+  match a with A_node na -> elem_access na i | A_full | A_skip -> A_full
+
+let rec pruned_value dup w a depth =
+  match a with
+  | A_skip ->
+      S.skip w depth;
+      Json.Value.Null
+  | A_full | A_node _ ->
+      S.check_depth w depth;
+      let tok = S.next w in
+      S.spend_node w;
+      S.check_bytes_tok w;
+      pruned_tok dup w a tok depth
+
+and pruned_tok dup w a tok depth =
+  match tok with
+  | L.S_null -> Json.Value.Null
+  | L.S_true -> Json.Value.Bool true
+  | L.S_false -> Json.Value.Bool false
+  | L.S_int | L.S_float -> (
+      match L.number_of_last w.S.lx with
+      | Json.Number.Int_lit n -> Json.Value.Int n
+      | Json.Number.Float_lit f -> Json.Value.Float f)
+  | L.S_string -> (
       match a with
-      | A_skip ->
-          let before = (L.position lx).L.offset in
-          Fastjson.Rawscan.skim_value lx ~dup_keys:options.P.dup_keys
-            ~max_depth:options.P.max_depth ~depth ~spend_node ~check_bytes;
-          skipped := !skipped + ((L.position lx).L.offset - before);
-          Json.Value.Null
-      | A_full | A_node _ ->
-          if depth > options.P.max_depth then
-            P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
-              "maximum nesting depth exceeded";
-          let want_str =
-            match a with A_node na -> na.a_str | A_full | A_skip -> true
-          in
-          let tok, p = if want_str then next_full () else next_skim () in
-          spend_node p;
-          check_bytes p;
-          walk_tok a tok p depth
-    and walk_tok a tok p depth =
-      match tok with
-      | L.Null_tok -> Json.Value.Null
-      | L.True -> Json.Value.Bool true
-      | L.False -> Json.Value.Bool false
-      | L.Number_tok (Json.Number.Int_lit n) -> Json.Value.Int n
-      | L.Number_tok (Json.Number.Float_lit f) -> Json.Value.Float f
-      | L.String_tok s -> Json.Value.String s
-      | L.Lbracket -> walk_array a depth
-      | L.Lbrace -> walk_object a depth
-      | (L.Rbrace | L.Rbracket | L.Colon | L.Comma | L.Eof) as t ->
-          P.fail p (Printf.sprintf "expected a value, got %s" (L.token_name t))
-    and walk_array a depth =
-      let elem_access i =
-        match a with
-        | A_full -> A_full
-        | A_node na -> elem_access na i
-        | A_skip -> assert false
+      | A_node { a_str = false; _ } -> blank
+      | A_node _ | A_full | A_skip -> Json.Value.String (L.string_of_last w.S.lx))
+  | L.S_lbracket -> pruned_array dup w a depth
+  | L.S_lbrace -> pruned_object dup w a depth
+  | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
+      S.unexpected w "a value" tok
+
+and pruned_array dup w a depth =
+  (* the first element's token is read before its access is known, and
+     counted only when that element is walked *)
+  match L.skim w.S.lx with
+  | L.S_rbracket ->
+      w.S.tokens <- w.S.tokens + 1;
+      Json.Value.Array []
+  | tok ->
+      let first =
+        match element_access a 0 with
+        | A_skip ->
+            S.skip_tok w tok (depth + 1);
+            Json.Value.Null
+        | a' ->
+            w.S.tokens <- w.S.tokens + 1;
+            S.check_depth w (depth + 1);
+            S.spend_node w;
+            S.check_bytes_tok w;
+            pruned_tok dup w a' tok (depth + 1)
       in
-      match L.peek lx with
-      | L.Rbracket, _ ->
-          ignore (next_full ());
-          Json.Value.Array []
-      | _ ->
-          let rec elements i acc =
-            let v = walk (elem_access i) (depth + 1) in
-            let tok, p = next_full () in
-            match tok with
-            | L.Comma -> elements (i + 1) (v :: acc)
-            | L.Rbracket -> List.rev (v :: acc)
-            | t ->
-                P.fail p
-                  (Printf.sprintf "expected ',' or ']', got %s" (L.token_name t))
-          in
-          Json.Value.Array (elements 0 [])
-    and walk_object a depth =
-      let key_access k =
-        match a with
-        | A_full -> A_full
-        | A_node na -> key_access na k
-        | A_skip -> assert false
-      in
-      match L.peek lx with
-      | L.Rbrace, _ ->
-          ignore (next_full ());
-          Json.Value.Object []
-      | _ ->
-          let rec fields acc =
-            let tok, p = next_full () in
-            match tok with
-            | L.String_tok key -> (
-                let tok, p = next_full () in
-                match tok with
-                | L.Colon -> (
-                    let v = walk (key_access key) (depth + 1) in
-                    let tok, p = next_full () in
-                    match tok with
-                    | L.Comma -> fields ((key, v) :: acc)
-                    | L.Rbrace -> ((key, v) :: acc, p)
-                    | t ->
-                        P.fail p
-                          (Printf.sprintf "expected ',' or '}', got %s"
-                             (L.token_name t)))
-                | t ->
-                    P.fail p
-                      (Printf.sprintf "expected ':', got %s" (L.token_name t)))
-            | t ->
-                P.fail p
-                  (Printf.sprintf "expected a field name, got %s"
-                     (L.token_name t))
-          in
-          let fields_rev, close_pos = fields [] in
-          Json.Value.Object
-            (P.apply_dup_policy options.P.dup_keys fields_rev close_pos)
-    in
-    let v = walk access 0 in
-    check_bytes (L.position lx);
-    (v, !nodes)
-  in
-  match P.run lx walk_doc with
-  | Ok (v, nodes) ->
-      let stop = (L.position lx).L.offset in
-      P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes;
-      if Telemetry.is_recording telemetry then begin
-        Telemetry.add telemetry tokens_c !tokens;
-        Telemetry.add telemetry skipped_bytes_c !skipped
-      end;
-      Ok (v, stop)
-  | Error _ as e -> e
+      Json.Value.Array (pruned_elements dup w a 1 depth [ first ])
+
+and pruned_elements dup w a i depth acc =
+  match S.next w with
+  | L.S_comma ->
+      let v = pruned_value dup w (element_access a i) (depth + 1) in
+      pruned_elements dup w a (i + 1) depth (v :: acc)
+  | L.S_rbracket -> List.rev acc
+  | t -> S.unexpected w "',' or ']'" t
+
+and pruned_object dup w a depth =
+  match S.next w with
+  | L.S_rbrace -> Json.Value.Object []
+  | tok -> pruned_fields dup w a depth tok []
+
+and pruned_fields dup w a depth tok acc =
+  match tok with
+  | L.S_string -> (
+      let key = L.string_of_last w.S.lx in
+      match S.next w with
+      | L.S_colon -> (
+          let v = pruned_value dup w (member_access a key) (depth + 1) in
+          let acc = (key, v) :: acc in
+          match S.next w with
+          | L.S_comma -> pruned_fields dup w a depth (S.next w) acc
+          | L.S_rbrace ->
+              Json.Value.Object
+                (Json.Parser.apply_dup_policy dup acc (L.tok_pos w.S.lx))
+          | t -> S.unexpected w "',' or '}'" t)
+      | t -> S.unexpected w "':'" t)
+  | t -> S.unexpected w "a field name" t
+
+(* The skim checks no duplicate keys, so under [Reject] the walk reads the
+   whole document and [apply_dup_policy] rejects at each object. *)
+let walk_pruned ~options ~telemetry access src ~pos =
+  let dup = options.Json.Parser.dup_keys in
+  let access = if dup = Json.Parser.Reject then A_full else access in
+  let w = S.walk options src ~pos in
+  match
+    Json.Parser.run w.S.lx (fun () ->
+        let v = pruned_value dup w access 0 in
+        S.check_bytes_end w;
+        v)
+  with
+  | Ok v -> Ok (v, emit_walk telemetry options w ~pos)
+  | Error e -> Error e
 
 (* the canonical fallback: the tree parser owns failure reporting (and its
    error telemetry); if it succeeds after all, validate its tree *)
@@ -1194,82 +1184,82 @@ let walk_and_run ~config ~options ~telemetry plan src ~pos =
 
    For a shape-decided plan, two documents of one shape get one verdict, one
    error list and one set of keyword counters. The shape is recorded by one
-   [Lexer.skim] pass that follows the plan's access tree as [walk_pruned]
-   does: a subtree the plan ignores is skimmed and recorded as the single
-   code 'x', everything else is recorded code by code, so the pass reads,
-   counts and skips exactly the tokens [walk_pruned] reads, counts and
-   skips. A hit answers from the cache; a miss validates with
+   pass on a [Json.Shape] cursor that follows the plan's access tree as
+   [walk_pruned] does: a subtree the plan ignores is skipped and recorded as
+   the single code 'x', everything else is recorded code by code, so the
+   pass reads, counts and skips exactly the tokens [walk_pruned] reads,
+   counts and skips. A hit answers from the cache; a miss validates with
    [walk_pruned] and [run] and caches the outcome. The budgets, depth and
    grammar of every document are checked by its own pass, hit or miss. *)
 
-module S = Json.Shape
-
-let rec shape_value w a depth =
+let rec shape_value sh w a depth =
   match a with
-  | A_skip -> S.skip w depth
-  | A_full -> S.record w depth
+  | A_skip ->
+      S.skip w depth;
+      S.push_code sh 'x'
+  | A_full -> S.record sh w depth
   | A_node na ->
       S.check_depth w depth;
       let tok = S.next w in
       S.spend_node w;
       S.check_bytes_tok w;
-      shape_tok w na tok depth
+      shape_tok sh w na tok depth
 
-and shape_tok w na tok depth =
+and shape_tok sh w na tok depth =
   match tok with
-  | Json.Lexer.S_lbracket ->
-      S.push_code w.S.sc '[';
-      shape_array w na depth
-  | Json.Lexer.S_lbrace ->
-      S.push_code w.S.sc '{';
-      shape_object w na depth
-  | tok -> S.record_tok w tok depth
+  | L.S_lbracket ->
+      S.push_code sh '[';
+      shape_array sh w na depth
+  | L.S_lbrace ->
+      S.push_code sh '{';
+      shape_object sh w na depth
+  | tok -> S.record_tok sh w tok depth
 
-and shape_array w na depth =
-  (* [walk_pruned] peeks the first element's token and counts it only when
-     it walks that element *)
-  match Json.Lexer.skim w.S.lx with
-  | Json.Lexer.S_rbracket ->
+and shape_array sh w na depth =
+  (* the first element's token is counted only when that element is
+     recorded, as [pruned_array] counts it *)
+  match L.skim w.S.lx with
+  | L.S_rbracket ->
       w.S.tokens <- w.S.tokens + 1;
-      S.push_code w.S.sc ']'
+      S.push_code sh ']'
   | tok ->
       (match elem_access na 0 with
-       | A_skip -> S.skip_tok w tok (depth + 1)
+       | A_skip ->
+           S.skip_tok w tok (depth + 1);
+           S.push_code sh 'x'
        | a -> (
            w.S.tokens <- w.S.tokens + 1;
            S.check_depth w (depth + 1);
            S.spend_node w;
            S.check_bytes_tok w;
            match a with
-           | A_node na' -> shape_tok w na' tok (depth + 1)
-           | A_full | A_skip -> S.record_tok w tok (depth + 1)));
-      shape_elements w na 1 depth
+           | A_node na' -> shape_tok sh w na' tok (depth + 1)
+           | A_full | A_skip -> S.record_tok sh w tok (depth + 1)));
+      shape_elements sh w na 1 depth
 
-and shape_elements w na i depth =
+and shape_elements sh w na i depth =
   match S.next w with
-  | Json.Lexer.S_comma ->
-      shape_value w (elem_access na i) (depth + 1);
-      shape_elements w na (i + 1) depth
-  | Json.Lexer.S_rbracket -> S.push_code w.S.sc ']'
+  | L.S_comma ->
+      shape_value sh w (elem_access na i) (depth + 1);
+      shape_elements sh w na (i + 1) depth
+  | L.S_rbracket -> S.push_code sh ']'
   | t -> S.unexpected w "',' or ']'" t
 
-and shape_object w na depth =
+and shape_object sh w na depth =
   match S.next w with
-  | Json.Lexer.S_rbrace -> S.push_code w.S.sc '}'
-  | tok -> shape_fields w na depth tok
+  | L.S_rbrace -> S.push_code sh '}'
+  | tok -> shape_fields sh w na depth tok
 
-and shape_fields w na depth tok =
+and shape_fields sh w na depth tok =
   match tok with
-  | Json.Lexer.S_string -> (
-      let key = S.intern_key w in
+  | L.S_string -> (
+      let key = S.intern_key sh w in
       match S.next w with
-      | Json.Lexer.S_colon -> (
-          shape_value w
-            (hashed_key_access na key (S.key_hash w.S.sc))
-            (depth + 1);
+      | L.S_colon -> (
+          shape_value sh w (hashed_key_access na key (S.key_hash sh)) (depth + 1);
           match S.next w with
-          | Json.Lexer.S_comma -> shape_fields w na depth (S.next w)
-          | Json.Lexer.S_rbrace -> S.push_code w.S.sc '}'
+          | L.S_comma -> shape_fields sh w na depth (S.next w)
+          | L.S_rbrace -> S.push_code sh '}'
           | t -> S.unexpected w "',' or '}'" t)
       | t -> S.unexpected w "':'" t)
   | t -> S.unexpected w "a field name" t
@@ -1313,25 +1303,21 @@ let run_captured ~config plan v =
   end
 
 let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
-  let w = S.walk ~integral:plan.integral sc.shapes options src ~pos in
+  let sh = sc.shapes in
+  S.restart sh;
+  let w = S.walk ~integral:plan.integral options src ~pos in
   match
     Json.Parser.run w.S.lx (fun () ->
-        shape_value w plan.access 0;
+        shape_value sh w plan.access 0;
         S.check_bytes_end w)
   with
   | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos
   | Ok () -> (
       let ctx = S.dup_context options.Json.Parser.dup_keys in
-      match S.find sc.shapes ~ctx with
+      match S.find sh ~ctx with
       | Some o ->
-          let stop = Json.Lexer.offset w.S.lx in
-          Json.Parser.emit_doc telemetry options ~bytes:(stop - pos)
-            ~nodes:w.S.nodes;
-          if Telemetry.is_recording telemetry then begin
-            Telemetry.add telemetry tokens_c w.S.tokens;
-            Telemetry.add telemetry skipped_bytes_c w.S.skipped;
-            Telemetry.add telemetry hits_c 1
-          end;
+          let stop = emit_walk telemetry options w ~pos in
+          Telemetry.add telemetry hits_c 1;
           Telemetry.replay config.Validate.telemetry o.recorded;
           Ok (o.verdict, stop)
       | None -> (
@@ -1339,7 +1325,7 @@ let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
           | Ok (v, stop) ->
               let o = run_captured ~config plan v in
               Telemetry.replay config.Validate.telemetry o.recorded;
-              S.add sc.shapes ~ctx o;
+              S.add sh ~ctx o;
               Telemetry.add telemetry misses_c 1;
               Ok (o.verdict, stop)
           | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos))
@@ -1360,66 +1346,3 @@ let run_stream ?(config = Validate.default_config)
         r
       end
   | Some _ | None -> walk_and_run ~config ~options ~telemetry plan src ~pos
-
-(* --- fingerprint-keyed plan cache --------------------------------------- *)
-
-(* FNV-1a 64 over the canonical printed schema document. The printer is
-   deterministic, so structurally identical schema values share a plan. *)
-let fingerprint root = Json.Fnv.hex (Json.Printer.to_string root)
-
-(* Plans are immutable, so concurrent readers are safe once a plan is
-   published; the mutex only guards the table itself. Capacity is a blunt
-   wholesale-reset bound: schema churn past it means recompiling, never
-   unbounded growth. *)
-let cache_capacity = 256
-let cache : (string, plan) Hashtbl.t = Hashtbl.create 64
-let cache_lock = Mutex.create ()
-let memoize = Atomic.make true
-
-let set_cache on = Atomic.set memoize on
-let cache_enabled () = Atomic.get memoize
-
-let clear_cache () =
-  Mutex.lock cache_lock;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_lock
-
-let cache_size () =
-  Mutex.lock cache_lock;
-  let n = Hashtbl.length cache in
-  Mutex.unlock cache_lock;
-  n
-
-let plan_for ?(telemetry = Telemetry.nop) root =
-  if not (Atomic.get memoize) then compile ~telemetry root
-  else begin
-    let key = fingerprint root in
-    let hit =
-      Mutex.lock cache_lock;
-      let r = Hashtbl.find_opt cache key in
-      Mutex.unlock cache_lock;
-      r
-    in
-    match hit with
-    | Some plan ->
-        Telemetry.count telemetry "validate.cache.hits" 1;
-        if Telemetry.is_recording telemetry then
-          Telemetry.gauge_max telemetry "validate.plan.nodes"
-            (float_of_int plan.nodes);
-        Ok plan
-    | None -> (
-        Telemetry.count telemetry "validate.cache.misses" 1;
-        match compile ~telemetry root with
-        | Error _ as e -> e
-        | Ok plan ->
-            Mutex.lock cache_lock;
-            if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-            if not (Hashtbl.mem cache key) then Hashtbl.add cache key plan;
-            Mutex.unlock cache_lock;
-            Ok plan)
-  end
-
-let validate ?(config = Validate.default_config) ~root v =
-  match plan_for ~telemetry:config.Validate.telemetry root with
-  | Error es -> Error es
-  | Ok plan -> run ~config plan v

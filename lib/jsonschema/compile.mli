@@ -11,9 +11,7 @@
     oracle under [test/] enforce the equivalence.
 
     Plans are immutable and domain-safe: compile once, share across a
-    domain pool. {!plan_for} adds a fingerprint-keyed cache (FNV-1a over
-    the canonical printed schema) so repeated pipeline calls against the
-    same schema reuse one compilation. *)
+    domain pool. *)
 
 type error = Validate.error
 
@@ -58,7 +56,14 @@ val run_stream :
     table when [additionalProperties] is trivially true or absent, array
     tails past [items] tuple bounds with no [additionalItems], string
     payloads with no string-content keyword — are validated and skipped at
-    token level ({!Fastjson.Rawscan.skim_value}) without allocation.
+    token level ({!Json.Shape.skip}) without allocation. The walk reads
+    {!Json.Lexer.skim} tokens through {!Json.Shape}'s cursor, which carries
+    the parser's node, byte and depth accounting, and takes a string or
+    number payload from its token's span only where the plan reads it.
+    Under the [Reject]
+    duplicate-key policy it walks the whole document (so
+    [stream.skipped_bytes] stays 0), since only a walked object is checked
+    for repeated keys.
 
     With a [scratch], a plan whose keywords read only kinds, keys and
     counts ([type], the object and array structure keywords, boolean
@@ -79,12 +84,6 @@ val run_stream :
     from the cache) / [stream.shape.misses] (validated by the walk).
     Returns the verdict and the offset one past the document. *)
 
-val validate :
-  ?config:Validate.config -> root:Json.Value.t -> Json.Value.t ->
-  (unit, error list) result
-(** Drop-in for {!Validate.validate} through {!plan_for} (so the plan
-    cache applies) using [config.telemetry] as the compile sink. *)
-
 (** {2 Plan shape} *)
 
 val nodes : plan -> int
@@ -100,23 +99,3 @@ val cycles : plan -> int
 (** Back-edges found in the [$ref] graph during lowering. Cyclic plans
     still terminate per document through the runtime fuel budget — the
     budget's error is part of the interpreter-equivalence contract. *)
-
-(** {2 Fingerprint-keyed plan cache} *)
-
-val fingerprint : Json.Value.t -> string
-(** FNV-1a 64 (hex) over the canonical printed document. *)
-
-val plan_for :
-  ?telemetry:Telemetry.sink -> Json.Value.t -> (plan, error list) result
-(** {!compile} through the global cache; counts [validate.cache.hits] /
-    [validate.cache.misses]. When the cache is disabled ({!set_cache}
-    [false]) this is plain {!compile} and no cache counters are emitted.
-    Compilation failures are never cached. *)
-
-val set_cache : bool -> unit
-(** Kill switch for the plan cache (CLI [--validate-cache on|off]).
-    Affects cost only, never verdicts. *)
-
-val cache_enabled : unit -> bool
-val clear_cache : unit -> unit
-val cache_size : unit -> int

@@ -1,7 +1,7 @@
 (* Differential conformance harness: every case in conformance/*.json runs
    against BOTH validation engines — the interpreter ([Validate.validate])
-   and the compiled plan ([Compile.run], plus the cached [Compile.validate]
-   path) — and must produce the expected verdict AND identical error lists.
+   and the compiled plan ([Compile.run]) — and must produce the expected
+   verdict AND identical error lists.
    A divergence fails the build with a readable "file :: group :: test"
    diff naming the case and the differing error pointers. *)
 
@@ -56,10 +56,8 @@ let run_case file group config ~schema ~plan test =
     | Ok p -> Compile.run ~config p data
     | Error es -> Error es
   in
-  let cached = Compile.validate ~config ~root:schema data in
   let i_errs = errors_to_strings interp in
   let c_errs = errors_to_strings compiled in
-  let k_errs = errors_to_strings cached in
   let verdict = Result.is_ok interp in
   if verdict <> expected then begin
     report file group name
@@ -72,11 +70,6 @@ let run_case file group config ~schema ~plan test =
     report file group name "compiled plan diverges from interpreter";
     print_errs "interpreter" i_errs;
     print_errs "compiled" c_errs
-  end;
-  if k_errs <> i_errs then begin
-    report file group name "cached Compile.validate diverges from interpreter";
-    print_errs "interpreter" i_errs;
-    print_errs "cached" k_errs
   end
 
 let run_group file group =
@@ -123,17 +116,8 @@ let () =
     prerr_endline "conformance: no corpus files found";
     exit 1
   end;
-  (* Exercise both cache states: first pass with the plan cache enabled
-     (the default), second pass with it disabled. Verdicts and error lists
-     must be identical either way. *)
-  List.iter
-    (fun enabled ->
-      Compile.set_cache enabled;
-      Compile.clear_cache ();
-      List.iter (run_file dir) files)
-    [ true; false ];
-  Compile.set_cache true;
-  if !total < 2 * 150 then begin
+  List.iter (run_file dir) files;
+  if !total < 150 then begin
     Printf.printf "conformance: only %d case runs (< 150 cases); corpus too small\n"
       !total;
     exit 1

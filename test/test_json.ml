@@ -565,8 +565,85 @@ let test_skim_allocation_free () =
       Alcotest.(check (float 0.0)) "minor words per skim loop" (w1 -. w0) (w2 -. w1))
     [ None; Some 4096 ]
 
-(* the published FNV-1a 64 test vectors; the checkpoint journals and the
-   plan cache key on these digests *)
+(* Number tokens: both token APIs read a number literal as [Number.parse]
+   reads it. [next]'s [Number_tok] is its value, or its error message at
+   the literal's first byte; [skim] classifies it as [S_int] or [S_float]
+   (or raises that error), and [number_of_last] then gives its value. The
+   literals cover the grammar's edges: up to 20 digits, leading zeros,
+   [-0], fractions, signed exponents, overflow and truncated forms. *)
+let gen_number_literal : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let digits lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+  let opt g = oneof [ return ""; g ] in
+  let composed =
+    map
+      (fun (((minus, int_part), (frac, exp)), lead_zero) ->
+        let int_part =
+          if lead_zero then "0" ^ int_part
+          else if minus = "" && int_part = "" then "1"
+          else int_part
+        in
+        minus ^ int_part ^ frac ^ exp)
+      (pair
+         (pair
+            (pair (opt (return "-")) (digits 0 20))
+            (pair
+               (opt (map (( ^ ) ".") (digits 0 4)))
+               (opt
+                  (map2 ( ^ )
+                     (oneofl [ "e"; "E"; "e+"; "e-"; "E+"; "E-" ])
+                     (digits 0 4)))))
+         (frequency [ (5, return false); (1, return true) ]))
+  in
+  frequency
+    [ (4, composed);
+      ( 1,
+        oneofl
+          [ "0"; "-0"; "-0.0"; "1e400"; "-1e400"; "1e-400"; "1."; "-"; "1e"; "1e+";
+            "00"; "-01"; "999999999999999999"; "1000000000000000000";
+            "9223372036854775807"; "9223372036854775808"; "-9223372036854775808";
+            "12345678901234567890"; "1.0e308"; "17976931348623157e292" ] ) ]
+
+let same_number a b =
+  match (a, b) with
+  | Json.Number.Int_lit x, Json.Number.Int_lit y -> x = y
+  | Json.Number.Float_lit x, Json.Number.Float_lit y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+let prop_number_tokens =
+  QCheck2.Test.make ~name:"number tokens = Number.parse" ~count:1000
+    ~print:(Printf.sprintf "%S") gen_number_literal (fun lit ->
+      let module L = Json.Lexer in
+      let src = "[" ^ lit ^ "]" in
+      let expected = Json.Number.parse lit in
+      let at_one (p : L.position) = p.L.offset = 1 && p.L.line = 1 && p.L.column = 2 in
+      let next_agrees =
+        let lx = L.create src in
+        ignore (L.next lx);
+        match (L.next lx, expected) with
+        | (L.Number_tok p, pos), Ok p' ->
+            at_one pos && same_number p p' && fst (L.next lx) = L.Rbracket
+        | _ -> false
+        | exception L.Lex_error (pos, msg) -> (
+            at_one pos && match expected with Error m -> m = msg | Ok _ -> false)
+      in
+      let skim_agrees =
+        let lx = L.create src in
+        ignore (L.skim lx);
+        match (L.skim lx, expected) with
+        | (L.S_int, Ok (Json.Number.Int_lit _ as p) | L.S_float, Ok (Json.Number.Float_lit _ as p)) ->
+            L.tok_start lx = 1
+            && same_number (L.number_of_last lx) p
+            && L.skim lx = L.S_rbracket
+        | _ -> false
+        | exception L.Lex_error (pos, msg) -> (
+            at_one pos && match expected with Error m -> m = msg | Ok _ -> false)
+      in
+      next_agrees && skim_agrees)
+
+(* the published FNV-1a 64 test vectors; the checkpoint journals key on
+   these digests *)
 let test_fnv_vectors () =
   List.iter
     (fun (s, hex) -> Alcotest.(check string) (Printf.sprintf "%S" s) hex (Json.Fnv.hex s))
@@ -618,7 +695,8 @@ let () =
          Alcotest.test_case "set" `Quick test_pointer_set ]);
       ("jsonpath", [ Alcotest.test_case "eval" `Quick test_jsonpath ]);
       ("lexer",
-       [ Alcotest.test_case "skim allocation-free" `Quick test_skim_allocation_free ]);
+       [ Alcotest.test_case "skim allocation-free" `Quick test_skim_allocation_free;
+         QCheck_alcotest.to_alcotest prop_number_tokens ]);
       ("fnv",
        [ Alcotest.test_case "FNV-1a 64 vectors" `Quick test_fnv_vectors;
          Alcotest.test_case "allocation-free" `Quick test_fnv_allocation_free ]);

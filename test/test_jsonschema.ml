@@ -485,7 +485,7 @@ let test_generate_deterministic () =
 (* The compiled engine (Compile) promises byte-identical results to the
    interpreter (Validate) — same verdicts, same error records in the same
    order. These properties throw randomized schema/instance pairs at both
-   and diff the rendered error lists, with the plan cache on and off. *)
+   and diff the rendered error lists. *)
 
 let render_errors = function
   | Ok () -> "valid"
@@ -591,33 +591,27 @@ let oracle_gen_schema : Json.Value.t QCheck2.Gen.t =
                key sub);
           ])
 
+(* the compiled engine's verdict: one plan, or the compiler's errors *)
+let compiled_validate ?config ~root instance =
+  match Jsonschema.Compile.compile root with
+  | Ok plan -> Jsonschema.Compile.run ?config plan instance
+  | Error es -> Error es
+
 let differential_agrees ?(config = Jsonschema.Validate.default_config)
     (schema, instance) =
   let interp =
     render_errors (Jsonschema.Validate.validate ~config ~root:schema instance)
   in
   let compiled =
-    render_errors
-      (match Jsonschema.Compile.compile schema with
-      | Ok plan -> Jsonschema.Compile.run ~config plan instance
-      | Error es -> Error es)
+    render_errors (compiled_validate ~config ~root:schema instance)
   in
-  Jsonschema.Compile.set_cache true;
-  let cached_on =
-    render_errors (Jsonschema.Compile.validate ~config ~root:schema instance)
-  in
-  Jsonschema.Compile.set_cache false;
-  let cached_off =
-    render_errors (Jsonschema.Compile.validate ~config ~root:schema instance)
-  in
-  Jsonschema.Compile.set_cache true;
-  if interp = compiled && interp = cached_on && interp = cached_off then true
+  if interp = compiled then true
   else
     QCheck2.Test.fail_reportf
-      "engines diverge on schema %s / instance %s@.interpreter:@.%s@.compiled:@.%s@.cached on:@.%s@.cached off:@.%s"
+      "engines diverge on schema %s / instance %s@.interpreter:@.%s@.compiled:@.%s"
       (Json.Printer.to_string schema)
       (Json.Printer.to_string instance)
-      interp compiled cached_on cached_off
+      interp compiled
 
 (* A small $ref budget keeps randomly generated no-input cycles (e.g. a
    [oneOf] of ["$ref": "#"]s) from doing branches^fuel work; both engines
@@ -627,7 +621,7 @@ let oracle_config =
 
 let prop_compiled_differential =
   QCheck2.Test.make
-    ~name:"compiled = interpreted: verdicts and error lists, cache on/off"
+    ~name:"compiled = interpreted: verdicts and error lists"
     ~count:500
     QCheck2.Gen.(pair oracle_gen_schema oracle_gen_value)
     (differential_agrees ~config:oracle_config)
@@ -687,12 +681,7 @@ let test_compiled_parallel_jobs () =
     (fun jobs ->
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d compiled failures identical" jobs)
-        (render reference) (render (sharded jobs));
-      Jsonschema.Compile.set_cache false;
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d compiled, cache off" jobs)
-        (render reference) (render (sharded jobs));
-      Jsonschema.Compile.set_cache true)
+        (render reference) (render (sharded jobs)))
     [ 1; 4; 8 ]
 
 (* --- regression pins --------------------------------------------------- *)
@@ -724,7 +713,7 @@ let test_tuple_items_error_paths () =
           pairs
   in
   check_engine "interpreter" (Jsonschema.Validate.validate ~root instance);
-  check_engine "compiled" (Jsonschema.Compile.validate ~root instance)
+  check_engine "compiled" (compiled_validate ~root instance)
 
 let test_wellformed_escaped_ref () =
   (* Pin ~0/~1 un-escaping on the $ref warn path: pointers through keys that
@@ -748,11 +737,11 @@ let test_wellformed_escaped_ref () =
   Alcotest.(check bool) "interpreter resolves escaped refs" true
     (Jsonschema.Validate.is_valid ~root inst);
   Alcotest.(check bool) "compiled resolves escaped refs" true
-    (Result.is_ok (Jsonschema.Compile.validate ~root inst));
+    (Result.is_ok (compiled_validate ~root inst));
   Alcotest.(check bool) "interpreter enforces escaped target" false
     (Jsonschema.Validate.is_valid ~root (parse {|{"slash": "no"}|}));
   Alcotest.(check bool) "compiled enforces escaped target" false
-    (Result.is_ok (Jsonschema.Compile.validate ~root (parse {|{"slash": "no"}|})))
+    (Result.is_ok (compiled_validate ~root (parse {|{"slash": "no"}|})))
 
 let test_compiled_plan_stats () =
   let root =
@@ -772,28 +761,6 @@ let test_compiled_plan_stats () =
         (Jsonschema.Compile.cycles plan >= 1);
       Alcotest.(check bool) "prunes trivial subschemas" true
         (Jsonschema.Compile.pruned plan >= 1)
-
-let test_plan_cache () =
-  let root = parse {|{"type": "integer", "minimum": 3}|} in
-  Jsonschema.Compile.set_cache true;
-  Jsonschema.Compile.clear_cache ();
-  Alcotest.(check int) "cache empty" 0 (Jsonschema.Compile.cache_size ());
-  ignore (Jsonschema.Compile.validate ~root (parse "4"));
-  Alcotest.(check int) "one plan cached" 1 (Jsonschema.Compile.cache_size ());
-  ignore (Jsonschema.Compile.validate ~root (parse "2"));
-  Alcotest.(check int) "hit, not a second entry" 1
-    (Jsonschema.Compile.cache_size ());
-  let fp1 = Jsonschema.Compile.fingerprint root in
-  let fp2 = Jsonschema.Compile.fingerprint (parse {|{"minimum": 3, "type": "integer"}|}) in
-  Alcotest.(check bool) "fingerprint is over the printed form" true (fp1 <> fp2);
-  Alcotest.(check string) "fingerprint deterministic" fp1
-    (Jsonschema.Compile.fingerprint (parse {|{"type": "integer", "minimum": 3}|}));
-  Jsonschema.Compile.set_cache false;
-  Jsonschema.Compile.clear_cache ();
-  ignore (Jsonschema.Compile.validate ~root (parse "4"));
-  Alcotest.(check int) "disabled cache stays empty" 0
-    (Jsonschema.Compile.cache_size ());
-  Jsonschema.Compile.set_cache true
 
 let () =
   Alcotest.run "jsonschema"
@@ -841,8 +808,7 @@ let () =
            ~rand:(Random.State.make [| 20250808 |])
            prop_compiled_differential_formats;
          Alcotest.test_case "parallel jobs sweep" `Quick test_compiled_parallel_jobs;
-         Alcotest.test_case "plan stats" `Quick test_compiled_plan_stats;
-         Alcotest.test_case "plan cache" `Quick test_plan_cache ]);
+         Alcotest.test_case "plan stats" `Quick test_compiled_plan_stats ]);
       ("regressions",
        [ Alcotest.test_case "tuple items error paths" `Quick
            test_tuple_items_error_paths;

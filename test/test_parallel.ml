@@ -1321,7 +1321,25 @@ let test_checkpoint_rejects_other_job () =
           ~checkpoint:path ~resume:true ~jobs:2 messy_text
       with
       | Ok _ -> Alcotest.fail "resume under a different job tag must be refused"
-      | Error _ -> ())
+      | Error _ -> ());
+  (* a validation journal resumes only under the config fields that decide
+     its verdicts; the sink is not one of them *)
+  let root = Json.Parser.parse_exn {|{"type": "object"}|} in
+  let validate ?config ~resume path =
+    Pipeline.validate_ndjson ?config ~policy:(test_policy ~retries:0 ())
+      ~checkpoint:path ~resume ~jobs:2 ~root messy_text
+  in
+  let d = Jsonschema.Validate.default_config in
+  List.iter
+    (fun (config, refused) ->
+      with_temp_journal (fun path ->
+          ignore (validate ~resume:false path);
+          Alcotest.(check bool) "refused" refused
+            (Result.is_error (validate ~config ~resume:true path))))
+    [ ({ d with telemetry = Telemetry.create () }, false);
+      ({ d with assert_formats = true }, true);
+      ({ d with max_ref_expansions = 8 }, true);
+      ({ d with max_depth = 100 }, true) ]
 
 let () =
   let qcheck p =

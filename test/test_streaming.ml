@@ -3,8 +3,8 @@
    validation — must be byte-identical to the [`Tree] executable spec.
    Same inferred types (all five artifacts), same verdicts and error
    lists, same dead-letter coordinates, same reports, for any jobs count,
-   both equivalences, cache on or off, on clean and corrupted input
-   alike. Plus the chunk-boundary audit for [Stream.fold_documents_chunked]:
+   both equivalences, on clean and corrupted input alike. Plus the
+   chunk-boundary audit for [Stream.fold_documents_chunked]:
    multi-byte UTF-8 and surrogate-pair escapes split across refills,
    down to one-byte chunks. *)
 
@@ -264,77 +264,60 @@ let test_validate_conformance_corpus () =
   in
   Alcotest.(check bool) "corpus present" true (files <> []);
   let groups = ref 0 in
-  let was_cached = Jsonschema.Compile.cache_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Jsonschema.Compile.set_cache was_cached)
-    (fun () ->
-      List.iter
-        (fun cache ->
-          Jsonschema.Compile.set_cache cache;
-          Jsonschema.Compile.clear_cache ();
+  List.iter
+    (fun file ->
+      match Json.Parser.parse_exn (read_file (Filename.concat dir file)) with
+      | Json.Value.Array gs ->
           List.iter
-            (fun file ->
-              match Json.Parser.parse_exn (read_file (Filename.concat dir file)) with
-              | Json.Value.Array gs ->
-                  List.iter
-                    (fun g ->
-                      match g with
-                      | Json.Value.Object fields ->
-                          let get k = List.assoc_opt k fields in
-                          let schema =
-                            match get "schema" with
-                            | Some s -> s
-                            | None -> failwith (file ^ ": no schema")
-                          in
-                          let assert_formats =
-                            match get "formats" with
-                            | Some (Json.Value.Bool b) -> b
-                            | _ -> false
-                          in
-                          let config =
-                            { Jsonschema.Validate.default_config with
-                              Jsonschema.Validate.assert_formats }
-                          in
-                          let tests =
-                            match get "tests" with
-                            | Some (Json.Value.Array ts) -> ts
-                            | _ -> []
-                          in
-                          let data =
-                            List.filter_map
-                              (fun t ->
-                                match t with
-                                | Json.Value.Object fs ->
-                                    List.assoc_opt "data" fs
-                                | _ -> None)
-                              tests
-                          in
-                          if data <> [] then begin
-                            incr groups;
-                            let text = Datagen.to_ndjson data in
-                            let run engine =
-                              ok
-                                (Pipeline.validate_ndjson ~config ~engine
-                                   ~root:schema text)
-                            in
-                            let tf, ti, _ = run `Tree
-                            and sf, si, _ = run `Streaming in
-                            let label =
-                              Printf.sprintf "%s :: group %d (cache=%b)" file
-                                !groups cache
-                            in
-                            Alcotest.(check string) (label ^ " failures")
-                              (failures_fingerprint tf)
-                              (failures_fingerprint sf);
-                            Alcotest.(check string) (label ^ " ingest")
-                              (ingest_fingerprint ti) (ingest_fingerprint si)
-                          end
-                      | _ -> failwith (file ^ ": group is not an object"))
-                    gs
-              | _ -> failwith (file ^ ": top level is not an array"))
-            files)
-        [ true; false ]);
-  Alcotest.(check bool) "non-trivial corpus" true (!groups >= 2 * 40)
+            (fun g ->
+              match g with
+              | Json.Value.Object fields ->
+                  let get k = List.assoc_opt k fields in
+                  let schema =
+                    match get "schema" with
+                    | Some s -> s
+                    | None -> failwith (file ^ ": no schema")
+                  in
+                  let assert_formats =
+                    match get "formats" with
+                    | Some (Json.Value.Bool b) -> b
+                    | _ -> false
+                  in
+                  let config =
+                    { Jsonschema.Validate.default_config with
+                      Jsonschema.Validate.assert_formats }
+                  in
+                  let tests =
+                    match get "tests" with
+                    | Some (Json.Value.Array ts) -> ts
+                    | _ -> []
+                  in
+                  let data =
+                    List.filter_map
+                      (fun t ->
+                        match t with
+                        | Json.Value.Object fs -> List.assoc_opt "data" fs
+                        | _ -> None)
+                      tests
+                  in
+                  if data <> [] then begin
+                    incr groups;
+                    let text = Datagen.to_ndjson data in
+                    let run engine =
+                      ok (Pipeline.validate_ndjson ~config ~engine ~root:schema text)
+                    in
+                    let tf, ti, _ = run `Tree and sf, si, _ = run `Streaming in
+                    let label = Printf.sprintf "%s :: group %d" file !groups in
+                    Alcotest.(check string) (label ^ " failures")
+                      (failures_fingerprint tf) (failures_fingerprint sf);
+                    Alcotest.(check string) (label ^ " ingest")
+                      (ingest_fingerprint ti) (ingest_fingerprint si)
+                  end
+              | _ -> failwith (file ^ ": group is not an object"))
+            gs
+      | _ -> failwith (file ^ ": top level is not an array"))
+    files;
+  Alcotest.(check bool) "non-trivial corpus" true (!groups >= 40)
 
 (* --- chunk boundaries (Stream.fold_documents_chunked) ------------------ *)
 
@@ -951,18 +934,20 @@ let compile root =
 
 (* One scratch per shard, as the streaming validation run creates it, under
    any parse options (the CLI always uses [Keep_last]). *)
-let cached_validate ?options ?config ?telemetry ~jobs ~root text =
+let cached_validate ?budget ?options ?config ?telemetry ~jobs ~root text =
   let failures, ingest, _ =
-    ok (Pipeline.validate_ndjson ?options ?config ?telemetry ~jobs ~root text)
+    ok
+      (Pipeline.validate_ndjson ?budget ?options ?config ?telemetry ~jobs ~root
+         text)
   in
   (ingest, failures)
 
 (* the interpreter over the tree parser's documents *)
-let tree_validate ?options ?config ?telemetry ~jobs ~root text =
+let tree_validate ?budget ?options ?config ?telemetry ~jobs ~root text =
   let failures, ingest, _ =
     ok
-      (Pipeline.validate_ndjson ?options ?config ~compiled:false ~engine:`Tree
-         ?telemetry ~jobs ~root text)
+      (Pipeline.validate_ndjson ?budget ?options ?config ~compiled:false
+         ~engine:`Tree ?telemetry ~jobs ~root text)
   in
   (ingest, failures)
 
@@ -985,18 +970,18 @@ let telemetry_fingerprint sink =
     (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) counters
     @ List.map (fun (k, x) -> Printf.sprintf "%s=%g" k x) gauges)
 
-let same_validation ?options ~jobs ~root text =
+let same_validation ?budget ?options ~jobs ~root text =
   let sink_c = Telemetry.create () and sink_t = Telemetry.create () in
   let config sink =
     { Jsonschema.Validate.default_config with
       Jsonschema.Validate.telemetry = sink }
   in
   let ci, cf =
-    cached_validate ?options ~config:(config sink_c) ~telemetry:sink_c ~jobs
-      ~root text
+    cached_validate ?budget ?options ~config:(config sink_c) ~telemetry:sink_c
+      ~jobs ~root text
   and ti, tf =
-    tree_validate ?options ~config:(config sink_t) ~telemetry:sink_t ~jobs
-      ~root text
+    tree_validate ?budget ?options ~config:(config sink_t) ~telemetry:sink_t
+      ~jobs ~root text
   in
   failures_fingerprint cf = failures_fingerprint tf
   && ingest_fingerprint ci = ingest_fingerprint ti
@@ -1103,31 +1088,51 @@ let payload_schemas =
       {|{"items": {"uniqueItems": true}}|};
       {|{"properties": {"b": {"$ref": "#/definitions/i"}}, "definitions": {"i": {"type": "integer"}}}|} ]
 
+(* the default budget, or one small enough to break inside the rendered
+   documents, also inside the subtrees a plan skips *)
+let gen_budget : Resilient.budget QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let d = Resilient.default_budget in
+  frequency
+    [ (2, return d);
+      (1, map (fun n -> { d with Resilient.max_nodes = Some n }) (int_range 1 12));
+      (1, map (fun n -> { d with Resilient.max_string_bytes = Some n }) (int_range 0 6));
+      (1, map (fun n -> { d with Resilient.max_depth = n }) (int_range 0 3));
+      (1, map (fun n -> { d with Resilient.max_doc_bytes = Some n }) (int_range 4 40)) ]
+
+let budget_to_string (b : Resilient.budget) =
+  let opt = function Some n -> string_of_int n | None -> "-" in
+  Printf.sprintf "max_nodes %s, max_string_bytes %s, max_depth %d, max_doc_bytes %s"
+    (opt b.Resilient.max_nodes) (opt b.Resilient.max_string_bytes)
+    b.Resilient.max_depth (opt b.Resilient.max_doc_bytes)
+
+(* schemas for the verdict-cache properties: mostly the shape-decided
+   fragment, sometimes one that reads payloads and so takes the walk *)
+let gen_verdict_schema =
+  QCheck2.Gen.frequency
+    [ (6, gen_fragment_schema); (1, QCheck2.Gen.oneofl integral_schemas);
+      (1, QCheck2.Gen.oneofl payload_schemas) ]
+
+let render_docs ~seed random_templates n =
+  let pool = Array.of_list (verdict_templates @ random_templates) in
+  let st = Random.State.make [| seed |] in
+  List.init n (fun _ -> render_doc st pool.(Random.State.int st (Array.length pool)))
+
 let prop_verdict_cache_exact =
   QCheck2.Test.make ~name:"verdict cache = tree validation" ~count:(count 40)
-    ~print:(fun (_, seed, schema) ->
-      Printf.sprintf "seed %d, schema %s" seed (Json.Printer.to_string schema))
+    ~print:(fun (_, seed, schema, budget) ->
+      Printf.sprintf "seed %d, schema %s, budget %s" seed
+        (Json.Printer.to_string schema) (budget_to_string budget))
     QCheck2.Gen.(
-      triple
-        (list_size (int_range 0 4) gen_template)
-        int
-        (frequency
-           [ (6, gen_fragment_schema); (1, oneofl integral_schemas);
-             (1, oneofl payload_schemas) ]))
-    (fun (random_templates, seed, root) ->
-      let pool = Array.of_list (verdict_templates @ random_templates) in
-      let st = Random.State.make [| seed |] in
-      let text =
-        String.concat "\n"
-          (List.init 30 (fun _ ->
-               render_doc st pool.(Random.State.int st (Array.length pool))))
-      in
+      tup4 (list_size (int_range 0 4) gen_template) int gen_verdict_schema gen_budget)
+    (fun (random_templates, seed, root, budget) ->
+      let text = String.concat "\n" (render_docs ~seed random_templates 30) in
       List.for_all
         (fun jobs ->
           List.for_all
             (fun dup_keys ->
               let options = { Json.Parser.default_options with dup_keys } in
-              same_validation ~options ~jobs ~root text)
+              same_validation ~budget ~options ~jobs ~root text)
             dup_policies)
         [ 1; 2; 4 ])
 
@@ -1209,6 +1214,35 @@ let test_verdict_cache_switch_off () =
   Alcotest.(check (pair int int)) "1,024 distinct: switched off" (0, 1025)
     (hits_after Json.Shape.warmup)
 
+(* [run_stream] on each document in turn, with a scratch or without one
+   (the walk alone): the verdicts with their stop offsets, the counters
+   other than [stream.shape.*], the gauges, and the sink *)
+let stream_run ?scratch ~options plan docs =
+  let sink = Telemetry.create () in
+  let config =
+    { Jsonschema.Validate.default_config with Jsonschema.Validate.telemetry = sink }
+  in
+  let verdicts =
+    List.map
+      (fun doc ->
+        match
+          Jsonschema.Compile.run_stream ~config ~options ~telemetry:sink ?scratch
+            plan doc ~pos:0
+        with
+        | Ok (Ok (), stop) -> Printf.sprintf "valid@%d" stop
+        | Ok (Error es, stop) ->
+            Printf.sprintf "%s@%d"
+              (String.concat " | " (List.map Jsonschema.Validate.string_of_error es))
+              stop
+        | Error e -> Json.Parser.string_of_error e)
+      docs
+  in
+  let snap = Telemetry.snapshot sink in
+  let drop_shape =
+    List.filter (fun (k, _) -> not (String.starts_with ~prefix:"stream.shape." k))
+  in
+  (verdicts, drop_shape snap.Telemetry.counters, snap.Telemetry.gauges, sink)
+
 (* A cached run and the walk alone emit the same telemetry: keyword
    counters and the depth gauge replayed on hits, parse.* and the walk's
    token and skip counts from the shape pass. *)
@@ -1226,31 +1260,11 @@ let test_verdict_cache_telemetry () =
       {|{"a": 3, "t": ["x", {"deep": [1, 2, 5]}, 3], "skip": {"y": [null]}}|};
       {|{"t": [[1], "v"], "a": null}|} ]
   in
-  let run scratch =
-    let sink = Telemetry.create () in
-    let config =
-      { Jsonschema.Validate.default_config with
-        Jsonschema.Validate.telemetry = sink }
-    in
-    let verdicts =
-      List.map
-        (fun doc ->
-          match
-            Jsonschema.Compile.run_stream ~config ~telemetry:sink ?scratch plan
-              doc ~pos:0
-          with
-          | Ok (v, stop) -> Printf.sprintf "%b@%d" (Result.is_ok v) stop
-          | Error e -> e.Json.Parser.message)
-        (docs @ docs)
-    in
-    let snap = Telemetry.snapshot sink in
-    let drop_shape =
-      List.filter (fun (k, _) -> not (String.starts_with ~prefix:"stream.shape." k))
-    in
-    (verdicts, drop_shape snap.Telemetry.counters, snap.Telemetry.gauges, sink)
+  let options = Json.Parser.default_options in
+  let v0, c0, g0, _ = stream_run ~options plan (docs @ docs) in
+  let v1, c1, g1, sink =
+    stream_run ~scratch:(Jsonschema.Compile.scratch ()) ~options plan (docs @ docs)
   in
-  let v0, c0, g0, _ = run None in
-  let v1, c1, g1, sink = run (Some (Jsonschema.Compile.scratch ())) in
   Alcotest.(check (list string)) "verdicts" v0 v1;
   Alcotest.(check (list (pair string int))) "counters" c0 c1;
   Alcotest.(check (list (pair string (float 0.)))) "gauges" g0 g1;
@@ -1258,6 +1272,28 @@ let test_verdict_cache_telemetry () =
     (List.assoc_opt "stream.skipped_bytes" c1 <> None);
   Alcotest.(check int) "hits" 8 (counter sink "stream.shape.hits");
   Alcotest.(check int) "misses" 4 (counter sink "stream.shape.misses")
+
+(* The same comparison on random schemas and documents, under every
+   duplicate-key policy: the shape pass reads, counts and skips exactly
+   the tokens the walk reads, counts and skips. *)
+let prop_cache_counts_as_walk =
+  QCheck2.Test.make ~name:"cache = walk: verdicts and counts" ~count:(count 60)
+    ~print:(fun (_, seed, schema) ->
+      Printf.sprintf "seed %d, schema %s" seed (Json.Printer.to_string schema))
+    QCheck2.Gen.(triple (list_size (int_range 0 4) gen_template) int gen_verdict_schema)
+    (fun (random_templates, seed, root) ->
+      let plan = compile root in
+      let docs = render_docs ~seed random_templates 20 in
+      List.for_all
+        (fun dup_keys ->
+          let options = { Json.Parser.default_options with dup_keys } in
+          let v0, c0, g0, _ = stream_run ~options plan (docs @ docs) in
+          let v1, c1, g1, _ =
+            stream_run ~scratch:(Jsonschema.Compile.scratch ()) ~options plan
+              (docs @ docs)
+          in
+          v0 = v1 && c0 = c1 && g0 = g1)
+        dup_policies)
 
 (* The access index keeps the first of two [properties] entries for one
    key, as the plan's property table and the interpreter do. The parser's
@@ -1315,6 +1351,7 @@ let () =
           Alcotest.test_case "switch-off" `Quick test_verdict_cache_switch_off;
           Alcotest.test_case "telemetry replay" `Quick
             test_verdict_cache_telemetry;
+          prop prop_cache_counts_as_walk;
           prop prop_verdict_cache_exact ] );
       ( "chunk-boundaries",
         [ Alcotest.test_case "unicode split anywhere" `Quick
