@@ -8,7 +8,8 @@
    1. One [Lexer.skim] pass ({!Json.Shape.record}), a line-by-line mirror
       of [Parser.parse_value]: same node and byte accounting, same depth
       checks, same grammar errors. Field names are interned straight from
-      their source spans. The pass records the document's *shape*: one code
+      their source spans, or matched in place when the key before them
+      predicts them. The pass records the document's *shape*: one code
       per value or bracket (int and float kept apart) and the interned
       field names in document order.
 
@@ -178,7 +179,7 @@ let type_tokens ~options ~telemetry sc ~equiv src ~pos =
   let w = S.walk options src ~pos in
   let skimmed =
     P.run w.S.lx (fun () ->
-        S.record sc w 0;
+        S.record sc w (S.root sc) 0;
         S.check_bytes_end w)
   in
   let typed =

@@ -462,6 +462,50 @@ let skim lx =
     | '-' | '0' .. '9' -> skim_number_kind lx
     | c -> error lx start (Printf.sprintf "unexpected character %C" c)
 
+(* A member key the caller expects, compared in place. [name] is plain (no
+   '"', no '\\', no byte below 0x20), so its raw spelling between quotes is
+   exactly what [skim_string] would scan as a string with those contents:
+   a match leaves the lexer where [skim] would have left it, and a colon
+   right after the closing quote is the token [skim] would return next. A
+   key over [max_string_bytes] is not matched, so the skim that follows
+   raises the canonical error. On a mismatch only whitespace is consumed. *)
+type key_match = No_key | Key | Key_colon
+
+let skim_key lx name =
+  (match lx.lookahead with
+   | Some _ -> invalid_arg "Json.Lexer.skim_key: a peeked token is pending"
+   | None -> ());
+  skip_ws lx;
+  let src = lx.src and p = lx.pos in
+  let n = String.length name in
+  let close = p + n + 1 in
+  if close < String.length src
+     && String.unsafe_get src p = '"'
+     && String.unsafe_get src close = '"'
+     && (match lx.max_string_bytes with Some limit -> n <= limit | None -> true)
+     &&
+     let i = ref 0 in
+     while !i < n && String.unsafe_get src (p + 1 + !i) = String.unsafe_get name !i do
+       incr i
+     done;
+     !i = n
+  then begin
+    lx.str_start <- p + 1;
+    lx.str_stop <- close;
+    lx.str_escaped <- false;
+    if close + 1 < String.length src && String.unsafe_get src (close + 1) = ':' then begin
+      lx.tok_start <- close + 1;
+      lx.pos <- close + 2;
+      Key_colon
+    end
+    else begin
+      lx.tok_start <- p;
+      lx.pos <- close + 1;
+      Key
+    end
+  end
+  else No_key
+
 let tok_start lx = lx.tok_start
 
 (* No token contains a raw newline (strings reject unescaped control

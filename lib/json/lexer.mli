@@ -5,7 +5,8 @@
     each token comes with its position, strings unescaped (surrogate pairs
     included) and numbers evaluated. {!skim} serves every streaming walk
     ({!Shape}, and through it inference and validation): tokens are
-    constants and payloads stay in the source until asked for. *)
+    constants and payloads stay in the source until asked for, and
+    {!skim_key} reads a member key the walk expects by comparing bytes. *)
 
 type position = { offset : int; line : int; column : int }
 (** 0-based byte [offset]; 1-based [line] and [column]. *)
@@ -88,6 +89,23 @@ val skim : t -> skim_tok
     {!peek}ed token pending (raises [Invalid_argument]); the streaming
     engines own their lexer and never peek.
     @raise Lex_error on malformed input, as {!next} would. *)
+
+type key_match =
+  | No_key  (** the next token is not that key; only whitespace consumed *)
+  | Key  (** the key, as one [S_string] *)
+  | Key_colon  (** the key and the [S_colon] right after its closing quote *)
+
+val skim_key : t -> string -> key_match
+(** [skim_key lx name]: whether the next token is the member key [name],
+    spelled raw, compared byte by byte in place instead of scanned. [name]
+    must be plain: no ['"'], no ['\\'] and no byte below 0x20, so that its
+    raw spelling is its contents. On a match the lexer is where {!skim}
+    would leave it after the key (and after a colon that follows the
+    closing quote at once): {!tok_start} and the string span are latched
+    as {!skim} latches them. A key longer than [max_string_bytes] never
+    matches, so the {!skim} the caller falls back on raises the canonical
+    {!Limit_error}. Raises [Invalid_argument] with a {!peek}ed token
+    pending, as {!skim} does. *)
 
 val skim_name : skim_tok -> string
 (** Human-readable description, matching {!token_name} on the

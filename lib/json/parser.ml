@@ -47,11 +47,37 @@ let string_of_error { position; message; _ } =
 let fail ?(kind = Syntax) position message =
   raise (Parse_error { position; message; kind })
 
+(* Whether two fields share a key: a pairwise scan up to 12 fields, one
+   table above. *)
+let has_dup_keys fields =
+  let rec mem k = function
+    | [] -> false
+    | (k', _) :: rest -> String.equal k k' || mem k rest
+  in
+  let rec small = function
+    | [] -> false
+    | (k, _) :: rest -> mem k rest || small rest
+  in
+  if List.compare_length_with fields 12 <= 0 then small fields
+  else
+    let seen = Hashtbl.create 32 in
+    List.exists
+      (fun (k, _) ->
+        Hashtbl.mem seen k
+        || begin
+             Hashtbl.add seen k ();
+             false
+           end)
+      fields
+
 let apply_dup_policy policy fields_rev last_pos =
-  (* [fields_rev] is in reverse document order. *)
+  (* [fields_rev] is in reverse document order. Every policy keeps every
+     field of an object whose keys are distinct, the common case, which
+     then pays for one scan and no table under 13 fields. *)
   let fields = List.rev fields_rev in
   match policy with
   | Keep_all -> fields
+  | Keep_first | Keep_last | Reject when not (has_dup_keys fields_rev) -> fields
   | Reject ->
       let seen = Hashtbl.create 8 in
       List.iter

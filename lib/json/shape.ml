@@ -4,6 +4,8 @@
 
    - an open-addressing intern table for field names, so both spellings of
      a key (raw and escaped) are one string instance, compared by pointer;
+     each entry also remembers which keys came next after it last time, so
+     the walk can read an expected key by comparing bytes in place;
    - the shape of the current document: one code per value or bracket plus
      the interned field names in document order;
    - a bounded cache from shapes to whatever the caller derives from a
@@ -59,21 +61,49 @@ let warmup = 1024
 
 (* --- per-shard state ----------------------------------------------------- *)
 
+(* An interned field name: its contents, their hash, and whether they are
+   plain (no '"', no '\\', no byte below 0x20), so that the raw spelling is
+   the contents and [Lexer.skim_key] can read the key by comparing bytes.
+   The predictions are plain keys or [none]: [next1], [next2] the two keys
+   that last followed this one inside an object, most recent first;
+   [first1], [first2] the two that last opened an object that was this
+   key's value. They live on the entry, so a rehash moves them with it. *)
+type key = {
+  name : string;
+  hash : int;
+  plain : bool;
+  mutable next1 : key;
+  mutable next2 : key;
+  mutable first1 : key;
+  mutable first2 : key;
+}
+
+(* no key: an empty intern slot, a prediction not made yet, and what
+   [first_key] answers for an empty object; never plain, so never matched *)
+let rec none =
+  { name = ""; hash = 0; plain = false; next1 = none; next2 = none; first1 = none;
+    first2 = none }
+
+let new_key name hash =
+  { name; hash;
+    plain = String.for_all (fun c -> c <> '"' && c <> '\\' && c >= ' ') name;
+    next1 = none; next2 = none; first1 = none; first2 = none }
+
 (* Open-addressing intern table keyed by the *contents* bytes of a field
    name. Escape-free names are probed directly from their source span — no
    per-occurrence allocation; names with escapes are materialized first and
    probed by the same content hash, so both spellings of a key intern to
-   the same string instance. That physical uniqueness is what lets a
-   record close path detect duplicate keys, and the cache confirm a hit,
-   with pointer comparisons. *)
-
-let sentinel = String.make 1 '\000' (* slot emptiness: compared with ==, never = *)
+   the same entry. That physical uniqueness is what lets a record close
+   path detect duplicate keys, and the cache confirm a hit, with pointer
+   comparisons. *)
 
 type 'a t = {
-  mutable slots : string array;
+  mutable slots : key array;
   mutable count : int;
   mutable reuse : int;
-  mutable key_hash : int; (* content hash of the last interned key *)
+  root : key;
+      (* the parent of the document's root value, and of an array element
+         with no member key above it *)
   (* the current document's shape *)
   mutable codes : Bytes.t;
   mutable ncodes : int;
@@ -93,13 +123,16 @@ type 'a t = {
 }
 
 let create ?(drop = ignore) () =
-  { slots = Array.make 128 sentinel; count = 0; reuse = 0; key_hash = 0;
-    codes = Bytes.create 256; ncodes = 0; keys = Array.make 64 sentinel;
-    nkeys = 0; shape_hash = 0; next_code = 0; next_key = 0; drop;
-    table = [||]; entries = 0; caching = true; hits = 0; misses = 0 }
+  { slots = Array.make 128 none; count = 0; reuse = 0; root = new_key "" 0;
+    codes = Bytes.create 256; ncodes = 0; keys = Array.make 64 ""; nkeys = 0;
+    shape_hash = 0; next_code = 0; next_key = 0; drop; table = [||];
+    entries = 0; caching = true; hits = 0; misses = 0 }
 
 let reuse sc = sc.reuse
-let key_hash sc = sc.key_hash
+let root sc = sc.root
+let closed = none
+let key_name k = k.name
+let key_hash k = k.hash
 let hits sc = sc.hits
 let misses sc = sc.misses
 let caching sc = sc.caching
@@ -137,47 +170,44 @@ let span_matches src i stop s =
   done;
   !k = n
 
-let rec add_absent sc s =
+let rec add_absent sc k =
   let mask = Array.length sc.slots - 1 in
-  let h = content_hash s 0 (String.length s) in
-  let rec probe k =
-    let j = (h + k) land mask in
-    if sc.slots.(j) == sentinel then begin
-      sc.slots.(j) <- s;
+  let rec probe j =
+    if sc.slots.(j) == none then begin
+      sc.slots.(j) <- k;
       sc.count <- sc.count + 1;
       if 2 * sc.count > Array.length sc.slots then rehash sc
     end
-    else probe (k + 1)
+    else probe ((j + 1) land mask)
   in
-  probe 0
+  probe (k.hash land mask)
 
 and rehash sc =
   let old = sc.slots in
-  sc.slots <- Array.make (2 * Array.length old) sentinel;
+  sc.slots <- Array.make (2 * Array.length old) none;
   sc.count <- 0;
-  Array.iter (fun s -> if s != sentinel then add_absent sc s) old
+  Array.iter (fun k -> if k != none then add_absent sc k) old
 
-let insert_at sc j s =
-  sc.slots.(j) <- s;
+let insert_at sc j k =
+  sc.slots.(j) <- k;
   sc.count <- sc.count + 1;
   if 2 * sc.count > Array.length sc.slots then rehash sc;
-  s
+  k
 
 (* The probes are loops, not local recursive functions: a closure over the
    probe's state would be allocated for every key occurrence. *)
 let intern_span sc src i stop =
   let mask = Array.length sc.slots - 1 in
   let h = content_hash src i stop in
-  sc.key_hash <- h;
   let j = ref (h land mask) in
   while
     let slot = Array.unsafe_get sc.slots !j in
-    slot != sentinel && not (span_matches src i stop slot)
+    slot != none && not (slot.hash = h && span_matches src i stop slot.name)
   do
     j := (!j + 1) land mask
   done;
   let slot = Array.unsafe_get sc.slots !j in
-  if slot == sentinel then insert_at sc !j (String.sub src i (stop - i))
+  if slot == none then insert_at sc !j (new_key (String.sub src i (stop - i)) h)
   else begin
     sc.reuse <- sc.reuse + 1;
     slot
@@ -186,16 +216,15 @@ let intern_span sc src i stop =
 let intern_string sc s =
   let mask = Array.length sc.slots - 1 in
   let h = content_hash s 0 (String.length s) in
-  sc.key_hash <- h;
   let j = ref (h land mask) in
   while
     let slot = Array.unsafe_get sc.slots !j in
-    slot != sentinel && not (String.equal slot s)
+    slot != none && not (slot.hash = h && String.equal slot.name s)
   do
     j := (!j + 1) land mask
   done;
   let slot = Array.unsafe_get sc.slots !j in
-  if slot == sentinel then insert_at sc !j s
+  if slot == none then insert_at sc !j (new_key s h)
   else begin
     sc.reuse <- sc.reuse + 1;
     slot
@@ -217,13 +246,13 @@ let push_code sc c =
 
 let push_key sc k =
   if sc.nkeys = Array.length sc.keys then begin
-    let bigger = Array.make (2 * sc.nkeys) sentinel in
+    let bigger = Array.make (2 * sc.nkeys) "" in
     Array.blit sc.keys 0 bigger 0 sc.nkeys;
     sc.keys <- bigger
   end;
-  Array.unsafe_set sc.keys sc.nkeys k;
+  Array.unsafe_set sc.keys sc.nkeys k.name;
   sc.nkeys <- sc.nkeys + 1;
-  sc.shape_hash <- mix sc.shape_hash sc.key_hash
+  sc.shape_hash <- mix sc.shape_hash k.hash
 
 (* --- reading back -------------------------------------------------------- *)
 
@@ -371,16 +400,88 @@ let check_depth w depth =
 let unexpected w what t =
   P.fail (L.tok_pos w.lx) (Printf.sprintf "expected %s, got %s" what (L.skim_name t))
 
-let intern_key sc w =
+(* --- reading member keys ---------------------------------------------------
+
+   A member key is read with its colon. While the cache is on, the keys the
+   position predicts are tried first: [Lexer.skim_key] compares a plain
+   key's spelling with the bytes at the next token, and a match is counted
+   as the skim would count it (one token for the key, one for the colon,
+   one reuse: a predicted key is interned already) and is neither scanned,
+   hashed nor probed. A mismatch consumes only whitespace; the key is then
+   skimmed and interned, and becomes the position's first prediction. Once
+   the cache has switched itself off, shapes do not repeat and neither do
+   key orders: the walk neither consults nor learns predictions. *)
+
+let colon w = match next w with L.S_colon -> () | t -> unexpected w "':'" t
+
+let guessed sc w g =
+  g.plain
+  &&
+  match L.skim_key w.lx g.name with
+  | L.No_key -> false
+  | L.Key_colon ->
+      w.tokens <- w.tokens + 2;
+      sc.reuse <- sc.reuse + 1;
+      push_key sc g;
+      true
+  | L.Key ->
+      w.tokens <- w.tokens + 1;
+      sc.reuse <- sc.reuse + 1;
+      push_key sc g;
+      colon w;
+      true
+
+(* the string token just skimmed, interned and recorded, and its colon *)
+let read_key sc w =
   let lx = w.lx in
-  let key =
+  let k =
     if L.last_string_escaped lx then intern_string sc (L.string_of_last lx)
-    else
-      intern_span sc (L.source lx) (L.last_string_start lx)
-        (L.last_string_stop lx)
+    else intern_span sc (L.source lx) (L.last_string_start lx) (L.last_string_stop lx)
   in
-  push_key sc key;
-  key
+  push_key sc k;
+  colon w;
+  k
+
+let first_key sc w parent =
+  let on = sc.caching in
+  if on && guessed sc w parent.first1 then parent.first1
+  else if on && guessed sc w parent.first2 then begin
+    let k = parent.first2 in
+    parent.first2 <- parent.first1;
+    parent.first1 <- k;
+    k
+  end
+  else
+    match next w with
+    | L.S_rbrace -> none
+    | L.S_string ->
+        let k = read_key sc w in
+        if on && k.plain && k != parent.first1 then begin
+          parent.first2 <- parent.first1;
+          parent.first1 <- k
+        end;
+        k
+    | t -> unexpected w "a field name" t
+
+let next_key sc w prev =
+  let on = sc.caching in
+  if on && guessed sc w prev.next1 then prev.next1
+  else if on && guessed sc w prev.next2 then begin
+    let k = prev.next2 in
+    prev.next2 <- prev.next1;
+    prev.next1 <- k;
+    k
+  end
+  else
+    match next w with
+    | L.S_string ->
+        let k = read_key sc w in
+        if on && k.plain && k != prev.next1 then begin
+          prev.next2 <- prev.next1;
+          prev.next1 <- k
+        end;
+        k
+    | t -> unexpected w "a field name" t
 
 (* Whether the float literal just skimmed denotes an integral double, as
    [Float.is_integer] of its parsed value. Without an exponent the literal
@@ -418,14 +519,14 @@ let float_code w = if w.integral && integral_float w.lx then 'g' else 'f'
 
 (* --- recording every token: value, array, elements, object, fields ------- *)
 
-let rec record sc w depth =
+let rec record sc w parent depth =
   check_depth w depth;
   let tok = next w in
   spend_node w;
   check_bytes_tok w;
-  record_tok sc w tok depth
+  record_tok sc w parent tok depth
 
-and record_tok sc w tok depth =
+and record_tok sc w parent tok depth =
   match tok with
   | L.S_null -> push_code sc 'n'
   | L.S_true | L.S_false -> push_code sc 'b'
@@ -434,52 +535,44 @@ and record_tok sc w tok depth =
   | L.S_string -> push_code sc 's'
   | L.S_lbracket ->
       push_code sc '[';
-      record_array sc w depth
+      record_array sc w parent depth
   | L.S_lbrace ->
       push_code sc '{';
-      record_object sc w depth
+      record_object sc w parent depth
   | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
       unexpected w "a value" tok
 
-and record_array sc w depth =
+and record_array sc w parent depth =
   (* [parse_value] peeks for ']', lexing the first element's token before
      its depth check; reading the token first reproduces that failure
-     order exactly. *)
+     order exactly. The elements' objects take the array's parent. *)
   match next w with
   | L.S_rbracket -> push_code sc ']'
   | tok ->
       check_depth w (depth + 1);
       spend_node w;
       check_bytes_tok w;
-      record_tok sc w tok (depth + 1);
-      record_elements sc w depth
+      record_tok sc w parent tok (depth + 1);
+      record_elements sc w parent depth
 
-and record_elements sc w depth =
+and record_elements sc w parent depth =
   match next w with
   | L.S_comma ->
-      record sc w (depth + 1);
-      record_elements sc w depth
+      record sc w parent (depth + 1);
+      record_elements sc w parent depth
   | L.S_rbracket -> push_code sc ']'
   | t -> unexpected w "',' or ']'" t
 
-and record_object sc w depth =
-  match next w with
-  | L.S_rbrace -> push_code sc '}'
-  | tok -> record_fields sc w depth tok
+and record_object sc w parent depth =
+  let k = first_key sc w parent in
+  if k == none then push_code sc '}' else record_members sc w depth k
 
-and record_fields sc w depth tok =
-  match tok with
-  | L.S_string -> (
-      ignore (intern_key sc w);
-      match next w with
-      | L.S_colon -> (
-          record sc w (depth + 1);
-          match next w with
-          | L.S_comma -> record_fields sc w depth (next w)
-          | L.S_rbrace -> push_code sc '}'
-          | t -> unexpected w "',' or '}'" t)
-      | t -> unexpected w "':'" t)
-  | t -> unexpected w "a field name" t
+and record_members sc w depth k =
+  record sc w k (depth + 1);
+  match next w with
+  | L.S_comma -> record_members sc w depth (next_key sc w k)
+  | L.S_rbrace -> push_code sc '}'
+  | t -> unexpected w "',' or '}'" t
 
 (* --- skipping: the same checks, nothing recorded, no tokens counted ------ *)
 

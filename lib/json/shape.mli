@@ -10,17 +10,20 @@
     (the next entry of the key list) followed by its value's codes.
 
     A per-shard {!t} interns field names (both spellings of a key, raw and
-    escaped, become one string instance), records the current document's
-    shape, and caches whatever the caller derives from a shape: a type for
-    inference, a verdict for validation. Not thread-safe — one per domain.
+    escaped, become one {!key} entry with one string instance), records the
+    current document's shape, and caches whatever the caller derives from
+    a shape: a type for inference, a verdict for validation. Not
+    thread-safe — one per domain.
 
     The walk helpers mirror {!Parser.parse_value}'s accounting exactly
     (node and byte budgets spent at the same token positions, the same
     depth checks, the same grammar), so a walk that succeeds has accepted
     exactly what the tree parser accepts. They are the one copy of that
     accounting outside the parser: the inference typer, the validator's
-    shape pass and its pruned walk all read their tokens through them.
-    Their failures are the parser's {!Parser.Parse_error} and lexer
+    shape pass and its pruned walk all read their tokens through them, and
+    the two recording walks read member keys through {!first_key} and
+    {!next_key}, which count a key read by prediction as the skim counts
+    it. Their failures are the parser's {!Parser.Parse_error} and lexer
     exceptions; run a walk under {!Parser.run}. *)
 
 type 'a t
@@ -56,14 +59,37 @@ val hits : 'a t -> int
 val misses : 'a t -> int
 
 val reuse : 'a t -> int
-(** Field-name occurrences found already interned. *)
+(** Field-name occurrences found already interned: every key occurrence
+    after its first, whether it was skimmed or predicted. *)
 
 val content_hash : string -> int -> int -> int
 (** [content_hash s i stop]: the intern table's hash (FNV-1a, positive) of
     the bytes [s.[i .. stop - 1]]. *)
 
-val key_hash : 'a t -> int
-(** The {!content_hash} of the key interned last. *)
+(** {1 Interned keys} *)
+
+type key
+(** An intern entry: a field name, its {!content_hash}, whether it is
+    plain (no ['"'], no ['\\'] and no byte below 0x20, so its raw spelling
+    is its contents; decided once, when it is interned), and its
+    predictions: the two plain keys that last followed it inside an
+    object, and the two that last opened an object that was its value.
+    Entries and their predictions outlive documents, {!clear} and the
+    intern table's growth. *)
+
+val key_name : key -> string
+(** The one string instance of the name; equal names are [==]. *)
+
+val key_hash : key -> int
+(** The {!content_hash} of the name. *)
+
+val root : 'a t -> key
+(** The parent of a document's root value and of an array element with no
+    member key above it: its first-key predictions are those of the
+    objects found there. Not in the intern table. *)
+
+val closed : key
+(** What {!first_key} answers for an empty object. *)
 
 val clear : 'a t -> unit
 (** Forget every entry (each through [drop]), reset the counters and switch
@@ -117,13 +143,27 @@ val unexpected : walk -> string -> Lexer.skim_tok -> 'b
 
 val push_code : 'a t -> char -> unit
 
-val intern_key : 'a t -> walk -> string
-(** Intern the string token just skimmed and record it as the next key. *)
+val first_key : 'a t -> walk -> key -> key
+(** Just past an object's ['{'], read its first member's key and colon,
+    record the key and return its entry, or {!closed} if ['}'] ends the
+    object. The argument is the parent: the key whose value the object
+    is (or {!root}). While {!caching}, the parent's first-key predictions
+    are tried first with {!Lexer.skim_key}; a match counts one token for
+    the key, one for a colon right after it and one {!reuse}, as the skim
+    would. Otherwise the key is skimmed and interned, and becomes the
+    parent's first prediction if it is plain. Errors are the skim's:
+    ["expected a field name"], ["expected ':'"], a lexer error. *)
 
-val record : 'a t -> walk -> int -> unit
-(** Read and record one value at the given depth, every token counted. *)
+val next_key : 'a t -> walk -> key -> key
+(** {!first_key} for a member after a [','], predicted from the previous
+    member's key (the argument), where ['}'] is an error. *)
 
-val record_tok : 'a t -> walk -> Lexer.skim_tok -> int -> unit
+val record : 'a t -> walk -> key -> int -> unit
+(** Read and record one value at the given depth, every token counted. The
+    key is its parent: the member key whose value it is, or {!root}; an
+    array passes its parent on to its elements. *)
+
+val record_tok : 'a t -> walk -> key -> Lexer.skim_tok -> int -> unit
 (** {!record} for a value whose first token is already read, counted and
     budget-checked. *)
 

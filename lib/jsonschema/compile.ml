@@ -1188,34 +1188,39 @@ let walk_and_run ~config ~options ~telemetry plan src ~pos =
    [walk_pruned] does: a subtree the plan ignores is skipped and recorded as
    the single code 'x', everything else is recorded code by code, so the
    pass reads, counts and skips exactly the tokens [walk_pruned] reads,
-   counts and skips. A hit answers from the cache; a miss validates with
-   [walk_pruned] and [run] and caches the outcome. The budgets, depth and
-   grammar of every document are checked by its own pass, hit or miss. *)
+   counts and skips. Member keys are read by [Json.Shape.first_key] and
+   [next_key], as the recording walk reads them: a key the position
+   predicts is matched in place, and the member's access is looked up with
+   the hash its intern entry stores. Each value carries its parent key, so
+   an object's first key is predicted from the key above it. A hit answers
+   from the cache; a miss validates with [walk_pruned] and [run] and caches
+   the outcome. The budgets, depth and grammar of every document are
+   checked by its own pass, hit or miss. *)
 
-let rec shape_value sh w a depth =
+let rec shape_value sh w a parent depth =
   match a with
   | A_skip ->
       S.skip w depth;
       S.push_code sh 'x'
-  | A_full -> S.record sh w depth
+  | A_full -> S.record sh w parent depth
   | A_node na ->
       S.check_depth w depth;
       let tok = S.next w in
       S.spend_node w;
       S.check_bytes_tok w;
-      shape_tok sh w na tok depth
+      shape_tok sh w na parent tok depth
 
-and shape_tok sh w na tok depth =
+and shape_tok sh w na parent tok depth =
   match tok with
   | L.S_lbracket ->
       S.push_code sh '[';
-      shape_array sh w na depth
+      shape_array sh w na parent depth
   | L.S_lbrace ->
       S.push_code sh '{';
-      shape_object sh w na depth
-  | tok -> S.record_tok sh w tok depth
+      shape_object sh w na parent depth
+  | tok -> S.record_tok sh w parent tok depth
 
-and shape_array sh w na depth =
+and shape_array sh w na parent depth =
   (* the first element's token is counted only when that element is
      recorded, as [pruned_array] counts it *)
   match L.skim w.S.lx with
@@ -1233,36 +1238,28 @@ and shape_array sh w na depth =
            S.spend_node w;
            S.check_bytes_tok w;
            match a with
-           | A_node na' -> shape_tok sh w na' tok (depth + 1)
-           | A_full | A_skip -> S.record_tok sh w tok (depth + 1)));
-      shape_elements sh w na 1 depth
+           | A_node na' -> shape_tok sh w na' parent tok (depth + 1)
+           | A_full | A_skip -> S.record_tok sh w parent tok (depth + 1)));
+      shape_elements sh w na parent 1 depth
 
-and shape_elements sh w na i depth =
+and shape_elements sh w na parent i depth =
   match S.next w with
   | L.S_comma ->
-      shape_value sh w (elem_access na i) (depth + 1);
-      shape_elements sh w na (i + 1) depth
+      shape_value sh w (elem_access na i) parent (depth + 1);
+      shape_elements sh w na parent (i + 1) depth
   | L.S_rbracket -> S.push_code sh ']'
   | t -> S.unexpected w "',' or ']'" t
 
-and shape_object sh w na depth =
-  match S.next w with
-  | L.S_rbrace -> S.push_code sh '}'
-  | tok -> shape_fields sh w na depth tok
+and shape_object sh w na parent depth =
+  let k = S.first_key sh w parent in
+  if k == S.closed then S.push_code sh '}' else shape_members sh w na depth k
 
-and shape_fields sh w na depth tok =
-  match tok with
-  | L.S_string -> (
-      let key = S.intern_key sh w in
-      match S.next w with
-      | L.S_colon -> (
-          shape_value sh w (hashed_key_access na key (S.key_hash sh)) (depth + 1);
-          match S.next w with
-          | L.S_comma -> shape_fields sh w na depth (S.next w)
-          | L.S_rbrace -> S.push_code sh '}'
-          | t -> S.unexpected w "',' or '}'" t)
-      | t -> S.unexpected w "':'" t)
-  | t -> S.unexpected w "a field name" t
+and shape_members sh w na depth k =
+  shape_value sh w (hashed_key_access na (S.key_name k) (S.key_hash k)) k (depth + 1);
+  match S.next w with
+  | L.S_comma -> shape_members sh w na depth (S.next_key sh w k)
+  | L.S_rbrace -> S.push_code sh '}'
+  | t -> S.unexpected w "',' or '}'" t
 
 (* What one run of the plan produced: its verdict and, under a recording
    sink, the counters and gauges it emitted ([validate.kw.*],
@@ -1308,7 +1305,7 @@ let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
   let w = S.walk ~integral:plan.integral options src ~pos in
   match
     Json.Parser.run w.S.lx (fun () ->
-        shape_value sh w plan.access 0;
+        shape_value sh w plan.access (S.root sh) 0;
         S.check_bytes_end w)
   with
   | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos

@@ -642,6 +642,147 @@ let prop_number_tokens =
       in
       next_agrees && skim_agrees)
 
+(* [skim_key] reads a plain key exactly when [skim] would read that key
+   spelled raw, and leaves the lexer where [skim] leaves it: after the key,
+   or after a colon right behind it. Otherwise it has consumed only the
+   whitespace [skim] skips first. *)
+let gen_key_source =
+  let open QCheck2.Gen in
+  let name = oneofl [ ""; "a"; "ab"; "id"; "caf\xc3\xa9" ] in
+  let ws = oneofl [ ""; " "; "\n "; "\t\r\n" ] in
+  let tail name =
+    oneofl
+      [ ""; ":"; " :"; ":1"; ","; "}"; "x\":"; "\\\""; "\"" ^ name ^ "\":" ]
+  in
+  let spelling name =
+    oneofl
+      [ name; name ^ "x"; "x" ^ name; String.concat "" (List.init (String.length name) (fun i ->
+            Printf.sprintf "\\u%04x" (Char.code name.[i]))) ]
+  in
+  let* name = name in
+  let* body =
+    oneof
+      [ map3 (fun s q t -> "\"" ^ s ^ q ^ t) (spelling name) (oneofl [ "\""; "" ]) (tail name);
+        oneofl [ "}"; "1"; "[\"a\"]"; "" ] ]
+  in
+  let* ws = ws in
+  let* limit = oneofl [ None; Some (String.length name); Some (String.length name - 1) ] in
+  return (name, ws ^ body, limit)
+
+let prop_skim_key =
+  QCheck2.Test.make ~name:"skim_key = skim on a raw key" ~count:2000
+    ~print:(fun (name, src, limit) ->
+      Printf.sprintf "%S in %S, max_string_bytes %s" name src
+        (match limit with Some n -> string_of_int n | None -> "-"))
+    gen_key_source
+    (fun (name, src, max_string_bytes) ->
+      let module L = Json.Lexer in
+      let by_key = L.create ?max_string_bytes src and by_skim = L.create ?max_string_bytes src in
+      let m = L.skim_key by_key name in
+      let skimmed =
+        match L.skim by_skim with
+        | L.S_string ->
+            (not (L.last_string_escaped by_skim))
+            && String.equal (L.string_of_last by_skim) name
+        | _ -> false
+        | exception (L.Lex_error _ | L.Limit_error _) -> false
+      in
+      let same_string () =
+        L.last_string_start by_key = L.last_string_start by_skim
+        && L.last_string_stop by_key = L.last_string_stop by_skim
+        && not (L.last_string_escaped by_key)
+      in
+      let same_place () =
+        L.offset by_key = L.offset by_skim && L.tok_start by_key = L.tok_start by_skim
+        && L.position by_key = L.position by_skim
+      in
+      match m with
+      | L.No_key ->
+          (* only the leading whitespace is consumed, lines counted *)
+          let ws_end = ref 0 and line = ref 1 and bol = ref 0 in
+          while !ws_end < String.length src && String.contains " \t\r\n" src.[!ws_end] do
+            incr ws_end;
+            if src.[!ws_end - 1] = '\n' then begin
+              incr line;
+              bol := !ws_end
+            end
+          done;
+          (not skimmed)
+          && L.position by_key
+             = { L.offset = !ws_end; line = !line; column = !ws_end - !bol + 1 }
+      | L.Key ->
+          skimmed && same_string () && same_place ()
+          && (L.offset by_skim >= String.length src || src.[L.offset by_skim] <> ':')
+      | L.Key_colon ->
+          skimmed && same_string ()
+          && L.skim by_skim = L.S_colon
+          && same_place ())
+
+(* [Json.Parser.apply_dup_policy] as it was before it first checked for a
+   repeated key: two tables under [Keep_last], one under [Keep_first] and
+   [Reject], on every object. The reference for what each policy keeps and
+   for [Reject]'s message and position. *)
+let reference_dup_policy policy fields_rev last_pos =
+  let fields = List.rev fields_rev in
+  match policy with
+  | Json.Parser.Keep_all -> fields
+  | Json.Parser.Reject ->
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (fun (k, _) ->
+          if Hashtbl.mem seen k then
+            Json.Parser.fail last_pos (Printf.sprintf "duplicate key %S" k)
+          else Hashtbl.add seen k ())
+        fields;
+      fields
+  | Json.Parser.Keep_first ->
+      let seen = Hashtbl.create 8 in
+      List.filter
+        (fun (k, _) ->
+          if Hashtbl.mem seen k then false
+          else begin
+            Hashtbl.add seen k ();
+            true
+          end)
+        fields
+  | Json.Parser.Keep_last ->
+      let latest = Hashtbl.create 8 in
+      List.iter (fun (k, v) -> Hashtbl.replace latest k v) fields;
+      let seen = Hashtbl.create 8 in
+      List.filter_map
+        (fun (k, _) ->
+          if Hashtbl.mem seen k then None
+          else begin
+            Hashtbl.add seen k ();
+            Some (k, Hashtbl.find latest k)
+          end)
+        fields
+
+(* Field lists of up to 30 members (past the pairwise scan's 12), keys from
+   a pool of 3 (repeats nearly always) or of 26^3 (repeats rarely), each
+   field's payload its index so a kept value shows which one it is. *)
+let gen_dup_case =
+  let open QCheck2.Gen in
+  let key =
+    oneof
+      [ map (String.make 1) (char_range 'a' 'c');
+        string_size ~gen:(char_range 'a' 'z') (int_range 1 3) ]
+  in
+  triple
+    (oneofl Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ])
+    (map (List.mapi (fun i k -> (k, i))) (list_size (int_range 0 30) key))
+    (int_range 0 200)
+
+let prop_dup_policy =
+  QCheck2.Test.make ~name:"apply_dup_policy = reference" ~count:2000
+    ~print:(fun (_, fields, _) ->
+      String.concat ", " (List.map (fun (k, i) -> Printf.sprintf "%s=%d" k i) fields))
+    gen_dup_case
+    (fun (policy, fields, offset) ->
+      let pos = { Json.Lexer.offset; line = 1; column = offset + 1 } in
+      let run f = Json.Parser.run (Json.Lexer.create "") (fun () -> f policy fields pos) in
+      run Json.Parser.apply_dup_policy = run reference_dup_policy)
+
 (* the published FNV-1a 64 test vectors; the checkpoint journals key on
    these digests *)
 let test_fnv_vectors () =
@@ -677,6 +818,7 @@ let () =
          Alcotest.test_case "errors" `Quick test_parse_errors;
          Alcotest.test_case "error position" `Quick test_parse_error_position;
          Alcotest.test_case "duplicate keys" `Quick test_dup_keys;
+         QCheck_alcotest.to_alcotest prop_dup_policy;
          Alcotest.test_case "max depth" `Quick test_max_depth;
          Alcotest.test_case "budgets" `Quick test_budgets;
          Alcotest.test_case "budgets off by default" `Quick test_budget_unlimited_by_default;
@@ -696,7 +838,8 @@ let () =
       ("jsonpath", [ Alcotest.test_case "eval" `Quick test_jsonpath ]);
       ("lexer",
        [ Alcotest.test_case "skim allocation-free" `Quick test_skim_allocation_free;
-         QCheck_alcotest.to_alcotest prop_number_tokens ]);
+         QCheck_alcotest.to_alcotest prop_number_tokens;
+         QCheck_alcotest.to_alcotest prop_skim_key ]);
       ("fnv",
        [ Alcotest.test_case "FNV-1a 64 vectors" `Quick test_fnv_vectors;
          Alcotest.test_case "allocation-free" `Quick test_fnv_allocation_free ]);

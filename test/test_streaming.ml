@@ -869,6 +869,22 @@ let test_shape_cache_budgets () =
     [ ("max_doc_bytes", { Json.Parser.default_options with max_doc_bytes = Some 64 });
       ("max_string_bytes", { Json.Parser.default_options with max_string_bytes = Some 16 }) ]
 
+(* a key read by prediction under one string budget is still refused
+   under a smaller one, with the skim's error *)
+let test_shape_cache_key_budget () =
+  let scratch = Inference.Streaming.scratch () and equiv = Jtype.Merge.Kind in
+  let doc = {|{"created_at": 1, "id": {"created_at": 2}}|} in
+  List.iter
+    (fun max_string_bytes ->
+      let options = { Json.Parser.default_options with max_string_bytes } in
+      Alcotest.(check bool) doc true (same_typing ~scratch ~options ~equiv doc))
+    [ None; None; Some 10; Some 9; None; Some 9 ];
+  Alcotest.(check bool) "over the budget" true
+    (Result.is_error
+       (tree_typed
+          ~options:{ Json.Parser.default_options with max_string_bytes = Some 9 }
+          ~equiv doc))
+
 (* A corpus of distinct shapes switches the cache off for the rest of the
    scratch's life; later repeats are typed from their shapes, still
    exactly. The per-document counters the cache sits beside keep their
@@ -918,7 +934,26 @@ let test_shape_cache_switch_off () =
     repeats;
   Alcotest.(check int) "fresh: hits" 297 (counter sink "stream.shape.hits");
   Alcotest.(check int) "fresh: misses" 3 (counter sink "stream.shape.misses");
-  Alcotest.(check int) "fresh: reuse" (600 - 4) (counter sink "stream.scratch.reuse")
+  Alcotest.(check int) "fresh: reuse" (600 - 4) (counter sink "stream.scratch.reuse");
+  (* a key order that changes midway, at the root and in a nested object,
+     then a key spelled with an escape and a colon after a space *)
+  let reordered =
+    List.init 30 (fun i ->
+        Printf.sprintf {|{"id": %d, "name": "n", "user": {"id": %d, "tags": [1]}}|} i i)
+    @ List.init 30 (fun i ->
+          Printf.sprintf {|{"user": {"tags": [], "id": %d}, "id": %d, "name": "m"}|} i i)
+    @ [ {|{"\u0069d": 1, "name": "e", "user": {"id": 2, "t\u0061gs": []}}|};
+        {|{"id" : 3,"name":"s","user":{"id":4,"tags":[2]}}|} ]
+  in
+  let fresh = Inference.Streaming.scratch () in
+  let sink = Telemetry.create () in
+  List.iter
+    (fun doc ->
+      Alcotest.(check bool) doc true
+        (same_typing ~telemetry:sink ~scratch:fresh ~options ~equiv doc))
+    reordered;
+  Alcotest.(check int) "reordered: tokens" 1395 (counter sink "stream.tokens");
+  Alcotest.(check int) "reordered: reuse" 306 (counter sink "stream.scratch.reuse")
 
 (* --- verdict cache ----------------------------------------------------------
 
@@ -1295,6 +1330,223 @@ let prop_cache_counts_as_walk =
           v0 = v1 && c0 = c1 && g0 = g1)
         dup_policies)
 
+(* --- key order -------------------------------------------------------------
+
+   The shape pass may read a member key by comparing the source bytes with
+   a key it expects at that position. Both engines must stay exactly the
+   tree engine, whatever order keys come in: corpora drawn from a few key
+   orders, with repetition so that the expected keys are learned, then
+   perturbed wherever a byte compare could go wrong. *)
+
+type kdoc = K_lit of string | K_arr of kdoc list | K_obj of (string * kdoc) list
+
+let wide_keys = List.init 150 (fun i -> Printf.sprintf "w%d" i)
+
+(* the key orders; [created_at] is the longest key *)
+let key_orders =
+  [| K_obj
+       [ ("id", K_lit "1"); ("name", K_lit {|"x"|});
+         ("user", K_obj [ ("id", K_lit "7"); ("name", K_lit {|"yz"|}) ]);
+         ("tags", K_arr [ K_lit {|"x"|}; K_lit {|"yz"|} ]) ];
+     K_obj
+       [ ("id", K_lit "2.5");
+         ("user", K_obj [ ("name", K_lit "null"); ("id", K_lit "3") ]);
+         ("name", K_lit "true");
+         ( "a",
+           K_arr
+             [ K_obj [ ("a", K_lit "1"); ("ab", K_lit "2") ];
+               K_obj [ ("a", K_lit "3"); ("ab", K_lit "[]") ] ] ) ];
+     K_arr
+       [ K_obj [ ("a", K_lit "1"); ("ab", K_lit "{}") ];
+         K_obj [ ("ab", K_lit "false"); ("a", K_lit "-4") ] ];
+     K_obj [ ("created_at", K_lit {|"x"|}); ("id", K_lit "5"); ("user", K_obj []) ];
+     (* wider than the intern table's first size: it grows mid-document *)
+     K_obj (List.map (fun k -> (k, K_lit "0")) wide_keys) |]
+
+let added_keys = [| "id"; "name"; "a"; "ab"; "w3"; "zz" |]
+
+(* keys whose raw spelling is not their contents; the second of each pair
+   is the bytes a naive compare of the first would accept *)
+let nonplain_keys =
+  [| ({|{"a\"b":1}|}, {|{"a"b":1}|});
+     ({|{"a\\b":1}|}, {|{"a\b":1}|});
+     ({|{"a\nb":1}|}, "{\"a\nb\":1}");
+     ({|{"a\u0000b":1}|}, "{\"a\000b\":1}") |]
+
+let rec count_objects = function
+  | K_lit _ -> 0
+  | K_arr ds -> List.fold_left (fun n d -> n + count_objects d) 0 ds
+  | K_obj ms -> List.fold_left (fun n (_, d) -> n + count_objects d) 1 ms
+
+(* apply [f] to the members of the [target]-th object, in pre-order *)
+let edit_object target f doc =
+  let i = ref (-1) in
+  let rec go = function
+    | K_lit _ as d -> d
+    | K_arr ds -> K_arr (List.map go ds)
+    | K_obj ms ->
+        incr i;
+        let me = !i in
+        let ms = List.map (fun (k, d) -> (k, go d)) ms in
+        if me = target then f ms else K_obj ms
+  in
+  go doc
+
+(* drop, add or swap a member, or empty the object *)
+let perturb st doc =
+  let pick n = Random.State.int st (max 1 n) in
+  let edit ms =
+    let a = Array.of_list ms in
+    let n = Array.length a in
+    match Random.State.int st 4 with
+    | 0 ->
+        let j = pick n in
+        K_obj (List.filteri (fun i _ -> i <> j) ms)
+    | 1 ->
+        let j = pick (n + 1) and k = added_keys.(pick (Array.length added_keys)) in
+        K_obj (Array.to_list (Array.sub a 0 j) @ ((k, K_lit "0") :: Array.to_list (Array.sub a j (n - j))))
+    | 2 when n >= 2 ->
+        let j = pick (n - 1) in
+        let m = a.(j) in
+        a.(j) <- a.(j + 1);
+        a.(j + 1) <- m;
+        K_obj (Array.to_list a)
+    | _ -> K_obj []
+  in
+  edit_object (pick (count_objects doc)) edit doc
+
+type glitch =
+  | Escaped  (* the key spelled with \u escapes only *)
+  | Spaced  (* whitespace between the key and its colon *)
+  | Bare  (* the key directly before ',' or '}' *)
+  | Cut_key  (* the line ends right after the key *)
+  | Cut_colon  (* the line ends right after the colon *)
+
+(* one line; with [glitch = (target, g)], the [target]-th member key in
+   document order gets [g] *)
+let render_kdoc st ?glitch doc =
+  let target, glitch = Option.value glitch ~default:(-1, Escaped) in
+  let b = Buffer.create 128 and member = ref (-1) and cut = ref None in
+  let ws () = if Random.State.int st 4 = 0 then Buffer.add_char b ' ' in
+  let rec go = function
+    | K_lit s -> ws (); Buffer.add_string b s
+    | K_arr ds ->
+        Buffer.add_char b '[';
+        List.iteri (fun i d -> if i > 0 then Buffer.add_char b ','; go d) ds;
+        Buffer.add_char b ']'
+    | K_obj ms ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, d) ->
+            if i > 0 then Buffer.add_char b ',';
+            ws ();
+            incr member;
+            let g = if !member = target then Some glitch else None in
+            Buffer.add_char b '"';
+            if g = Some Escaped then String.iter (fun c -> Printf.bprintf b "\\u%04x" (Char.code c)) k
+            else Buffer.add_string b k;
+            Buffer.add_char b '"';
+            if g = Some Cut_key then cut := Some (Buffer.length b);
+            if g <> Some Bare then begin
+              if g = Some Spaced then Buffer.add_string b (if Random.State.bool st then " " else "\t ");
+              Buffer.add_char b ':';
+              if g = Some Cut_colon then cut := Some (Buffer.length b);
+              go d
+            end)
+          ms;
+        Buffer.add_char b '}'
+  in
+  go doc;
+  match !cut with Some n -> Buffer.sub b 0 n | None -> Buffer.contents b
+
+let rec count_members = function
+  | K_lit _ -> 0
+  | K_arr ds -> List.fold_left (fun n d -> n + count_members d) 0 ds
+  | K_obj ms -> List.fold_left (fun n (_, d) -> n + 1 + count_members d) 0 ms
+
+(* forty documents in runs of one key order, a third of them perturbed, a
+   quarter with one glitched key; now and then a non-plain key at the
+   root, followed by the line a naive compare would accept *)
+let key_order_corpus seed =
+  let st = Random.State.make [| seed |] in
+  let order = ref (Random.State.int st (Array.length key_orders)) in
+  let lines = ref [] in
+  for _ = 1 to 40 do
+    if Random.State.int st 6 = 0 then order := Random.State.int st (Array.length key_orders);
+    let doc = key_orders.(!order) in
+    let doc = if Random.State.int st 3 = 0 then perturb st doc else doc in
+    if Random.State.int st 12 = 0 then begin
+      let spelled, naive = nonplain_keys.(Random.State.int st (Array.length nonplain_keys)) in
+      lines := naive :: spelled :: spelled :: !lines
+    end;
+    let line =
+      if Random.State.int st 4 = 0 && count_members doc > 0 then
+        let glitch = [| Escaped; Spaced; Bare; Cut_key; Cut_colon |].(Random.State.int st 5) in
+        render_kdoc st ~glitch:(Random.State.int st (count_members doc), glitch) doc
+      else render_kdoc st doc
+    in
+    lines := line :: !lines
+  done;
+  String.concat "\n" (List.rev !lines)
+
+(* schemas whose shape pass reads keys: every member skipped, members and
+   array elements walked by the access tree, every member recorded whole *)
+let key_order_schemas =
+  List.map Json.Parser.parse_exn
+    [ {|{"type": "object"}|};
+      {|{"type": "object", "required": ["id"], "properties": {"id": {"type": "integer"}, "user": {"type": "object", "properties": {"name": {"type": "string"}}, "required": ["id"]}, "a": {"items": {"required": ["a"]}}}, "items": {"properties": {"ab": {"type": "integer"}}}}|};
+      {|{"patternProperties": {"^a": {"type": "integer"}}, "properties": {"user": {"required": ["name"]}}}|} ]
+
+(* the [Lexer.skim] tokens of the lines the tree parser accepts whole *)
+let skim_tokens_of_accepted ~options text =
+  List.fold_left
+    (fun n line ->
+      match Json.Parser.parse ~options line with
+      | Error _ -> n
+      | Ok _ ->
+          let lx = Json.Lexer.create line in
+          let rec go n = match Json.Lexer.skim lx with Json.Lexer.S_eof -> n | _ -> go (n + 1) in
+          go n)
+    0 (String.split_on_char '\n' text)
+
+let prop_key_order_exact =
+  QCheck2.Test.make ~name:"key order: streaming = tree" ~count:(count 25)
+    ~print:(fun (seed, limit) ->
+      Printf.sprintf "seed %d, max_string_bytes %s\n%s" seed
+        (match limit with Some n -> string_of_int n | None -> "default")
+        (key_order_corpus seed))
+    QCheck2.Gen.(pair int (oneofl [ None; Some 10; Some 9 ]))
+    (fun (seed, limit) ->
+      let text = key_order_corpus seed in
+      let budget =
+        match limit with
+        | None -> Resilient.default_budget
+        | Some n -> { Resilient.default_budget with Resilient.max_string_bytes = Some n }
+      in
+      List.for_all
+        (fun dup_keys ->
+          let options = { Json.Parser.default_options with dup_keys } in
+          let tokens =
+            skim_tokens_of_accepted ~options:(Resilient.parser_options ~base:options budget) text
+          in
+          List.for_all
+            (fun jobs ->
+              List.for_all
+                (fun equiv ->
+                  let sink = Telemetry.create () in
+                  let run engine telemetry =
+                    ok (Pipeline.infer_ndjson ~equiv ~budget ~options ~engine ~jobs ~telemetry text)
+                  in
+                  let tree = run `Tree Telemetry.nop in
+                  resilient_fingerprint tree = resilient_fingerprint (run `Streaming sink)
+                  && counter sink "stream.tokens" = tokens)
+                equivs
+              && List.for_all
+                   (fun root -> same_validation ~budget ~options ~jobs ~root text)
+                   key_order_schemas)
+            [ 1; 2; 4 ])
+        dup_policies)
+
 (* The access index keeps the first of two [properties] entries for one
    key, as the plan's property table and the interpreter do. The parser's
    default policy keeps one binding per key, so the schema is built as a
@@ -1364,7 +1616,10 @@ let () =
         [ Alcotest.test_case "budgets after a hit" `Quick
             test_shape_cache_budgets;
           Alcotest.test_case "switch-off" `Quick test_shape_cache_switch_off;
-          prop prop_shape_cache_exact ] );
+          Alcotest.test_case "string budget on a known key" `Quick
+            test_shape_cache_key_budget;
+          prop prop_shape_cache_exact;
+          prop prop_key_order_exact ] );
       ( "properties",
         [ prop prop_infer_differential;
           prop prop_infer_repeating;
