@@ -1381,7 +1381,7 @@ let e20 () =
   in
   let schema =
     match Pipeline.strict (Pipeline.infer_ndjson (snd (List.hd corpora))) with
-    | Ok (i, _, _) -> i.Pipeline.json_schema
+    | Ok (i, _, _) -> Lazy.force i.Pipeline.json_schema
     | Error e -> failwith e
   in
   Printf.printf "%-12s %8s %12s %12s %10s %9s\n" "corpus" "MB" "validate ms"

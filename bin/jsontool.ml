@@ -497,9 +497,11 @@ let infer_cmd =
       match output with
       | `Type -> print_endline (Jtype.Types.to_string inferred.Pipeline.jtype)
       | `Counting -> print_endline (Jtype.Counting.to_string inferred.Pipeline.counting)
-      | `Schema -> print_endline (Json.Printer.to_string_pretty inferred.Pipeline.json_schema)
-      | `Ts -> print_endline inferred.Pipeline.typescript
-      | `Swift -> print_endline inferred.Pipeline.swift
+      | `Schema ->
+          print_endline
+            (Json.Printer.to_string_pretty (Lazy.force inferred.Pipeline.json_schema))
+      | `Ts -> print_endline (Lazy.force inferred.Pipeline.typescript)
+      | `Swift -> print_endline (Lazy.force inferred.Pipeline.swift)
     in
     if approach = `Parametric then begin
       (* fail-fast by default, like the approaches below; supervision flags

@@ -21,17 +21,17 @@ let () =
 
   (* 3. The same type as JSON Schema, TypeScript and Swift. *)
   print_endline "\n== JSON Schema ==";
-  print_endline (Json.Printer.to_string_pretty inferred.Pipeline.json_schema);
+  print_endline (Json.Printer.to_string_pretty (Lazy.force inferred.Pipeline.json_schema));
   print_endline "\n== TypeScript ==";
-  print_endline inferred.Pipeline.typescript;
+  print_endline (Lazy.force inferred.Pipeline.typescript);
   print_endline "\n== Swift ==";
-  print_endline inferred.Pipeline.swift;
+  print_endline (Lazy.force inferred.Pipeline.swift);
 
   (* 4. Validate new documents against the inferred schema. *)
   let good = Json.Parser.parse_exn {|{"id": 4, "name": "don", "languages": ["tex"]}|} in
   let bad = Json.Parser.parse_exn {|{"id": "five", "languages": "all"}|} in
   let show v =
-    match Jsonschema.Validate.validate ~root:inferred.Pipeline.json_schema v with
+    match Jsonschema.Validate.validate ~root:(Lazy.force inferred.Pipeline.json_schema) v with
     | Ok () -> Printf.printf "valid:   %s\n" (Json.Printer.to_string v)
     | Error es ->
         Printf.printf "invalid: %s\n" (Json.Printer.to_string v);

@@ -1,23 +1,25 @@
 type inferred = {
   jtype : Jtype.Types.t;
   counting : Jtype.Counting.t;
-  json_schema : Json.Value.t;
-  typescript : string;
-  swift : string;
+  json_schema : Json.Value.t Lazy.t;
+  typescript : string Lazy.t;
+  swift : string Lazy.t;
 }
 
 (* Every inference path folds counting types only and reads the type off
    by erasure: the erased counting fold is the [Types] fold
    ([Inference.Parametric.infer]), which test_jtype pins under both
-   equivalences. *)
+   equivalences. The renderings are built when first read: a caller
+   prints one of them at most, and on a wide union each costs as much as
+   the fold. *)
 let build_inferred ~name c =
   let t = Jtype.Counting.erase c in
   {
     jtype = t;
     counting = c;
-    json_schema = Jtype.Interop.to_schema_json t;
-    typescript = Jtype.Typescript.declaration ~name t;
-    swift = Jtype.Swift.declaration ~name t;
+    json_schema = lazy (Jtype.Interop.to_schema_json t);
+    typescript = lazy (Jtype.Typescript.declaration ~name t);
+    swift = lazy (Jtype.Swift.declaration ~name t);
   }
 
 (* the same values on both engines: [infer.merge_ops] counts the merges of
@@ -559,9 +561,7 @@ let profile values =
   let t = Inference.Parametric.infer ~equiv:Jtype.Merge.Kind values in
   let mongo = Inference.Mongo.analyze values in
   let sk = Inference.Skeleton.build values in
-  let total_bytes =
-    List.fold_left (fun acc v -> acc + String.length (Json.Printer.to_string v)) 0 values
-  in
+  let total_bytes = List.fold_left (fun acc v -> acc + Json.Printer.length v) 0 values in
   Json.Value.Object
     [ ("documents", Json.Value.Int (List.length values));
       ("json_bytes", Json.Value.Int total_bytes);
@@ -603,7 +603,10 @@ let translate ?(equiv = Jtype.Merge.Kind) values =
               avro_schema = Translate.Avro.schema_to_json avro_schema;
               avro_bytes;
               columnar_bytes = Translate.Columnar.encode table;
-              json_bytes = String.length (Datagen.to_ndjson values);
+              (* each document on its own line, as [Datagen.to_ndjson] lays
+                 them out *)
+              json_bytes =
+                List.fold_left (fun n v -> n + Json.Printer.length v + 1) 0 values;
             })
 
 let translate_ndjson ?equiv ?budget text =

@@ -6,10 +6,13 @@
 type inferred = {
   jtype : Jtype.Types.t;            (** the union-aware structural type *)
   counting : Jtype.Counting.t;      (** with cardinalities *)
-  json_schema : Json.Value.t;       (** translated to JSON Schema *)
-  typescript : string;              (** TypeScript declarations *)
-  swift : string;                   (** Swift Codable declarations *)
+  json_schema : Json.Value.t Lazy.t;  (** translated to JSON Schema *)
+  typescript : string Lazy.t;         (** TypeScript declarations *)
+  swift : string Lazy.t;              (** Swift Codable declarations *)
 }
+(** The three renderings are built on first {!Lazy.force}, so a run that
+    prints the type, the counting type or a drift verdict renders none of
+    them. Force them on the domain that made the value. *)
 
 val infer :
   ?equiv:Jtype.Merge.equiv -> ?name:string -> ?telemetry:Telemetry.sink ->

@@ -7,12 +7,13 @@
     skimmed once — string payloads are validated, not unescaped; field
     names are interned in a per-shard {!scratch} table; no intermediate
     {!Json.Value.t} exists — and its shape is recorded: token kinds and
-    field names. Each distinct shape is typed into a {!Jtype.Counting}
-    value once per scratch; repeats are answered from a bounded cache that
-    switches itself off on inputs whose shapes do not repeat.
+    field names. A shape seen for the first time is walked straight into
+    a {!Jtype.Counting} accumulator through its builder; no per-document
+    counting value is built. Repeats are only counted, by a bounded cache
+    that switches itself off on inputs whose shapes do not repeat.
 
     A shard folds its documents into one counting accumulator as they are
-    typed ({!shard}, {!step}, {!finish}), the fusion being associative and
+    taken ({!shard}, {!step}, {!finish}), the fusion being associative and
     commutative; no per-document value or list is kept.
 
     The contract is byte-identity with the tree engine: same types, same
@@ -23,10 +24,11 @@
     canonical one. *)
 
 type scratch
-(** Per-domain scratch state reused across the documents of a shard, a
-    {!Json.Shape.t}: a field-name interning table, so a wide-record corpus
+(** Per-domain scratch state reused across the documents of a shard: a
+    {!Json.Shape.t} (a field-name interning table, so a wide-record corpus
     allocates each distinct key once per shard instead of once per
-    document, and the shape cache. Not thread-safe — one per domain. *)
+    document, and the shape cache) and the workspace of the walk from a
+    shape into an accumulator. Not thread-safe — one per domain. *)
 
 val scratch : unit -> scratch
 
@@ -41,8 +43,10 @@ val infer_tokens :
 (** Type one document starting at byte [pos] on its own: [(Counting.erase
     c, c)] for [c = Counting.of_value ~equiv v] and the [v] that
     {!Json.Parser.parse_substring} would return, plus the offset one past
-    the document — or exactly that parse's error. It runs the typer
-    {!step} runs, then erases the one value; the pipeline never calls it.
+    the document — or exactly that parse's error. It walks the recorded
+    shape into an accumulator of its own, as {!step} does on a miss (and,
+    since a cache entry keeps no value, on a hit too), then freezes and
+    erases it; the pipeline never calls it.
     Telemetry: the parser's per-document [parse.*] family as emitted by
     [parse_substring], plus [stream.tokens] (tokens consumed),
     [stream.scratch.reuse] (interning hits) and one of [stream.shape.hits]
@@ -64,14 +68,21 @@ val step :
   string ->
   pos:int ->
   (int, Json.Parser.error) result
-(** Type the document at [pos] as {!infer_tokens} does and take it into
-    the shard's accumulator; the offset one past it, or the parse error
-    (the document is then not taken). A document typed from its shape
-    adds its counting value at once; one answered from the shape cache
-    only bumps the entry's hit count, which is added with its multiplicity
-    ({!Jtype.Counting.add}[ ~times]) when the entry leaves the cache: at
-    the cache's wholesale reset, at its switch-off, and at {!finish}. Same
-    telemetry as {!infer_tokens}. *)
+(** Take the document at [pos] into the shard's accumulator; the offset
+    one past it, or the parse error (the document is then not taken).
+
+    A shape the cache does not know is resolved first, in one pass over
+    the recorded shape: each record's repeated keys under the
+    duplicate-key policy ([Keep_first] keeps the first occurrence,
+    [Keep_last] and [Keep_all] the last, the losing values are skipped)
+    and, under [Label], its label set. A shape [Reject] refuses takes the
+    tree parser's canonical error. Only then is the shape walked into the
+    accumulator and remembered with no hits, so no path leaves part of a
+    document added. A shape the cache knows only bumps its entry's hit
+    count. An entry keeps nothing else: when it leaves the cache (the
+    wholesale reset, the switch-off, {!finish}), the cache hands over its
+    shape and the entry walks it into the accumulator once with
+    multiplicity [hits]. Same telemetry as {!infer_tokens}. *)
 
 val finish : shard -> Jtype.Counting.t
 (** Settle the cache's hit counts and freeze the accumulator:

@@ -99,6 +99,58 @@ let rec add_compact buf (v : Value.t) =
         fields;
       Buffer.add_char buf '}'
 
+(* --- sizes without printing ------------------------------------------------
+
+   The exact length of the compact output, walked the way [add_compact]
+   and [add_escaped] walk their input, without building it. *)
+
+let escaped_length s =
+  let n = String.length s in
+  let len = ref 2 and i = ref 0 in
+  while !i < n do
+    match s.[!i] with
+    | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' ->
+        len := !len + 2;
+        incr i
+    | c when Char.code c < 0x20 ->
+        len := !len + 6;
+        incr i
+    | c when Char.code c < 0x80 ->
+        incr len;
+        incr i
+    | _ -> (
+        match utf8_scalar_len s !i with
+        | 0 ->
+            len := !len + String.length replacement;
+            incr i
+        | l ->
+            len := !len + l;
+            i := !i + l)
+  done;
+  !len
+
+let int_length n =
+  if n = min_int then String.length (string_of_int n)
+  else
+    let rec digits n d = if n < 10 then d else digits (n / 10) (d + 1) in
+    if n < 0 then 1 + digits (-n) 1 else digits n 1
+
+(* brackets plus one comma between items: [items] counts each item's
+   length plus one *)
+let bracketed items = max 2 (1 + items)
+
+let rec length (v : Value.t) =
+  match v with
+  | Value.Null | Value.Bool true -> 4
+  | Value.Bool false -> 5
+  | Value.Int n -> int_length n
+  | Value.Float f -> String.length (Number.print_float f)
+  | Value.String s -> escaped_length s
+  | Value.Array vs -> bracketed (List.fold_left (fun n x -> n + length x + 1) 0 vs)
+  | Value.Object fields ->
+      bracketed
+        (List.fold_left (fun n (k, x) -> n + escaped_length k + length x + 2) 0 fields)
+
 let add_pretty ~indent buf v =
   let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
   let rec go level (v : Value.t) =

@@ -18,6 +18,10 @@ val escape_string : string -> string
 val to_string : Value.t -> string
 val to_string_pretty : ?indent:int -> Value.t -> string
 
+val length : Value.t -> int
+(** [String.length (to_string v)], computed by a walk that builds nothing
+    but the literal of each float. *)
+
 val to_buffer : Buffer.t -> Value.t -> unit
 val to_channel : out_channel -> Value.t -> unit
 

@@ -9,7 +9,8 @@
    - the shape of the current document: one code per value or bracket plus
      the interned field names in document order;
    - a bounded cache from shapes to whatever the caller derives from a
-     shape (a type for inference, a verdict for validation).
+     shape (a hit count for inference, a verdict for validation), which
+     hands each entry's shape back to its owner as the entry leaves.
 
    The budgeted walk helpers below are line-by-line mirrors of
    [Parser.parse_value]'s accounting: same node and byte spends at the same
@@ -31,6 +32,10 @@ let dup_context = function
   | P.Keep_last -> 1
   | P.Reject -> 2
   | P.Keep_all -> 3
+
+(* A recorded shape, read in place: the first [ncodes] bytes of [codes]
+   and the first [nkeys] names of [keys]. *)
+type shape = { codes : string; ncodes : int; keys : string array; nkeys : int }
 
 type 'a entry = {
   e_hash : int;
@@ -110,11 +115,8 @@ type 'a t = {
   mutable keys : string array;
   mutable nkeys : int;
   mutable shape_hash : int;
-  (* read-back cursors into the shape *)
-  mutable next_code : int;
-  mutable next_key : int;
   (* the cache; [table] is allocated on first insertion *)
-  drop : 'a -> unit;
+  drop : shape -> 'a -> unit;
   mutable table : 'a entry list array;
   mutable entries : int;
   mutable caching : bool;
@@ -122,11 +124,11 @@ type 'a t = {
   mutable misses : int;
 }
 
-let create ?(drop = ignore) () =
+let create ?(drop = fun _ _ -> ()) () =
   { slots = Array.make 128 none; count = 0; reuse = 0; root = new_key "" 0;
     codes = Bytes.create 256; ncodes = 0; keys = Array.make 64 ""; nkeys = 0;
-    shape_hash = 0; next_code = 0; next_key = 0; drop; table = [||];
-    entries = 0; caching = true; hits = 0; misses = 0 }
+    shape_hash = 0; drop; table = [||]; entries = 0; caching = true; hits = 0;
+    misses = 0 }
 
 let reuse sc = sc.reuse
 let root sc = sc.root
@@ -137,10 +139,15 @@ let hits sc = sc.hits
 let misses sc = sc.misses
 let caching sc = sc.caching
 
+let entry_shape e =
+  { codes = e.e_codes; ncodes = String.length e.e_codes; keys = e.e_keys;
+    nkeys = Array.length e.e_keys }
+
 (* every way an entry leaves the cache goes through here, so the owner's
-   [drop] sees each remembered value exactly once *)
+   [drop] sees each remembered value exactly once, with its shape *)
 let empty sc =
-  if sc.entries > 0 then Array.iter (List.iter (fun e -> sc.drop e.e_value)) sc.table;
+  if sc.entries > 0 then
+    Array.iter (List.iter (fun e -> sc.drop (entry_shape e) e.e_value)) sc.table;
   sc.table <- [||];
   sc.entries <- 0
 
@@ -256,26 +263,11 @@ let push_key sc k =
 
 (* --- reading back -------------------------------------------------------- *)
 
-let rewind sc =
-  sc.next_code <- 0;
-  sc.next_key <- 0
-
-let take_code sc =
-  let c = Bytes.unsafe_get sc.codes sc.next_code in
-  sc.next_code <- sc.next_code + 1;
-  c
-
-let at_close sc c =
-  Bytes.unsafe_get sc.codes sc.next_code = c
-  && begin
-       sc.next_code <- sc.next_code + 1;
-       true
-     end
-
-let take_key sc =
-  let k = sc.keys.(sc.next_key) in
-  sc.next_key <- sc.next_key + 1;
-  k
+(* The buffer is only read through the view, and the view is only read
+   before the next document is recorded over it. *)
+let recorded sc =
+  { codes = Bytes.unsafe_to_string sc.codes; ncodes = sc.ncodes; keys = sc.keys;
+    nkeys = sc.nkeys }
 
 (* --- lookup -------------------------------------------------------------- *)
 

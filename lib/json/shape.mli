@@ -11,9 +11,10 @@
 
     A per-shard {!t} interns field names (both spellings of a key, raw and
     escaped, become one {!key} entry with one string instance), records the
-    current document's shape, and caches whatever the caller derives from
-    a shape: a type for inference, a verdict for validation. Not
-    thread-safe — one per domain.
+    current document's shape, and caches whatever the caller keeps per
+    shape: a hit count for inference, which adds the shape itself to its
+    accumulator when the entry leaves (see [drop] at {!create}), and a
+    verdict for validation. Not thread-safe — one per domain.
 
     The walk helpers mirror {!Parser.parse_value}'s accounting exactly
     (node and byte budgets spent at the same token positions, the same
@@ -28,11 +29,17 @@
 
 type 'a t
 
-val create : ?drop:('a -> unit) -> unit -> 'a t
-(** [drop] (default [ignore]) is called on every remembered value as it
-    leaves the cache: at the wholesale reset, at the switch-off and at
-    {!clear}. A value whose owner counts uses on it (a hit count) can
-    settle them there before the entry is gone. *)
+type shape = { codes : string; ncodes : int; keys : string array; nkeys : int }
+(** A recorded shape, read in place: the codes are the first [ncodes] bytes
+    of [codes] and the field names, interned and in document order, the
+    first [nkeys] of [keys]. Read-only. *)
+
+val create : ?drop:(shape -> 'a -> unit) -> unit -> 'a t
+(** [drop] (default: do nothing) is called on every remembered value as it
+    leaves the cache, with the shape it was remembered for: at the
+    wholesale reset, at the switch-off and at {!clear}. A value whose owner
+    counts uses on it (a hit count) can settle them there, from the shape
+    itself, before the entry is gone. *)
 
 (** {1 The bounded cache} *)
 
@@ -97,12 +104,9 @@ val clear : 'a t -> unit
 
 (** {1 Reading a recorded shape back} *)
 
-val rewind : 'a t -> unit
-val take_code : 'a t -> char
-val at_close : 'a t -> char -> bool
-(** Consume the next code if it is the given closing bracket. *)
-
-val take_key : 'a t -> string
+val recorded : 'a t -> shape
+(** The current document's shape, a view of the recording buffer: valid
+    until the next {!restart}. *)
 
 (** {1 Walking one document}
 

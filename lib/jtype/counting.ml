@@ -25,111 +25,152 @@ type equiv = Kind | Label
 
 let equiv_to_string = function Kind -> "kind" | Label -> "label"
 
-(* Two records are label-equivalent when they name the same fields. *)
-let same_labels xs ys =
-  List.length xs = List.length ys
-  && List.for_all2 (fun x y -> String.equal x.fname y.fname) xs ys
-
 (* --- the fold --------------------------------------------------------------
 
    The paper's fusion is binary: it fuses the branches of two values by
    class (the kind, or the label set under [Label]) and adds counts within
    a class, so folding it over N values re-fuses the whole union built so
    far N times. The accumulator below keeps one slot per fusion class
-   instead: adding a value touches only the slots of its own branches,
-   fields are found by name and record branches by label set, so the cost
-   of an add is the size of the value added. The canonical value (fields by
-   name, branches by [Stdlib.compare]) is built once, by [freeze]. *)
+   instead and counts in place: adding a value touches only the slots of
+   its own branches, fields are found by name and record branches by label
+   set, so the cost of an add is the size of the value added. The
+   canonical value (fields by name, branches by [Stdlib.compare]) is built
+   once, by [freeze].
 
-(* Record branches under [Label], keyed by their field names. Every name
-   enters the hash: [Hashtbl.hash] of a list stops after ten elements, and
-   wide records sharing a ten-key prefix would all chain in one bucket. *)
-module Labels = Hashtbl.Make (struct
-  type t = cfield list
+   The builder ([enter_array], [enter_record], [enter_field] and one add
+   per scalar kind) is the one way in: [add] walks a counting value
+   through it, and the streaming engine walks a recorded document shape
+   through it without building the value. *)
 
-  let equal = same_labels
-  let hash = List.fold_left (fun h f -> (h * 31) + Hashtbl.hash f.fname) 0
+(* Field names and label sets hash and compare as strings, never
+   polymorphically. Every name of a label set enters its hash:
+   [Hashtbl.hash] of a structure stops after ten elements, and wide records
+   sharing a ten-key prefix would all chain in one bucket. *)
+module Fields = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
 end)
 
-(* A scalar slot holds the branches of its class fused so far, [CBot] while
-   none was added: presence is not a nonzero count, since a decoded journal
-   may carry a count of 0. [num] is [CInt] until a [CNum] is added; under
-   [Kind] every record goes to the one key [[]]. *)
+module Labels = Hashtbl.Make (struct
+  type t = string array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 String.equal a b
+  let hash = Array.fold_left (fun h (s : string) -> (h * 31) + Hashtbl.hash s) 0
+end)
+
+(* A scalar slot is the count of its class, -1 while none was added:
+   presence is not a nonzero count, since a decoded journal may carry a
+   count of 0. [num] reads [CNum] once [float] is set, [CInt] before.
+   Arrays are present once [elems] is. The record branch of the empty label
+   set is [bare]; under [Kind] every record goes there. *)
 type acc = {
-  mutable any : t;
-  mutable null : t;
-  mutable bool : t;
-  mutable num : t;
-  mutable str : t;
-  mutable arr : arr option;
-  mutable recs : record Labels.t option;
+  mutable any : int;
+  mutable null : int;
+  mutable bool : int;
+  mutable num : int;
+  mutable float : bool;
+  mutable str : int;
+  mutable arrays : int;
+  mutable elems : acc option;
+  mutable bare : record option;
+  mutable labelled : record Labels.t option;
 }
 
-and arr = { mutable arrays : int; elems : acc }
-and record = { mutable records : int; fields : (string, field) Hashtbl.t }
+and record = { mutable records : int; fields : field Fields.t }
 and field = { mutable occ : int; facc : acc }
 
 let create () =
-  { any = CBot; null = CBot; bool = CBot; num = CBot; str = CBot; arr = None;
-    recs = None }
+  { any = -1; null = -1; bool = -1; num = -1; float = false; str = -1;
+    arrays = 0; elems = None; bare = None; labelled = None }
+
+let bump n k = if n < 0 then k else n + k
+let add_null a k = a.null <- bump a.null k
+let add_bool a k = a.bool <- bump a.bool k
+let add_int a k = a.num <- bump a.num k
+
+let add_float a k =
+  a.num <- bump a.num k;
+  a.float <- true
+
+let add_str a k = a.str <- bump a.str k
+let add_any a k = a.any <- bump a.any k
+
+let enter_array a k =
+  match a.elems with
+  | Some e ->
+      a.arrays <- a.arrays + k;
+      e
+  | None ->
+      let e = create () in
+      a.elems <- Some e;
+      a.arrays <- k;
+      e
+
+let new_record () = { records = 0; fields = Fields.create 8 }
+
+let enter_record a k labels =
+  let r =
+    if Array.length labels = 0 then (
+      match a.bare with
+      | Some r -> r
+      | None ->
+          let r = new_record () in
+          a.bare <- Some r;
+          r)
+    else
+      let branches =
+        match a.labelled with
+        | Some t -> t
+        | None ->
+            let t = Labels.create 8 in
+            a.labelled <- Some t;
+            t
+      in
+      match Labels.find branches labels with
+      | r -> r
+      | exception Not_found ->
+          let r = new_record () in
+          Labels.add branches labels r;
+          r
+  in
+  r.records <- r.records + k;
+  r
+
+let enter_field r name k =
+  let f =
+    match Fields.find r.fields name with
+    | f -> f
+    | exception Not_found ->
+        let f = { occ = 0; facc = create () } in
+        Fields.add r.fields name f;
+        f
+  in
+  f.occ <- f.occ + k;
+  f.facc
 
 (* [add_k ~equiv k a t] adds [k] copies of [t]: every count of [t] enters
    multiplied by [k], which is what [k] separate adds would sum to. *)
 let rec add_k ~equiv k a = function
   | CBot -> ()
   | CUnion ts -> List.iter (add_k ~equiv k a) ts
-  | CAny n -> a.any <- CAny ((k * n) + count a.any)
-  | CNull n -> a.null <- CNull ((k * n) + count a.null)
-  | CBool n -> a.bool <- CBool ((k * n) + count a.bool)
-  | CStr n -> a.str <- CStr ((k * n) + count a.str)
-  | CInt n ->
-      a.num <-
-        (match a.num with
-         | CNum m -> CNum ((k * n) + m)
-         | prev -> CInt ((k * n) + count prev))
-  | CNum n -> a.num <- CNum ((k * n) + count a.num)
-  | CArr (n, elem) ->
-      let s =
-        match a.arr with
-        | Some s -> s
-        | None ->
-            let s = { arrays = 0; elems = create () } in
-            a.arr <- Some s;
-            s
-      in
-      s.arrays <- s.arrays + (k * n);
-      add_k ~equiv k s.elems elem
+  | CAny n -> add_any a (k * n)
+  | CNull n -> add_null a (k * n)
+  | CBool n -> add_bool a (k * n)
+  | CInt n -> add_int a (k * n)
+  | CNum n -> add_float a (k * n)
+  | CStr n -> add_str a (k * n)
+  | CArr (n, elem) -> add_k ~equiv k (enter_array a (k * n)) elem
   | CRec (n, fs) ->
-      let recs =
-        match a.recs with
-        | Some recs -> recs
-        | None ->
-            let recs = Labels.create 1 in
-            a.recs <- Some recs;
-            recs
+      let labels =
+        match equiv with
+        | Kind -> [||]
+        | Label -> Array.of_list (List.map (fun f -> f.fname) fs)
       in
-      let key = match equiv with Kind -> [] | Label -> fs in
-      let r =
-        match Labels.find_opt recs key with
-        | Some r -> r
-        | None ->
-            let r = { records = 0; fields = Hashtbl.create (List.length fs) } in
-            Labels.add recs key r;
-            r
-      in
-      r.records <- r.records + (k * n);
+      let r = enter_record a (k * n) labels in
       List.iter
-        (fun f ->
-          let fa =
-            match Hashtbl.find_opt r.fields f.fname with
-            | Some fa -> fa
-            | None ->
-                let fa = { occ = 0; facc = create () } in
-                Hashtbl.add r.fields f.fname fa;
-                fa
-          in
-          fa.occ <- fa.occ + (k * f.occurs);
-          add_k ~equiv k fa.facc f.ftype)
+        (fun f -> add_k ~equiv k (enter_field r f.fname (k * f.occurs)) f.ftype)
         fs
 
 let add ?(times = 1) ~equiv a t =
@@ -138,30 +179,25 @@ let add ?(times = 1) ~equiv a t =
 
 (* A [CAny] absorbs every other branch, counts included. *)
 let rec freeze a =
-  let records =
-    match a.recs with
+  let bs =
+    match a.labelled with
     | None -> []
-    | Some recs -> Labels.fold (fun _ r bs -> freeze_record r :: bs) recs []
+    | Some t -> Labels.fold (fun _ r bs -> freeze_record r :: bs) t []
   in
-  let arrays =
-    match a.arr with None -> [] | Some s -> [ CArr (s.arrays, freeze s.elems) ]
-  in
-  let branches =
-    List.filter
-      (function CBot -> false | _ -> true)
-      (a.null :: a.bool :: a.num :: a.str :: (arrays @ records))
-  in
-  match (a.any, branches) with
-  | CAny n, bs -> CAny (List.fold_left (fun n b -> n + count b) n bs)
-  | _, [] -> CBot
-  | _, [ b ] -> b
-  | _, bs -> CUnion (List.sort Stdlib.compare bs)
+  let bs = match a.bare with None -> bs | Some r -> freeze_record r :: bs in
+  let bs = match a.elems with None -> bs | Some e -> CArr (a.arrays, freeze e) :: bs in
+  let bs = if a.str < 0 then bs else CStr a.str :: bs in
+  let bs = if a.num < 0 then bs else (if a.float then CNum a.num else CInt a.num) :: bs in
+  let bs = if a.bool < 0 then bs else CBool a.bool :: bs in
+  let bs = if a.null < 0 then bs else CNull a.null :: bs in
+  if a.any >= 0 then CAny (List.fold_left (fun n b -> n + count b) a.any bs)
+  else match bs with [] -> CBot | [ b ] -> b | bs -> CUnion (List.sort Stdlib.compare bs)
 
 and freeze_record r =
   CRec
     ( r.records,
       sort_fields
-        (Hashtbl.fold
+        (Fields.fold
            (fun fname f fs -> { fname; occurs = f.occ; ftype = freeze f.facc } :: fs)
            r.fields []) )
 

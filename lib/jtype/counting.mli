@@ -71,13 +71,56 @@ val merge_all : equiv:equiv -> t list -> t
 
     A fold that receives its values one at a time (a shard scanning its
     documents) adds each into an accumulator as it comes and freezes once
-    at the end, keeping no list of values. *)
+    at the end, keeping no list of values. The accumulator counts in place:
+    one mutable count per scalar class, one element accumulator for the
+    arrays, and record branches (one under [Kind], one per label set under
+    [Label]) whose fields sit in string-keyed tables. *)
 
 type acc
 (** Mutable; one per fold, never shared between domains. *)
 
 val create : unit -> acc
 (** The empty accumulator: it freezes to [CBot]. *)
+
+(** {2 The builder}
+
+    The one way into an accumulator: {!add} and {!merge_all} walk counting
+    values through it, and the streaming engine walks each recorded
+    document shape through it without building a value. Each call counts
+    [k] values of one class; a container's call answers where its contents
+    go. Counts may be 0 (a decoded journal carries such values): a class
+    that was entered is present in {!freeze}'s value whatever its count. *)
+
+val add_null : acc -> int -> unit
+(** [add_null a k] counts [k] nulls; likewise for the other scalar kinds.
+    [add_int] and [add_float] share one number slot, which freezes to
+    [CNum] once a float was counted and to [CInt] before. *)
+
+val add_bool : acc -> int -> unit
+val add_int : acc -> int -> unit
+val add_float : acc -> int -> unit
+val add_str : acc -> int -> unit
+
+val enter_array : acc -> int -> acc
+(** [enter_array a k] counts [k] arrays and answers the accumulator of
+    their elements, one per [a]: each element is added there with the
+    multiplicity of its array. *)
+
+type record
+(** One record branch of an accumulator: its count and its fields. *)
+
+val enter_record : acc -> int -> string array -> record
+(** [enter_record a k labels] counts [k] records in the branch of the label
+    set [labels]: the record's distinct field names sorted by
+    [String.compare] under [Label], and [[||]] under [Kind], where every
+    record joins one branch. The array becomes the branch's key, so the
+    caller must not change it afterwards. *)
+
+val enter_field : record -> string -> int -> acc
+(** [enter_field r name k] counts [k] occurrences of field [name] in branch
+    [r] and answers the accumulator of its values. *)
+
+(** {2 Values} *)
 
 val add : ?times:int -> equiv:equiv -> acc -> t -> unit
 (** [add ~times:k ~equiv a c] adds [k] (default 1) copies of [c], in time

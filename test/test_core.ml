@@ -20,14 +20,36 @@ let test_infer_artifacts () =
   List.iter
     (fun d ->
       Alcotest.(check bool) "schema accepts corpus" true
-        (Jsonschema.Validate.is_valid ~root:inferred.Pipeline.json_schema d))
+        (Jsonschema.Validate.is_valid ~root:(Lazy.force inferred.Pipeline.json_schema) d))
     docs;
   (* codegen artifacts mention the fields *)
   let has needle hay = Re.execp (Re.compile (Re.str needle)) hay in
-  Alcotest.(check bool) "ts" true (has "tags?: string[]" inferred.Pipeline.typescript);
-  Alcotest.(check bool) "swift" true (has "let tags: [String]?" inferred.Pipeline.swift);
+  Alcotest.(check bool) "ts" true (has "tags?: string[]" (Lazy.force inferred.Pipeline.typescript));
+  Alcotest.(check bool) "swift" true (has "let tags: [String]?" (Lazy.force inferred.Pipeline.swift));
   (* counting totals *)
   Alcotest.(check int) "counting total" 3 (Jtype.Counting.count inferred.Pipeline.counting)
+
+(* Nothing is rendered until it is read: [check] and [infer -o
+   type|counting] print none of the three, [-o jsonschema] one. *)
+let test_renders_on_demand () =
+  let rendered (i : Pipeline.inferred) =
+    List.filter_map
+      (fun (name, forced) -> if forced then Some name else None)
+      [ ("json_schema", Lazy.is_val i.Pipeline.json_schema);
+        ("typescript", Lazy.is_val i.Pipeline.typescript);
+        ("swift", Lazy.is_val i.Pipeline.swift) ]
+  in
+  let inferred = Pipeline.infer docs in
+  Alcotest.(check (list string)) "infer renders nothing" [] (rendered inferred);
+  ignore (Lazy.force inferred.Pipeline.json_schema);
+  Alcotest.(check (list string)) "one render forced" [ "json_schema" ] (rendered inferred);
+  let text = String.concat "\n" (List.map Json.Printer.to_string docs) in
+  let root = Json.Parser.parse_exn {|{"type": "object"}|} in
+  match Pipeline.check_ndjson ~root text with
+  | Ok ({ Pipeline.chk_inferred = Some i; chk_verdict = Some _ }, _, _) ->
+      Alcotest.(check (list string)) "check renders nothing" [] (rendered i)
+  | Ok _ -> Alcotest.fail "check: documents survived"
+  | Error m -> Alcotest.fail m
 
 let test_infer_ndjson () =
   let text = String.concat "\n" (List.map Json.Printer.to_string docs) in
@@ -39,7 +61,7 @@ let test_infer_ndjson () =
   | Error m -> Alcotest.fail m
 
 let test_validate_collection () =
-  let root = (Pipeline.infer docs).Pipeline.json_schema in
+  let root = Lazy.force (Pipeline.infer docs).Pipeline.json_schema in
   (match Pipeline.validate_collection ~root docs with
    | Ok 3 -> ()
    | Ok n -> Alcotest.fail (Printf.sprintf "expected 3 valid, got %d" n)
@@ -58,6 +80,12 @@ let test_profile_report () =
     (Json.Value.has_member "inferred_type" report);
   Alcotest.(check bool) "has field stats" true
     (Json.Value.has_member "field_statistics" report);
+  (* the printed size of the documents, computed without printing them *)
+  Alcotest.(check (option value)) "json_bytes"
+    (Some
+       (Json.Value.Int
+          (List.fold_left (fun n d -> n + String.length (Json.Printer.to_string d)) 0 docs)))
+    (Json.Value.member "json_bytes" report);
   (* the report itself is valid JSON all the way down (printable) *)
   match Json.Parser.parse (Json.Printer.to_string report) with
   | Ok _ -> ()
@@ -69,6 +97,8 @@ let test_translate_pipeline () =
   match Pipeline.translate tweets with
   | Error m -> Alcotest.fail m
   | Ok tr ->
+      Alcotest.(check int) "json_bytes = NDJSON length"
+        (String.length (Datagen.to_ndjson tweets)) tr.Pipeline.json_bytes;
       Alcotest.(check bool) "avro smaller than json" true
         (String.length tr.Pipeline.avro_bytes < tr.Pipeline.json_bytes);
       Alcotest.(check bool) "columnar smaller than json" true
@@ -131,6 +161,7 @@ let () =
   Alcotest.run "core"
     [ ("pipeline",
        [ Alcotest.test_case "infer artifacts" `Quick test_infer_artifacts;
+         Alcotest.test_case "renders on demand" `Quick test_renders_on_demand;
          Alcotest.test_case "infer ndjson" `Quick test_infer_ndjson;
          Alcotest.test_case "validate collection" `Quick test_validate_collection;
          Alcotest.test_case "profile report" `Quick test_profile_report;

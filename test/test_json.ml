@@ -505,6 +505,52 @@ let gen_value : Json.Value.t QCheck2.Gen.t =
                (list_size (int_range 0 4) (pair key (self (n / 2)))));
           ])
 
+(* strings with every escape class: quotes and backslashes, named and
+   [\u] control escapes, valid multi-byte UTF-8, and bytes that are not
+   part of a valid sequence (each printed as U+FFFD) *)
+let gen_printed_string =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [ map (String.make 1) printable;
+        oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\012"; "\001"; "\031"; "\127" ];
+        oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ];
+        map (String.make 1) (char_range '\x80' '\xff');
+        oneofl [ "\xed\xa0\x80"; "\xe2\x82"; "\xc0\xaf"; "\xf4\x90\x80\x80" ] ]
+  in
+  map (String.concat "") (list_size (int_range 0 6) piece)
+
+let gen_printed_value =
+  let open QCheck2.Gen in
+  let scalar =
+    oneof
+      [ return Json.Value.Null;
+        map (fun b -> Json.Value.Bool b) bool;
+        map (fun n -> Json.Value.Int n)
+          (oneof [ int; oneofl [ 0; -1; 9; 10; -10; max_int; min_int ] ]);
+        map (fun f -> Json.Value.Float f)
+          (oneof
+             [ float;
+               float_range (-1e3) 1e3;
+               oneofl [ 0.0; -0.0; 1e21; 1e-7; 5e-324; 1.7976931348623157e308; 0.1 ] ]);
+        map (fun s -> Json.Value.String s) gen_printed_string ]
+  in
+  sized @@ fix (fun self n ->
+      if n <= 0 then scalar
+      else
+        frequency
+          [ (3, scalar);
+            (1, map (fun vs -> Json.Value.Array vs) (list_size (int_range 0 4) (self (n / 2))));
+            (1,
+             map
+               (fun fields -> Json.Value.Object fields)
+               (list_size (int_range 0 4) (pair gen_printed_string (self (n / 2))))) ])
+
+let prop_printer_length =
+  QCheck2.Test.make ~name:"length = String.length to_string" ~count:2000
+    ~print:Json.Printer.to_string gen_printed_value (fun v ->
+      Json.Printer.length v = String.length (Json.Printer.to_string v))
+
 let prop_print_parse_roundtrip =
   QCheck2.Test.make ~name:"print |> parse = id" ~count:500 gen_value (fun v ->
       Json.Value.equal_strict v (parse (print v)))
@@ -852,7 +898,8 @@ let () =
       ("properties",
        q [ prop_print_parse_roundtrip; prop_pretty_parse_roundtrip;
            prop_events_roundtrip; prop_sort_keys_idempotent;
-           prop_equal_reflexive_compare_total; prop_paths_count_bounded ]);
+           prop_equal_reflexive_compare_total; prop_paths_count_bounded;
+           prop_printer_length ]);
     ]
 
 let _ = value_loose

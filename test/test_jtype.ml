@@ -485,6 +485,55 @@ let test_counting_to_json () =
         ("b occurs: "
         ^ match other with Some v -> Json.Printer.to_string v | None -> "missing")
 
+(* A decoded journal may carry a count of 0, so the accumulator tells an
+   absent class from a present one by more than a nonzero count: values
+   with zero counts at a scalar, at [Any], as an array count and as a
+   field's [occurs] are canonical, stay fixpoints of [merge_all], and keep
+   their zeros through [add ~times]. *)
+let test_counting_zero_counts () =
+  let open Counting in
+  let field ?(occurs = 0) fname ftype = { fname; occurs; ftype } in
+  let both =
+    [ CNull 0;
+      CInt 0;
+      CNum 0;
+      CAny 0;
+      CArr (0, CBot);
+      CArr (0, CStr 0);
+      CArr (3, CUnion [ CNull 0; CInt 2 ]);
+      CRec (0, []);
+      CRec (2, [ field "a" (CStr 0); field ~occurs:2 "b" (CBool 0) ]);
+      CRec (1, [ field "a" (CAny 0); field "z" (CArr (0, CBot)) ]);
+      CUnion [ CNull 0; CBool 0; CNum 0; CStr 0; CArr (0, CBot); CRec (0, []) ] ]
+  in
+  (* record branches that fuse under [Kind] and stay apart under [Label] *)
+  let label_only =
+    [ CUnion [ CRec (0, [ field "a" (CInt 0) ]); CRec (1, [ field "b" (CNull 0) ]) ] ]
+  in
+  List.iter
+    (fun (equiv, cs) ->
+      List.iter
+        (fun c ->
+          let name = Printf.sprintf "%s under %s" (to_string c) (equiv_to_string equiv) in
+          Alcotest.(check bool) ("fixpoint: " ^ name) true (merge_all ~equiv [ c ] = c);
+          List.iter
+            (fun k ->
+              let a = create () in
+              add ~times:k ~equiv a c;
+              Alcotest.(check bool)
+                (Printf.sprintf "add ~times:%d: %s" k name)
+                true
+                (freeze a = Pairwise.scale k c
+                && freeze a = merge_all ~equiv (List.init k (fun _ -> c))))
+            [ 1; 3 ])
+        cs)
+    [ (Merge.Kind, both); (Merge.Label, both @ label_only) ];
+  (* a zero-count class is present, so it decides the kind of the result *)
+  Alcotest.(check string) "Int(0) + Num(0)" "Num(0)"
+    (to_string (merge_all ~equiv:Merge.Kind [ CInt 0; CNum 0 ]));
+  Alcotest.(check string) "Any(0) absorbs" "Any(2)"
+    (to_string (merge_all ~equiv:Merge.Kind [ CAny 0; CStr 2 ]))
+
 let test_counting_of_json () =
   let docs =
     [ {|{"a": 1, "b": [1, "x"]}|}; {|{"a": 2, "c": {"d": null}}|}; "[true]"; "2.5" ]
@@ -1110,7 +1159,8 @@ let () =
          Alcotest.test_case "erase" `Quick test_counting_erase;
          Alcotest.test_case "nested probability" `Quick test_counting_nested_probability;
          Alcotest.test_case "to_json" `Quick test_counting_to_json;
-         Alcotest.test_case "of_json" `Quick test_counting_of_json ]);
+         Alcotest.test_case "of_json" `Quick test_counting_of_json;
+         Alcotest.test_case "zero counts" `Quick test_counting_zero_counts ]);
       ("properties",
        q [ prop_sound; prop_merge_commutative; prop_merge_associative;
            prop_merge_idempotent; prop_merge_upper_bound;

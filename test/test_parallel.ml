@@ -183,10 +183,11 @@ let test_pipeline_resilient_jobs () =
     (Jtype.Counting.to_string a.Pipeline.counting)
     (Jtype.Counting.to_string b.Pipeline.counting);
   Alcotest.(check string) "json schema"
-    (Json.Printer.to_string a.Pipeline.json_schema)
-    (Json.Printer.to_string b.Pipeline.json_schema);
-  Alcotest.(check string) "typescript" a.Pipeline.typescript b.Pipeline.typescript;
-  Alcotest.(check string) "swift" a.Pipeline.swift b.Pipeline.swift
+    (Json.Printer.to_string (Lazy.force a.Pipeline.json_schema))
+    (Json.Printer.to_string (Lazy.force b.Pipeline.json_schema));
+  Alcotest.(check string) "typescript" (Lazy.force a.Pipeline.typescript)
+    (Lazy.force b.Pipeline.typescript);
+  Alcotest.(check string) "swift" (Lazy.force a.Pipeline.swift) (Lazy.force b.Pipeline.swift)
 
 (* --- sharded validation ------------------------------------------------ *)
 
@@ -1045,6 +1046,78 @@ let test_fold_switch_off () =
             equivs))
     [ 1023; 1024; 1025; 1500 ]
 
+(* repeated keys below the top level on every document: at depth 2 ("b"),
+   inside an array of records ("m"), and losing duplicates whose value is a
+   record with a repeated key of its own ("w" loses under [Keep_last] and
+   [Keep_all], "v" under [Keep_first]); the value kinds are the base-7
+   digits of [i] *)
+let nested_dup_doc i =
+  let v j = kind_values.(i / int_of_float (7. ** float j) mod 7) in
+  Printf.sprintf
+    "{\"a\": {\"b\": %s, \"c\": %s, \"b\": %s}, \"l\": [{\"m\": %s, \"m\": %s}, {\"n\": %s}], \
+     \"w\": {\"y\": %s, \"y\": 1}, \"v\": %s, \"w\": %s, \"v\": {\"y\": 1, \"y\": %s}}\n"
+    (v 0) (v 1) (v 2) (v 3) (v 4) (v 0) (v 1) (v 2) (v 3) (v 4)
+
+(* [reset_text]'s layout over [nested_dup_doc]: 4,500 distinct shapes, each
+   seen three times, so the cache passes 4,096 entries while it is on *)
+let nested_reset_text =
+  let b = Buffer.create (1 lsl 21) in
+  for i = 0 to 4499 do
+    Buffer.add_string b (nested_dup_doc i);
+    Buffer.add_string b (nested_dup_doc i);
+    Buffer.add_string b (nested_dup_doc (i mod 97))
+  done;
+  Buffer.contents b
+
+(* [switch_off_text]'s layout over [nested_dup_doc]: one shape 400 times,
+   then distinct shapes until the cache switches off at document 1,024,
+   with the first shape back every third document past 1,100 *)
+let nested_switch_off_text =
+  let b = Buffer.create 65536 in
+  for k = 0 to 1499 do
+    Buffer.add_string b
+      (nested_dup_doc (if k < 400 || (k > 1100 && k mod 3 = 0) then 0 else (7 * k) + 1))
+  done;
+  Buffer.contents b
+
+(* The shape-fed fold resolves repeated keys in one pass over the shape
+   before it adds anything, and skips a losing member's value whole; under
+   [Reject] every document here falls back to the tree parser, which
+   rejects it. The hit and miss counts are the parent build's, before the
+   fold walked shapes into the accumulator: (hits, misses) per corpus,
+   (0, 0) under [Reject]. *)
+let test_fold_nested_duplicates () =
+  List.iter
+    (fun (name, text, (hits, misses)) ->
+      with_dup_policies (fun options ->
+          List.iter
+            (fun equiv ->
+              let what =
+                Printf.sprintf "%s, %s, %s" name
+                  (Jtype.Merge.equiv_to_string equiv)
+                  (match options.Json.Parser.dup_keys with
+                   | Json.Parser.Keep_first -> "first"
+                   | Json.Parser.Keep_last -> "last"
+                   | Json.Parser.Reject -> "reject"
+                   | Json.Parser.Keep_all -> "all")
+              in
+              let want = pairwise_reference ~options ~equiv text in
+              let sink = Telemetry.create () in
+              counting_eq what want
+                (infer_counting ~telemetry:sink ~options ~equiv ~engine:`Streaming
+                   ~jobs:1 text);
+              let pinned =
+                if options.Json.Parser.dup_keys = Json.Parser.Reject then (0, 0)
+                else (hits, misses)
+              in
+              Alcotest.(check (pair int int)) (what ^ ": hits, misses") pinned
+                (counter sink "stream.shape.hits", counter sink "stream.shape.misses");
+              counting_eq (what ^ ", jobs=2") want
+                (infer_counting ~options ~equiv ~engine:`Streaming ~jobs:2 text))
+            equivs))
+    [ ("reset", nested_reset_text, (8903, 4597));
+      ("switch-off", nested_switch_off_text, (399, 1101)) ]
+
 (* the inference fold, failing its [at]-th step once with a transient
    worker fault: the retry must start from a fresh state *)
 let faulting_fold ~equiv ~engine ~at =
@@ -1122,9 +1195,9 @@ let infer_fingerprint (i : Pipeline.inferred) (r : Resilient.ingest)
   String.concat "\n"
     [ Json.Printer.to_string (Jtype.Types.to_json i.Pipeline.jtype);
       Json.Printer.to_string (Jtype.Counting.to_json i.Pipeline.counting);
-      Json.Printer.to_string i.Pipeline.json_schema;
-      i.Pipeline.typescript;
-      i.Pipeline.swift;
+      Json.Printer.to_string (Lazy.force i.Pipeline.json_schema);
+      Lazy.force i.Pipeline.typescript;
+      Lazy.force i.Pipeline.swift;
       ingest_fingerprint r;
       string_of_int r.Resilient.report.Resilient.poisoned;
       string_of_int s.Pipeline.sup_stats.Supervisor.poisoned ]
@@ -1208,6 +1281,53 @@ let test_checkpoint_two_field_payloads () =
             (s2.Pipeline.sup_resumed > 0);
           Alcotest.(check string) "resumed output byte-identical"
             (infer_fingerprint inf0 r0 s0) (infer_fingerprint inf2 r2 s2)))
+    [ `Tree; `Streaming ]
+
+(* A decoded journal may carry a count of 0: an entry whose counting type
+   has zero-count classes (here a null and an array branch of count 0) is
+   canonical, so it resumes, and its zeros reach the merged type as
+   present classes. *)
+let test_checkpoint_zero_counts () =
+  let jobs = 4 and equiv = Jtype.Merge.Kind in
+  let zeros = Jtype.Counting.(CUnion [ CNull 0; CArr (0, CBot) ]) in
+  let with_zeros line =
+    match Result.map Checkpoint.entry_of_json (Json.Parser.parse line) with
+    | Ok (Ok e) -> (
+        match e.Checkpoint.e_payload with
+        | Json.Value.Object [ ("counting", cj) ] ->
+            let c = Result.get_ok (Jtype.Counting.of_json cj) in
+            let c = Jtype.Counting.merge_all ~equiv [ c; zeros ] in
+            Json.Printer.to_string
+              (Checkpoint.entry_to_json
+                 { e with
+                   Checkpoint.e_payload =
+                     Json.Value.Object [ ("counting", Jtype.Counting.to_json c) ] })
+        | p -> Alcotest.failf "unexpected payload %s" (Json.Printer.to_string p))
+    | _ -> line
+  in
+  List.iter
+    (fun engine ->
+      let inf0, _, _ = sup_infer ~policy:(test_policy ~retries:0 ()) ~engine ~jobs messy_text in
+      with_temp_journal (fun path ->
+          let inject = Chaos.worker_faults ~seed:5 ~rate:0.5 ~permanent:true () in
+          let _ =
+            sup_infer ~policy:(test_policy ~retries:0 ()) ~inject ~checkpoint:path
+              ~engine ~jobs messy_text
+          in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc
+                (String.concat "\n" (List.map with_zeros (String.split_on_char '\n' text))));
+          let inf2, _, s2 =
+            sup_infer ~policy:(test_policy ~retries:0 ()) ~checkpoint:path ~resume:true
+              ~engine ~jobs messy_text
+          in
+          Alcotest.(check bool) "shards restored from the journal" true
+            (s2.Pipeline.sup_resumed > 0);
+          Alcotest.(check string) "zero-count classes merged in"
+            (Jtype.Counting.to_string
+               (Jtype.Counting.merge_all ~equiv [ inf0.Pipeline.counting; zeros ]))
+            (Jtype.Counting.to_string inf2.Pipeline.counting)))
     [ `Tree; `Streaming ]
 
 let test_checkpoint_torn_tail () =
@@ -1373,6 +1493,8 @@ let () =
       ("fold",
        [ Alcotest.test_case "wholesale reset = pairwise" `Quick test_fold_wholesale_reset;
          Alcotest.test_case "switch-off boundary = pairwise" `Quick test_fold_switch_off;
+         Alcotest.test_case "nested repeated keys = pairwise" `Quick
+           test_fold_nested_duplicates;
          Alcotest.test_case "fault mid-shard = pairwise" `Quick test_fold_fault_mid_shard;
          Alcotest.test_case "no per-document types" `Quick
            test_fold_no_per_document_types ]);
@@ -1389,6 +1511,8 @@ let () =
          Alcotest.test_case "torn tail" `Quick test_checkpoint_torn_tail;
          Alcotest.test_case "two-field payloads" `Quick
            test_checkpoint_two_field_payloads;
+         Alcotest.test_case "zero-count journal entry resumes" `Quick
+           test_checkpoint_zero_counts;
          Alcotest.test_case "rejects other input" `Quick test_checkpoint_rejects_other_input;
          Alcotest.test_case "rejects other job" `Quick test_checkpoint_rejects_other_job;
          Alcotest.test_case "rejects other engine" `Quick

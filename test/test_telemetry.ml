@@ -293,8 +293,8 @@ let infer_fingerprint = function
   | Ok (i, (r : Resilient.ingest), _) ->
       String.concat "\n"
         (Jtype.Types.to_string i.Pipeline.jtype
-         :: i.Pipeline.typescript
-         :: Json.Printer.to_string i.Pipeline.json_schema
+         :: Lazy.force i.Pipeline.typescript
+         :: Json.Printer.to_string (Lazy.force i.Pipeline.json_schema)
          :: Json.Printer.to_string (Resilient.report_to_json r.Resilient.report)
          :: List.map
               (fun d -> Json.Printer.to_string (Resilient.dead_letter_to_json d))
@@ -323,7 +323,7 @@ let test_determinism_validate () =
   let text = Datagen.to_ndjson (Datagen.events st ~fields:6 80) in
   let root =
     match Pipeline.strict (Pipeline.infer_ndjson ~name:"Root" text) with
-    | Ok (i, _, _) -> i.Pipeline.json_schema
+    | Ok (i, _, _) -> Lazy.force i.Pipeline.json_schema
     | Error m -> Alcotest.fail m
   in
   let render = function
