@@ -545,7 +545,7 @@ let e13 () =
 (* --------------------------------------------------------------- E14 --- *)
 
 let e14 () =
-  header "E14 Sharded parallel ingestion & inference (domain pool)";
+  header "E14 Sharded parallel ingestion & inference (fork/join over domains)";
   let st = Datagen.rng ~seed:114 in
   let docs = Datagen.events st ~fields:8 100_000 in
   let text = Datagen.to_ndjson docs in

@@ -1,114 +1,45 @@
-(* The runtime under the sharded executor (Pipeline.run_shards): a fixed
-   pool of domains, newline-boundary sharding, and the two merges that make
-   a sharded run byte-identical to the sequential scan: dead letters (in
-   whole-input coordinates, via Resilient's first_line/base_offset) are
-   re-sorted by global position, and reports are summed. *)
+(* The runtime under the sharded executor (Pipeline.run_shards): one
+   fork/join loop over OCaml 5 domains, newline-boundary sharding, and the
+   two merges that make a sharded run byte-identical to the sequential
+   scan: dead letters (in whole-input coordinates, via Resilient's
+   first_line/base_offset) are re-sorted by global position, and reports
+   are summed. *)
 
-let default_jobs () = Domain.recommended_domain_count ()
+(* --- fork/join over domains --------------------------------------------- *)
 
-(* --- domain pool with a bounded work queue ----------------------------- *)
-
-module Pool = struct
-  type t = {
-    queue : (unit -> unit) Queue.t;
-    capacity : int;
-    mutex : Mutex.t;
-    not_empty : Condition.t;
-    not_full : Condition.t;
-    mutable closed : bool;
-    mutable workers : unit Domain.t list;
-    tele : Telemetry.sink;
-  }
-
-  let rec worker t =
-    Mutex.lock t.mutex;
-    (* time spent with nothing to do: the starvation signal for shard
-       imbalance. Measured around the wait loop, so a worker that never
-       blocks contributes near-zero samples. *)
-    let idle_from = if Telemetry.is_recording t.tele then Telemetry.now () else 0.0 in
-    while Queue.is_empty t.queue && not t.closed do
-      Condition.wait t.not_empty t.mutex
-    done;
-    if Telemetry.is_recording t.tele then
-      Telemetry.observe t.tele "pool.idle_s" (Telemetry.now () -. idle_from);
-    if Queue.is_empty t.queue then Mutex.unlock t.mutex (* closed & drained *)
-    else begin
-      let task = Queue.pop t.queue in
-      Condition.signal t.not_full;
-      Mutex.unlock t.mutex;
-      task ();
-      worker t
+let run ~jobs thunks =
+  let thunks = Array.of_list thunks in
+  let n = Array.length thunks in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  (* every domain takes the next thunk until none is left; an exception
+     stays in its thunk's slot, so the thunks after it still run *)
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (try Ok (thunks.(i) ()) with e -> Error e);
+      work ()
     end
-
-  let create ?(telemetry = Telemetry.nop) ~workers ~capacity () =
-    let t =
-      { queue = Queue.create ();
-        capacity = max 1 capacity;
-        mutex = Mutex.create ();
-        not_empty = Condition.create ();
-        not_full = Condition.create ();
-        closed = false;
-        workers = [];
-        tele = telemetry }
-    in
-    t.workers <- List.init (max 1 workers) (fun _ -> Domain.spawn (fun () -> worker t));
-    t
-
-  let submit t task =
-    let task =
-      if Telemetry.is_recording t.tele then begin
-        let enqueued = Telemetry.now () in
-        fun () ->
-          Telemetry.observe t.tele "pool.queue_wait_s"
-            (Telemetry.now () -. enqueued);
-          task ()
-      end
-      else task
-    in
-    Mutex.lock t.mutex;
-    while Queue.length t.queue >= t.capacity do
-      Condition.wait t.not_full t.mutex
-    done;
-    Queue.push task t.queue;
-    Condition.signal t.not_empty;
-    Mutex.unlock t.mutex
-
-  (* close the queue and wait for every worker to drain and exit *)
-  let shutdown t =
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-end
-
-let run ?(telemetry = Telemetry.nop) ~jobs thunks =
-  match thunks with
-  | [] -> []
-  | [ f ] -> [ f () ]
-  | _ when jobs <= 1 -> List.map (fun f -> f ()) thunks
-  | _ ->
-      let thunks = Array.of_list thunks in
-      let n = Array.length thunks in
-      let results = Array.make n None in
-      let pool =
-        Pool.create ~telemetry ~workers:(min jobs n) ~capacity:(2 * jobs) ()
-      in
-      (* exceptions are carried back to the caller, never lost in a domain *)
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-          Array.iteri
-            (fun i f ->
-              Pool.submit pool (fun () ->
-                  results.(i) <- Some (try Ok (f ()) with e -> Error e)))
-            thunks);
-      Array.to_list
-        (Array.map
-           (function
-             | Some (Ok v) -> v
-             | Some (Error e) -> raise e
-             | None -> assert false (* shutdown joined every worker *))
-           results)
+  in
+  (* OCaml 5.1 runs at most 128 domains: once the runtime refuses a helper,
+     the domains already running take the rest *)
+  let rec spawn k helpers =
+    if k <= 0 then helpers
+    else
+      match Domain.spawn work with
+      | d -> spawn (k - 1) (d :: helpers)
+      | exception Failure _ -> helpers
+  in
+  let helpers = spawn (min jobs n - 1) [] in
+  work ();
+  List.iter Domain.join helpers;
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok v) -> v
+         | Some (Error e) -> raise e
+         | None -> assert false (* the caller's loop ran until none was left *))
+       results)
 
 (* --- newline-boundary sharding ----------------------------------------- *)
 
@@ -165,22 +96,3 @@ let merge_reports (a : Resilient.report) (b : Resilient.report) =
 
 let dead_order (a : Resilient.dead_letter) (b : Resilient.dead_letter) =
   compare a.Resilient.byte_offset b.Resilient.byte_offset
-
-(* Emit the hash-consed kernel's counter deltas (interning, and the fusion
-   caches of a [Types] merge where one runs) into the sink, so
-   [--stats-json] reports what the kernel did during this call and nothing
-   else. Counters are per-domain cells summed over all domains; both
-   snapshots are taken while no pool is running (run/shutdown joins every
-   worker), so the delta is exact. *)
-let with_kernel_stats telemetry f =
-  if not (Telemetry.is_recording telemetry) then f ()
-  else begin
-    let before = Jtype.Kernel.totals () in
-    let r = f () in
-    List.iter
-      (fun (k, v) ->
-        let b = Option.value ~default:0 (List.assoc_opt k before) in
-        if v - b > 0 then Telemetry.count telemetry k (v - b))
-      (Jtype.Kernel.totals ());
-    r
-  end

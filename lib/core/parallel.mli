@@ -5,11 +5,12 @@
     and {!Jtype.Merge.merge_all} lifts plain types into — is associative
     and commutative, so sharding a
     collection and fusing per-shard results is semantics-preserving by
-    construction. This module supplies the runtime for that shape: a
-    hand-rolled fixed pool of domains fed by a bounded work queue, NDJSON
-    sharding at newline boundaries, and the merges of per-shard ingest
-    results. The one executor that runs every NDJSON job on it, with
-    supervision and checkpointing, is {!Pipeline.run_shards}.
+    construction. This module supplies the runtime for that shape: one
+    fork/join loop that runs thunks on up to [jobs] domains, the calling
+    one among them, NDJSON sharding at newline boundaries, and the merges
+    of per-shard ingest results. The one executor that runs every NDJSON
+    job on it, with supervision and checkpointing, is
+    {!Pipeline.run_shards}.
 
     A sharded run is {e byte-identical} to the sequential scan on
     newline-delimited input: dead letters carry whole-input line numbers
@@ -20,19 +21,15 @@
     multi-line JSON) would be split, so parallel ingestion assumes
     one-document-per-line NDJSON. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
-(** {1 Pool primitives} *)
-
-val run : ?telemetry:Telemetry.sink -> jobs:int -> (unit -> 'a) list -> 'a list
-(** Execute the thunks on a pool of [min jobs n] domains with a bounded
-    ([2 * jobs]) work queue; results are returned in submission order. An
-    exception in any thunk is re-raised in the caller after the pool is
-    drained and joined. [jobs <= 1] (or a single thunk) runs in the calling
-    domain. [telemetry] (default {!Telemetry.nop}) receives the pool's
-    health histograms: [pool.queue_wait_s] (enqueue-to-start latency per
-    task) and [pool.idle_s] (per-dequeue worker starvation time). *)
+val run : jobs:int -> (unit -> 'a) list -> 'a list
+(** Run every thunk and return the results in thunk order. [min jobs n - 1]
+    helper domains are started for [n] thunks; the helpers and the calling
+    domain take thunks by an atomic index until none is left, and the
+    caller joins the helpers. A helper the runtime refuses to start (OCaml
+    5.1 runs at most 128 domains) is not started, and the domains already
+    running take its share. Every thunk runs even when some raise; once
+    all have run and every helper is joined, the first exception in thunk
+    order is re-raised in the caller. *)
 
 type shard = {
   s_off : int;   (** byte offset of the shard in the whole input *)
@@ -52,10 +49,3 @@ val merge_reports : Resilient.report -> Resilient.report -> Resilient.report
 val dead_order : Resilient.dead_letter -> Resilient.dead_letter -> int
 (** Global input order for dead letters (by whole-input byte offset) — the
     order the sequential scan produces them in. *)
-
-val with_kernel_stats : Telemetry.sink -> (unit -> 'a) -> 'a
-(** Run [f] and emit the {!Jtype.Kernel} counter deltas it caused
-    ([kernel.nodes], [kernel.intern.hits], and any other counter [f]
-    touched) into the sink. No-op on
-    {!Telemetry.nop}. Call only around joined parallel sections (deltas
-    are summed over all domains). *)

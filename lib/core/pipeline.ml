@@ -31,9 +31,29 @@ let emit_inferred telemetry ~docs (i : inferred) =
       (float_of_int (Inference.Parametric.union_width i.jtype))
   end
 
+(* Emit the hash-consed kernel's counter deltas ([kernel.nodes],
+   [kernel.intern.hits], [subtype.*]) into the sink, so [--stats-json]
+   reports what the kernel did during this call and nothing else. Wrap a
+   run once: nested, the inner deltas would be counted twice. Counters are
+   per-domain cells summed over all domains, and [f] returns only after
+   [Parallel.run] has joined every domain it started, so the delta is
+   exact. *)
+let with_kernel_stats telemetry f =
+  if not (Telemetry.is_recording telemetry) then f ()
+  else begin
+    let before = Jtype.Kernel.totals () in
+    let r = f () in
+    List.iter
+      (fun (k, v) ->
+        let b = Option.value ~default:0 (List.assoc_opt k before) in
+        if v - b > 0 then Telemetry.count telemetry k (v - b))
+      (Jtype.Kernel.totals ());
+    r
+  end
+
 let infer ?(equiv = Jtype.Merge.Kind) ?(name = "Root")
     ?(telemetry = Telemetry.nop) values =
-  Parallel.with_kernel_stats telemetry @@ fun () ->
+  with_kernel_stats telemetry @@ fun () ->
   let i =
     build_inferred ~name
       (Telemetry.span telemetry "infer" (fun () ->
@@ -179,7 +199,7 @@ let run_shards ?(budget = Resilient.default_budget) ?options
           (fun plan ~shard ~attempt -> plan ~shard:globals.(shard) ~attempt)
           inject
       in
-      (* the journal is shared across pool domains; entries land in
+      (* the journal is shared across domains; entries land in
          completion order, which is fine — resume matches by coordinates,
          not position *)
       let jmutex = Mutex.create () in
@@ -348,10 +368,10 @@ let infer_fold ~equiv engine =
     encode = counting_to_payload;
     decode = counting_of_payload ~equiv }
 
-let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?budget ?options
+(* [infer_ndjson] without the kernel bridge, which its callers wrap once *)
+let infer_run ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?budget ?options
     ?policy ?inject ?checkpoint ?resume ?(engine = `Streaming) ?jobs
-    ?(telemetry = Telemetry.nop) text =
-  Parallel.with_kernel_stats telemetry @@ fun () ->
+    ~telemetry text =
   let* parts, ingest, sup =
     run_shards ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
       ~telemetry
@@ -365,6 +385,12 @@ let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?budget ?options
   in
   emit_inferred telemetry ~docs:ingest.Resilient.report.Resilient.ok i;
   Ok (i, ingest, sup)
+
+let infer_ndjson ?equiv ?name ?budget ?options ?policy ?inject ?checkpoint
+    ?resume ?engine ?jobs ?(telemetry = Telemetry.nop) text =
+  with_kernel_stats telemetry (fun () ->
+      infer_run ?equiv ?name ?budget ?options ?policy ?inject ?checkpoint
+        ?resume ?engine ?jobs ~telemetry text)
 
 let validation_error_to_json (e : Jsonschema.Validate.error) =
   Json.Value.Object
@@ -521,28 +547,11 @@ type checked = {
   chk_verdict : Jtype.Contain.verdict option;
 }
 
-(* The containment step runs outside [Parallel.with_kernel_stats] (the
-   inference phase already wraps itself — nesting would double-count), so
-   its kernel counters are snapshotted by hand. All three [subtype.*]
-   keys are characteristic of the check pipeline and land in the sink
-   whenever any subtype work happened. *)
-let subtype_counter_delta telemetry f =
-  if not (Telemetry.is_recording telemetry) then f ()
-  else begin
-    let get totals k = Option.value ~default:0 (List.assoc_opt k totals) in
-    let before = Jtype.Kernel.totals () in
-    let r = f () in
-    let after = Jtype.Kernel.totals () in
-    List.iter
-      (fun k -> Telemetry.count telemetry k (get after k - get before k))
-      [ "subtype.queries"; "subtype.hits"; "subtype.unknown" ];
-    r
-  end
-
 let check_ndjson ?equiv ?name ?budget ?options ?policy ?inject ?checkpoint
     ?resume ?engine ?jobs ?(telemetry = Telemetry.nop) ?vconfig ~root text =
+  with_kernel_stats telemetry @@ fun () ->
   let* inferred, ingest, sup =
-    infer_ndjson ?equiv ?name ?budget ?options ?policy ?inject ?checkpoint
+    infer_run ?equiv ?name ?budget ?options ?policy ?inject ?checkpoint
       ?resume ?engine ?jobs ~telemetry text
   in
   let checked =
@@ -551,9 +560,7 @@ let check_ndjson ?equiv ?name ?budget ?options ?policy ?inject ?checkpoint
     else
       { chk_inferred = Some inferred;
         chk_verdict =
-          Some
-            (subtype_counter_delta telemetry (fun () ->
-                 Jtype.Contain.check ?config:vconfig ~root inferred.jtype)) }
+          Some (Jtype.Contain.check ?config:vconfig ~root inferred.jtype) }
   in
   Ok (checked, ingest, sup)
 

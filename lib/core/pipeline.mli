@@ -24,7 +24,7 @@ val infer :
     {!Inference.Parametric.infer}. [telemetry] (default {!Telemetry.nop})
     observes without changing any output: the [infer] span,
     [infer.merge_ops] (documents − 1), one [infer.union_width] sample, and
-    the [kernel.*] deltas of {!Parallel.with_kernel_stats}. *)
+    the [kernel.*] counter deltas of the call. *)
 
 val validate_collection :
   ?config:Jsonschema.Validate.config -> ?compiled:bool ->
@@ -52,7 +52,8 @@ type engine = [ `Tree | `Streaming ]
     Every NDJSON job — ingestion, inference, validation and the drift
     check — is one sharded run on one executor, {!run_shards}. It cuts the
     text at newlines ({!Parallel.shards}), folds each shard under
-    {!Supervisor.run}, journals each completed shard when given a
+    {!Supervisor.run} on up to [jobs] domains ({!Parallel.run}, the
+    calling domain among them), journals each completed shard when given a
     checkpoint, and merges once. A job differs from another only in its
     {!fold}; supervision is a {!Supervisor.policy} plus an optional
     journal. The default policy is {!Supervisor.no_retry} with no journal,
@@ -132,8 +133,9 @@ val run_shards :
     only for an unusable journal (wrong job, engine or input; a payload
     that does not decode; a file that cannot be opened). [telemetry]
     receives the ingest and parser metrics of every attempt, one
-    [<kind>.shard] span per attempt, the {!Supervisor.run} counters and
-    pool histograms, and [checkpoint.resumed_shards] when nonzero. *)
+    [<kind>.shard] span per attempt, the {!Supervisor.run} counters, and
+    [checkpoint.resumed_shards] when nonzero. Its key set does not depend
+    on [jobs] beyond the counters recorded only when nonzero. *)
 
 val strict :
   ('a * Resilient.ingest * supervision, string) result ->
@@ -181,7 +183,7 @@ val infer_ndjson :
     a union), is an [Error]. The job
     tag includes [equiv]. Telemetry adds [infer.merge_ops] (documents − 1),
     one [infer.union_width] sample, the [infer.merge] span and the
-    [kernel.*] deltas. *)
+    [kernel.*] counter deltas of the run. *)
 
 type infer_state
 (** A shard attempt's inference state: a counting accumulator, and for the
@@ -249,9 +251,11 @@ val check_ndjson :
     then whether the inferred type is contained in schema [root]
     ({!Jtype.Contain.check}). The containment step's cost depends on the
     type and the schema, not the corpus size. [vconfig] configures witness
-    verification (notably [assert_formats]). Kernel counters
-    [subtype.queries]/[subtype.hits]/[subtype.unknown] from the
-    containment step are published to [telemetry]. *)
+    verification (notably [assert_formats]). The inference and the
+    containment step run under one kernel-counter bridge, so the
+    [kernel.*] and [subtype.queries]/[subtype.hits]/[subtype.unknown]
+    deltas published to [telemetry] cover both (each only when
+    nonzero). *)
 
 (** {1 Dataset profiling} *)
 

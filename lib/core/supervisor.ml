@@ -1,8 +1,8 @@
-(* Fault-tolerant shard supervision over the Parallel domain pool.
+(* Fault-tolerant shard supervision over Parallel.run.
 
-   The pool (Parallel.run) is deliberately dumb: a thunk that raises kills
-   the whole job. This layer wraps each shard in a retry loop *inside* its
-   pooled thunk — the pool never sees an exception — so one pathological
+   The runner is deliberately dumb: a thunk that raises fails the whole
+   job. This layer wraps each shard in a retry loop *inside* its thunk —
+   the runner never sees an exception — so one pathological
    shard degrades to a typed Poisoned outcome instead of aborting a
    multi-hour job. Everything that could make retries nondeterministic is
    pinned: backoff jitter derives from a hash of (shard, attempt), not a
@@ -144,18 +144,17 @@ let run ?(policy = default_policy) ?(telemetry = Telemetry.nop) ?inject
     in
     go 1
   in
-  (* the supervised thunks never raise, so the pool's re-raise path is
+  (* the supervised thunks never raise, so the runner's re-raise path is
      provably dead here: one poisoned shard cannot abort its siblings *)
   let outcomes =
-    Parallel.run ~telemetry ~jobs
-      (List.mapi (fun shard task -> supervise shard task) tasks)
+    Parallel.run ~jobs (List.mapi (fun shard task -> supervise shard task) tasks)
   in
   let poisoned_n =
     List.fold_left
       (fun acc -> function Poisoned _ -> acc + 1 | Done _ -> acc)
       0 outcomes
   in
-  (* Graceful degradation: mass poisoning means the *environment* (pool,
+  (* Graceful degradation: mass poisoning means the *environment* (domains,
      injected worker faults, a deadline tuned too tight) is the problem,
      not the data. Shed to one sequential, deadline-free, injection-free
      attempt per poisoned shard in the calling domain — slower, but the

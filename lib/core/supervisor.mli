@@ -1,9 +1,9 @@
 (** Fault-tolerant shard supervision: retry with deterministic backoff,
     cooperative deadlines, poison-shard isolation, graceful degradation.
 
-    {!Parallel.run} is deliberately dumb — a thunk that raises kills the
+    {!Parallel.run} is deliberately dumb — a thunk that raises fails the
     whole job. The supervisor wraps each shard's work in a retry loop that
-    runs {e inside} its pooled thunk, so the pool never sees an exception:
+    runs {e inside} its thunk, so the runner never sees an exception:
     a shard that fails every attempt becomes a typed {!outcome.Poisoned}
     value and its siblings are untouched. {!Pipeline.run_shards} turns
     poisoned shards into {!Resilient.dead_letter}s with whole-input
@@ -92,7 +92,8 @@ val run :
   jobs:int ->
   (attempt:int -> tick:(unit -> unit) -> 'a) list ->
   'a outcome list * stats
-(** Execute one task per shard on the {!Parallel.run} pool under [policy].
+(** Execute one task per shard under [policy], on {!Parallel.run} with
+    [jobs] (up to [jobs] domains, the calling one among them).
     Tasks receive the current [attempt] (1-based — {!Resilient.ingest}
     stamps it into dead letters) and a [tick] to call at work-unit
     boundaries (the deadline check; whatever [tick] raises fails the

@@ -16,7 +16,7 @@
    sinks); a recording call after that is a domain-local read, a physical
    comparison and an array update. OCaml's per-location no-tearing guarantee makes a concurrent snapshot
    memory-safe (it may observe a mid-update shard, which the pipelines
-   avoid by snapshotting after their pools are joined). *)
+   avoid by snapshotting after their domains are joined). *)
 
 let now () = Unix.gettimeofday ()
 

@@ -32,7 +32,7 @@
 
     Timing uses [Unix.gettimeofday]; no other dependency. Snapshots taken
     while other domains are still writing are weakly consistent — the
-    pipelines snapshot after their pools are joined. *)
+    pipelines snapshot after their domains are joined. *)
 
 (** {1 Histograms} *)
 

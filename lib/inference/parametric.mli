@@ -9,7 +9,7 @@
     partitions, which is exactly the shape a distributed runtime (the
     papers use Spark) produces. Experiment E3 checks shape-independence and
     measures the merge-tree speedup; [Core.Parallel] evaluates the same
-    shard/reduce shape on a pool of OCaml 5 domains (experiment E14), with
+    shard/reduce shape on up to [jobs] OCaml 5 domains (experiment E14), with
     results identical to the sequential fold for any shard count. *)
 
 val infer : equiv:Jtype.Merge.equiv -> Json.Value.t list -> Jtype.Types.t

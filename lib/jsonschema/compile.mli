@@ -10,8 +10,8 @@
     string resolution. The conformance suite and the QCheck differential
     oracle under [test/] enforce the equivalence.
 
-    Plans are immutable and domain-safe: compile once, share across a
-    domain pool. *)
+    Plans are immutable and domain-safe: compile once, share across
+    domains. *)
 
 type error = Validate.error
 

@@ -106,7 +106,7 @@ let run_file dir file =
   | _ -> failwith (Printf.sprintf "%s: top level is not an array" file)
 
 let () =
-  let dir = "conformance" in
+  let dir = Conformance_corpus.dir in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".json")

@@ -1,5 +1,5 @@
 (* Tests for the sharded executor (Core.Pipeline.run_shards) on the
-   Core.Parallel pool: every run must be byte-identical to the sequential
+   Core.Parallel runner: every run must be byte-identical to the sequential
    scan — same documents, same dead letters (order included), same
    reports, same inferred types and validation failures — for any job
    count, either engine, any supervision policy, interrupted and resumed or
@@ -31,17 +31,88 @@ let clean_text =
 
 let test_run_order_and_results () =
   let thunks = List.init 37 (fun i () -> i * i) in
-  Alcotest.(check (list int)) "order preserved (jobs=4)"
-    (List.init 37 (fun i -> i * i))
-    (Parallel.run ~jobs:4 thunks);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "order preserved (jobs=%d)" jobs)
+        (List.init 37 (fun i -> i * i))
+        (Parallel.run ~jobs thunks))
+    [ 0; 1; 4 ];
   Alcotest.(check (list int)) "jobs > tasks" [ 1; 2 ]
     (Parallel.run ~jobs:16 [ (fun () -> 1); (fun () -> 2) ]);
   Alcotest.(check (list int)) "empty" [] (Parallel.run ~jobs:4 [])
 
+(* every thunk runs even when some raise, and the first exception in thunk
+   order is the one re-raised, whichever domain raised first *)
 let test_run_propagates_exceptions () =
-  match Parallel.run ~jobs:3 (List.init 8 (fun i () -> if i = 5 then failwith "boom" else i)) with
-  | _ -> Alcotest.fail "exception must escape"
-  | exception Failure m -> Alcotest.(check string) "message" "boom" m
+  List.iter
+    (fun jobs ->
+      let ran = Array.make 8 false in
+      let thunks =
+        List.init 8 (fun i () ->
+            ran.(i) <- true;
+            if i = 2 then failwith "first"
+            else if i = 5 then failwith "second"
+            else i)
+      in
+      (match Parallel.run ~jobs thunks with
+       | _ -> Alcotest.fail "exception must escape"
+       | exception Failure m ->
+           Alcotest.(check string)
+             (Printf.sprintf "first in thunk order (jobs=%d)" jobs) "first" m);
+      Alcotest.(check (array bool))
+        (Printf.sprintf "every thunk ran (jobs=%d)" jobs)
+        (Array.make 8 true) ran)
+    [ 1; 3; 16 ]
+
+(* The calling domain is one of the [jobs] domains. At [jobs] 2, two thunks
+   that each wait for the other to start both see it in time only if two
+   domains run them at once, and then one of them must be the caller. *)
+let test_run_on_caller () =
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 in
+  let thunk () =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    ((Domain.self () :> int), Atomic.get started = 2)
+  in
+  (match Parallel.run ~jobs:2 [ thunk; thunk ] with
+   | [ (a, a_saw); (b, b_saw) ] ->
+       Alcotest.(check bool) "both running at once" true (a_saw && b_saw);
+       Alcotest.(check bool) "on two domains" true (a <> b);
+       Alcotest.(check bool) "one of them the caller" true
+         (a = caller || b = caller)
+   | _ -> Alcotest.fail "two results");
+  let ids =
+    Parallel.run ~jobs:2
+      (List.init 8 (fun _ () ->
+           Unix.sleepf 0.002;
+           (Domain.self () :> int)))
+  in
+  Alcotest.(check bool) "at most jobs domains" true
+    (List.length (List.sort_uniq compare ids) <= 2)
+
+(* OCaml 5.1 runs at most 128 domains. A helper that finishes frees its
+   slot, so each thunk holds its domain until 128 thunks have started: the
+   runner must then meet the limit, stop starting helpers, and let the
+   domains already running take the rest. *)
+let test_run_domain_limit () =
+  let started = Atomic.make 0 in
+  let thunk () =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get started < 128 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    (Domain.self () :> int)
+  in
+  let ids = Parallel.run ~jobs:200 (List.init 200 (fun _ -> thunk)) in
+  Alcotest.(check int) "every thunk ran" 200 (List.length ids);
+  Alcotest.(check bool) "at most 128 domains" true
+    (List.length (List.sort_uniq compare ids) <= 128)
 
 let test_shards_cover_input () =
   List.iter
@@ -1469,6 +1540,8 @@ let () =
     [ ("pool",
        [ Alcotest.test_case "run order/results" `Quick test_run_order_and_results;
          Alcotest.test_case "exceptions" `Quick test_run_propagates_exceptions;
+         Alcotest.test_case "caller runs thunks" `Quick test_run_on_caller;
+         Alcotest.test_case "domain limit" `Quick test_run_domain_limit;
          Alcotest.test_case "shards cover input" `Quick test_shards_cover_input ]);
       ("ingest",
        [ Alcotest.test_case "chaos corpus identical" `Quick test_ingest_identical;

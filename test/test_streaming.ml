@@ -256,7 +256,7 @@ let test_validate_conformance_corpus () =
     close_in ic;
     s
   in
-  let dir = "conformance" in
+  let dir = Conformance_corpus.dir in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".json")

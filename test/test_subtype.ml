@@ -340,7 +340,7 @@ let containment_corpus_case file case =
   | _ -> Alcotest.failf "%s: corpus case must be an object" file
 
 let test_containment_corpus () =
-  let dir = Filename.concat "conformance" "containment" in
+  let dir = Filename.concat Conformance_corpus.dir "containment" in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".json")
