@@ -181,7 +181,7 @@ let e5 () =
   let t_full =
     timed (fun () ->
         match
-          Json.Stream.fold_documents text ~init:0 ~f:(fun acc doc ->
+          Json.Parser.fold_documents text ~init:0 ~f:(fun acc doc ->
               acc + (match Json.Value.member "f0" doc with Some _ -> 1 | None -> 0))
         with
         | Ok n -> ignore n
@@ -250,7 +250,7 @@ let e5 () =
   let t_nested_full =
     timed (fun () ->
         ignore
-          (Json.Stream.fold_documents nested_text ~init:0 ~f:(fun acc doc ->
+          (Json.Parser.fold_documents nested_text ~init:0 ~f:(fun acc doc ->
                match Json.Value.member "meta" doc with
                | Some u -> (match Json.Value.member "f1" u with Some _ -> acc + 1 | None -> acc)
                | None -> acc)))
@@ -344,7 +344,7 @@ let e7 () =
   in
   let t_json_parse =
     timed (fun () ->
-        ignore (Json.Stream.fold_documents json_text ~init:0 ~f:(fun a _ -> a + 1)))
+        ignore (Json.Parser.fold_documents json_text ~init:0 ~f:(fun a _ -> a + 1)))
   in
   (match Translate.Avro.decode_all avro_schema avro_bytes with
    | Ok back when List.length back = n -> ()

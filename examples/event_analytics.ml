@@ -23,7 +23,7 @@ let () =
   (* baseline: full tree parse, then extract the two fields *)
   let (full_sum, full_time) =
     time (fun () ->
-        match Json.Stream.fold_documents text ~init:0 ~f:(fun acc doc ->
+        match Json.Parser.fold_documents text ~init:0 ~f:(fun acc doc ->
                   match Json.Value.(member "f0" doc, member "f4" doc) with
                   | Some (Json.Value.Int a), Some _ -> acc + a
                   | _ -> acc)

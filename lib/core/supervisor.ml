@@ -14,22 +14,16 @@
 type failure_class =
   | Timed_out
   | Fault of string
-  | Budget of string
-  | Parse of string
   | Crash of string
 
 let failure_label = function
   | Timed_out -> "timeout"
   | Fault _ -> "fault"
-  | Budget _ -> "budget"
-  | Parse _ -> "parse"
   | Crash _ -> "crash"
 
 let failure_describe = function
   | Timed_out -> "timeout"
   | Fault s -> s
-  | Budget s -> "budget:" ^ s
-  | Parse s -> "parse:" ^ s
   | Crash s -> "crash:" ^ s
 
 exception Abort of failure_class
@@ -124,7 +118,6 @@ let run ?(policy = default_policy) ?(telemetry = Telemetry.nop) ?inject
     | Timed_out -> Atomic.incr timeouts_c
     | Fault _ -> Atomic.incr faults_c
     | Crash _ -> Atomic.incr crashes_c
-    | Budget _ | Parse _ -> ()
   in
   let supervise shard task () =
     let rec go attempt =

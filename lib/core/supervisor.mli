@@ -23,13 +23,11 @@
 type failure_class =
   | Timed_out            (** the cooperative deadline fired *)
   | Fault of string      (** injected worker fault; payload is the site id *)
-  | Budget of string     (** task-raised budget abort (violation name) *)
-  | Parse of string      (** task-raised parse abort *)
   | Crash of string      (** unexpected exception ([Printexc.to_string]) *)
 
 val failure_label : failure_class -> string
-(** Constructor name only: ["timeout"], ["fault"], ["budget"], ["parse"],
-    ["crash"] — the {!Resilient.fault_kind.Shard} label. *)
+(** Constructor name only: ["timeout"], ["fault"], ["crash"] — the
+    {!Resilient.fault_kind.Shard} label. *)
 
 val failure_describe : failure_class -> string
 (** Label plus payload, e.g. ["chaos:worker@shard2:permanent"] or

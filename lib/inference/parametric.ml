@@ -44,11 +44,6 @@ let infer_partitioned ~equiv ~partitions values =
 
 let infer_counting ~equiv values = Jtype.Counting.infer ~equiv values
 
-let infer_ndjson ~equiv src =
-  Result.map (Jtype.Merge.merge_all ~equiv)
-    (Json.Stream.fold_documents src ~init:[] ~f:(fun ts v ->
-         Jtype.Types.of_value v :: ts))
-
 let precision t values =
   match values with
   | [] -> 1.0

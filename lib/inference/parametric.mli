@@ -35,12 +35,6 @@ val infer_counting :
   equiv:Jtype.Merge.equiv -> Json.Value.t list -> Jtype.Counting.t
 (** Counting variant (DBPL'17). *)
 
-val infer_ndjson :
-  equiv:Jtype.Merge.equiv -> string -> (Jtype.Types.t, Json.Parser.error) result
-(** Stream over an NDJSON / concatenated-JSON text without materializing the
-    collection: it keeps each document's type (repeats share one node) and
-    fuses them with one {!Jtype.Merge.merge_all}. *)
-
 (** {1 Quality metrics used by the experiments} *)
 
 val precision : Jtype.Types.t -> Json.Value.t list -> float

@@ -5,13 +5,13 @@
 
    Each document goes through three steps.
 
-   1. One [Lexer.skim] pass ({!Json.Shape.record}), a line-by-line mirror
-      of [Parser.parse_value]: same node and byte accounting, same depth
-      checks, same grammar errors. Field names are interned straight from
-      their source spans, or matched in place when the key before them
-      predicts them. The pass records the document's *shape*: one code
-      per value or bracket (int and float kept apart) and the interned
-      field names in document order.
+   1. One [Lexer.skim] pass ({!Json.Shape.record}) on the tree parser's
+      cursor: its node and byte accounting, its depth checks, its grammar
+      errors. Field names are interned straight from their source spans,
+      or matched in place when the key before them predicts them. The
+      pass records the document's *shape*: one code per value or bracket
+      (int and float kept apart) and the interned field names in document
+      order.
 
    2. The typing judgment of a document depends only on its shape, so the
       shape is looked up in the shard's {!Json.Shape} cache. A hit —
@@ -313,11 +313,11 @@ let take ~options ~telemetry sc ~equiv acc src ~pos =
   let shapes = sc.shapes in
   let reuse0 = S.reuse shapes and hits0 = S.hits shapes and misses0 = S.misses shapes in
   S.restart shapes;
-  let w = S.walk options src ~pos in
+  let w = P.cursor options src ~pos in
   let skimmed =
-    P.run w.S.lx (fun () ->
+    P.run w.P.lx (fun () ->
         S.record shapes w (S.root shapes) 0;
-        S.check_bytes_end w)
+        P.check_bytes_end w)
   in
   let dup = options.P.dup_keys in
   let taken =
@@ -340,10 +340,10 @@ let take ~options ~telemetry sc ~equiv acc src ~pos =
   in
   match taken with
   | Some hit ->
-      let stop = L.offset w.S.lx in
-      P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.S.nodes;
+      let stop = L.offset w.P.lx in
+      P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.P.nodes;
       if Telemetry.is_recording telemetry then begin
-        Telemetry.add telemetry tokens_c w.S.tokens;
+        Telemetry.add telemetry tokens_c w.P.tokens;
         Telemetry.add telemetry reuse_c (S.reuse shapes - reuse0);
         Telemetry.add telemetry hits_c (S.hits shapes - hits0);
         Telemetry.add telemetry misses_c (S.misses shapes - misses0)

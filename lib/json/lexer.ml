@@ -1,20 +1,5 @@
 type position = { offset : int; line : int; column : int }
 
-type token =
-  | Lbrace
-  | Rbrace
-  | Lbracket
-  | Rbracket
-  | Colon
-  | Comma
-  | True
-  | False
-  | Null_tok
-  | String_tok of string
-  | Number_tok of Number.parsed
-
-  | Eof
-
 exception Lex_error of position * string
 exception Limit_error of position * string
 
@@ -23,10 +8,8 @@ type t = {
   mutable pos : int;
   mutable line : int;
   mutable bol : int; (* offset of the beginning of the current line *)
-  mutable lookahead : (token * position) option;
   mutable buf : Buffer.t option; (* scratch for string unescaping, created on
-                                    first materialized string — a skimming
-                                    lex never needs it *)
+                                    the first escaped string materialized *)
   max_string_bytes : int option;
   (* Latched by [skim] so hot loops can read token metadata without a
      position record or tuple being allocated per token. *)
@@ -37,7 +20,7 @@ type t = {
 }
 
 let create ?(pos = 0) ?max_string_bytes src =
-  { src; pos; line = 1; bol = pos; lookahead = None; buf = None;
+  { src; pos; line = 1; bol = pos; buf = None;
     max_string_bytes; tok_start = pos; str_start = 0; str_stop = 0;
     str_escaped = false }
 
@@ -54,20 +37,6 @@ let position lx = position_at lx lx.pos
 let offset lx = lx.pos
 
 let error lx off msg = raise (Lex_error (position_at lx off, msg))
-
-let token_name = function
-  | Lbrace -> "'{'"
-  | Rbrace -> "'}'"
-  | Lbracket -> "'['"
-  | Rbracket -> "']'"
-  | Colon -> "':'"
-  | Comma -> "','"
-  | True -> "'true'"
-  | False -> "'false'"
-  | Null_tok -> "'null'"
-  | String_tok _ -> "string"
-  | Number_tok _ -> "number"
-  | Eof -> "end of input"
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -92,7 +61,7 @@ let skip_ws lx =
   done;
   lx.pos <- !p
 
-let expect_keyword lx word token =
+let expect_keyword lx word =
   let n = String.length word in
   let src = lx.src in
   let start = lx.pos in
@@ -102,10 +71,7 @@ let expect_keyword lx word token =
     while !i < n && String.unsafe_get src (start + !i) = String.unsafe_get word !i do
       incr i
     done;
-  if fits && !i = n then begin
-    lx.pos <- start + n;
-    token
-  end
+  if fits && !i = n then lx.pos <- start + n
   else error lx start (Printf.sprintf "expected %s" word)
 
 (* Append a Unicode scalar value as UTF-8. *)
@@ -146,75 +112,11 @@ let read_hex4 lx =
   lx.pos <- lx.pos + 4;
   v
 
-let read_string lx =
-  let n = String.length lx.src in
-  let start = lx.pos in
-  lx.pos <- lx.pos + 1; (* opening quote *)
-  let buf = get_buf lx in
-  Buffer.clear buf;
-  let check_budget () =
-    match lx.max_string_bytes with
-    | Some limit when Buffer.length buf > limit ->
-        raise
-          (Limit_error
-             ( position_at lx start,
-               Printf.sprintf "string literal exceeds %d bytes" limit ))
-    | _ -> ()
-  in
-  let rec go () =
-    check_budget ();
-    if lx.pos >= n then error lx start "unterminated string"
-    else
-      match lx.src.[lx.pos] with
-      | '"' -> lx.pos <- lx.pos + 1
-      | '\\' ->
-          lx.pos <- lx.pos + 1;
-          if lx.pos >= n then error lx start "unterminated string";
-          (match lx.src.[lx.pos] with
-           | '"' -> Buffer.add_char buf '"'; lx.pos <- lx.pos + 1
-           | '\\' -> Buffer.add_char buf '\\'; lx.pos <- lx.pos + 1
-           | '/' -> Buffer.add_char buf '/'; lx.pos <- lx.pos + 1
-           | 'b' -> Buffer.add_char buf '\b'; lx.pos <- lx.pos + 1
-           | 'f' -> Buffer.add_char buf '\012'; lx.pos <- lx.pos + 1
-           | 'n' -> Buffer.add_char buf '\n'; lx.pos <- lx.pos + 1
-           | 'r' -> Buffer.add_char buf '\r'; lx.pos <- lx.pos + 1
-           | 't' -> Buffer.add_char buf '\t'; lx.pos <- lx.pos + 1
-           | 'u' ->
-               lx.pos <- lx.pos + 1;
-               let u = read_hex4 lx in
-               if u >= 0xD800 && u <= 0xDBFF then begin
-                 (* high surrogate: require a following \uDC00-\uDFFF *)
-                 if lx.pos + 2 <= n && lx.src.[lx.pos] = '\\' && lx.src.[lx.pos + 1] = 'u'
-                 then begin
-                   lx.pos <- lx.pos + 2;
-                   let lo = read_hex4 lx in
-                   if lo >= 0xDC00 && lo <= 0xDFFF then
-                     add_utf8 buf (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
-                   else error lx lx.pos "invalid low surrogate"
-                 end
-                 else error lx lx.pos "unpaired high surrogate"
-               end
-               else if u >= 0xDC00 && u <= 0xDFFF then
-                 error lx lx.pos "unpaired low surrogate"
-               else add_utf8 buf u
-           | c -> error lx lx.pos (Printf.sprintf "invalid escape '\\%c'" c));
-          go ()
-      | c when Char.code c < 0x20 ->
-          error lx lx.pos "unescaped control character in string"
-      | c ->
-          Buffer.add_char buf c;
-          lx.pos <- lx.pos + 1;
-          go ()
-  in
-  go ();
-  Buffer.contents buf
-
 (* Validate and skip one string literal without materializing its unescaped
-   contents. Mirrors [read_string] check-for-check: the budget is tested at
-   the top of every iteration against the *decoded* length accumulated so
-   far, and every malformed-input case raises the same error at the same
-   position, so a skimming parse fails exactly where a materializing parse
-   would. Returns the decoded (unescaped) byte length. *)
+   contents: the one place a string literal is checked. The budget is
+   tested at the top of every iteration against the *decoded* length
+   accumulated so far, so a budget kill wins over any later syntax error.
+   Returns the decoded (unescaped) byte length. *)
 let utf8_width u = if u < 0x80 then 1 else if u < 0x800 then 2 else 3
 
 let skim_string lx =
@@ -288,25 +190,6 @@ let skim_string lx =
 (* Largest digit count that can never overflow a 63-bit [int]. *)
 let max_safe_int_digits = 18
 
-(* Step over a number literal: the longest run of
-   '-'? digits ('.' digits)? ([eE] [+-]? digits)?, every part allowed
-   empty; [number_at] judges the span. *)
-let scan_number lx =
-  let src = lx.src in
-  let n = String.length src in
-  if lx.pos < n && src.[lx.pos] = '-' then lx.pos <- lx.pos + 1;
-  while lx.pos < n && is_digit src.[lx.pos] do lx.pos <- lx.pos + 1 done;
-  if lx.pos < n && src.[lx.pos] = '.' then begin
-    lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end;
-  if lx.pos < n && (src.[lx.pos] = 'e' || src.[lx.pos] = 'E') then begin
-    lx.pos <- lx.pos + 1;
-    if lx.pos < n && (src.[lx.pos] = '+' || src.[lx.pos] = '-') then
-      lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end
-
 (* The value of the number literal spanning [start, stop). A plain
    in-range integer literal is evaluated in place, without the literal's
    copy; anything else (floats, oversized or malformed literals) goes
@@ -332,14 +215,14 @@ let number_at lx start stop =
 
 (* --- Allocation-free skim tokens ----------------------------------------
 
-   [skim] is the token source of every streaming walk: every token is an
-   immediate constant, the start offset is latched in [tok_start] (a
-   position record is built only on demand via [tok_pos]), string contents
-   stay in the source (recoverable through [last_string_start] /
-   [string_of_last]), and numbers are classified int-vs-float without
-   materializing a value (recoverable through [number_of_last]). Scanning,
-   budgets, and every malformed-input error are shared with [next], so a
-   skim loop fails at exactly the byte a full lex would. *)
+   [skim] is the one token source, of the tree parser and of every
+   streaming walk: every token is an immediate constant, the start offset
+   is latched in [tok_start] (a position record is built only on demand
+   via [tok_pos]), string contents stay in the source (recoverable through
+   [last_string_start] / [string_of_last]), and numbers are classified
+   int-vs-float without materializing a value (recoverable through
+   [number_of_last]). Every malformed-input error and the string budget
+   are raised by [skim] itself, so the accessors never fail. *)
 
 type skim_tok =
   | S_lbrace
@@ -438,9 +321,6 @@ let skim_number_kind lx =
   end
 
 let skim lx =
-  (match lx.lookahead with
-   | Some _ -> invalid_arg "Json.Lexer.skim: a peeked token is pending"
-   | None -> ());
   skip_ws lx;
   let start = lx.pos in
   lx.tok_start <- start;
@@ -453,9 +333,9 @@ let skim lx =
     | ']' -> lx.pos <- start + 1; S_rbracket
     | ':' -> lx.pos <- start + 1; S_colon
     | ',' -> lx.pos <- start + 1; S_comma
-    | 't' -> ignore (expect_keyword lx "true" True); S_true
-    | 'f' -> ignore (expect_keyword lx "false" False); S_false
-    | 'n' -> ignore (expect_keyword lx "null" Null_tok); S_null
+    | 't' -> expect_keyword lx "true"; S_true
+    | 'f' -> expect_keyword lx "false"; S_false
+    | 'n' -> expect_keyword lx "null"; S_null
     | '"' ->
         let _len = skim_string lx in
         S_string
@@ -472,9 +352,6 @@ let skim lx =
 type key_match = No_key | Key | Key_colon
 
 let skim_key lx name =
-  (match lx.lookahead with
-   | Some _ -> invalid_arg "Json.Lexer.skim_key: a peeked token is pending"
-   | None -> ());
   skip_ws lx;
   let src = lx.src and p = lx.pos in
   let n = String.length name in
@@ -517,61 +394,54 @@ let last_string_start lx = lx.str_start
 let last_string_stop lx = lx.str_stop
 let last_string_escaped lx = lx.str_escaped
 
+(* The contents of a string literal [skim] has already checked, decoded
+   from its span: escapes are well formed and surrogates paired, so there
+   is nothing left to reject. *)
+let hex_at src i =
+  let d c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | _ -> Char.code c - Char.code 'A' + 10
+  in
+  (d src.[i] lsl 12) lor (d src.[i + 1] lsl 8) lor (d src.[i + 2] lsl 4) lor d src.[i + 3]
+
+let unescape lx =
+  let src = lx.src and stop = lx.str_stop in
+  let buf = get_buf lx in
+  Buffer.clear buf;
+  let i = ref lx.str_start in
+  while !i < stop do
+    (match src.[!i] with
+     | '\\' -> (
+         incr i;
+         match src.[!i] with
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'n' -> Buffer.add_char buf '\n'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'u' ->
+             let u = hex_at src (!i + 1) in
+             i := !i + 4;
+             if u >= 0xD800 && u <= 0xDBFF then begin
+               let lo = hex_at src (!i + 3) in
+               i := !i + 6;
+               add_utf8 buf (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
+             end
+             else add_utf8 buf u
+         | c -> Buffer.add_char buf c (* '"', '\\' or '/' *))
+     | c -> Buffer.add_char buf c);
+    incr i
+  done;
+  Buffer.contents buf
+
 let string_of_last lx =
   if not lx.str_escaped then
     String.sub lx.src lx.str_start (lx.str_stop - lx.str_start)
-  else begin
-    (* Escaped span: rewind to the opening quote and materialize with the
-       canonical unescaper. It cannot fail — the skim already validated
-       the literal and its budget. *)
-    let save = lx.pos in
-    lx.pos <- lx.str_start - 1;
-    let s = read_string lx in
-    lx.pos <- save;
-    s
-  end
+  else unescape lx
 
 (* [skim] left [pos] just past the number it classified *)
 let number_of_last lx = number_at lx lx.tok_start lx.pos
 
 let source lx = lx.src
-
-let lex_token lx =
-  skip_ws lx;
-  let start = lx.pos in
-  let pos = position_at lx start in
-  let tok =
-    if lx.pos >= String.length lx.src then Eof
-    else
-      match lx.src.[lx.pos] with
-      | '{' -> lx.pos <- lx.pos + 1; Lbrace
-      | '}' -> lx.pos <- lx.pos + 1; Rbrace
-      | '[' -> lx.pos <- lx.pos + 1; Lbracket
-      | ']' -> lx.pos <- lx.pos + 1; Rbracket
-      | ':' -> lx.pos <- lx.pos + 1; Colon
-      | ',' -> lx.pos <- lx.pos + 1; Comma
-      | 't' -> expect_keyword lx "true" True
-      | 'f' -> expect_keyword lx "false" False
-      | 'n' -> expect_keyword lx "null" Null_tok
-      | '"' -> String_tok (read_string lx)
-      | '-' | '0' .. '9' ->
-          scan_number lx;
-          Number_tok (number_at lx start lx.pos)
-      | c -> error lx start (Printf.sprintf "unexpected character %C" c)
-  in
-  (tok, pos)
-
-let next lx =
-  match lx.lookahead with
-  | Some t ->
-      lx.lookahead <- None;
-      t
-  | None -> lex_token lx
-
-let peek lx =
-  match lx.lookahead with
-  | Some t -> t
-  | None ->
-      let t = lex_token lx in
-      lx.lookahead <- Some t;
-      t

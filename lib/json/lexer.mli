@@ -1,29 +1,14 @@
 (** Hand-written JSON lexer with byte-accurate source positions.
 
-    It has two token APIs over one set of scanners. {!next} and {!peek}
-    serve the tree parser ({!Parser}) and the event parser ({!Stream}):
-    each token comes with its position, strings unescaped (surrogate pairs
-    included) and numbers evaluated. {!skim} serves every streaming walk
-    ({!Shape}, and through it inference and validation): tokens are
-    constants and payloads stay in the source until asked for, and
-    {!skim_key} reads a member key the walk expects by comparing bytes. *)
+    One token source, {!skim}, serves the tree parser ({!Parser}) and every
+    streaming walk ({!Shape}, and through it inference and validation):
+    tokens are constants, payloads stay in the source until asked for
+    ({!string_of_last} unescapes a string, surrogate pairs included;
+    {!number_of_last} evaluates a number), and {!skim_key} reads a member
+    key the walk expects by comparing bytes. *)
 
 type position = { offset : int; line : int; column : int }
 (** 0-based byte [offset]; 1-based [line] and [column]. *)
-
-type token =
-  | Lbrace
-  | Rbrace
-  | Lbracket
-  | Rbracket
-  | Colon
-  | Comma
-  | True
-  | False
-  | Null_tok
-  | String_tok of string  (** unescaped contents *)
-  | Number_tok of Number.parsed
-  | Eof
 
 exception Lex_error of position * string
 
@@ -40,12 +25,6 @@ type t
     [max_string_bytes] caps the unescaped length of any one string literal;
     exceeding it raises {!Limit_error}. *)
 val create : ?pos:int -> ?max_string_bytes:int -> string -> t
-val next : t -> token * position
-(** Next token and the position where it starts.
-    @raise Lex_error on malformed input. *)
-
-val peek : t -> token * position
-(** Like {!next} without consuming. *)
 
 val position : t -> position
 (** Current position (after the last consumed token). *)
@@ -53,21 +32,17 @@ val position : t -> position
 val offset : t -> int
 (** Current byte offset — [(position lx).offset] without the record. *)
 
-val token_name : token -> string
-(** Human-readable token description for error messages. *)
-
 (** {2 Allocation-free skim tokens}
 
-    The token source of every streaming walk. The walks lex millions of
-    tokens per shard; returning a [(token * position)] tuple plus a
-    position record per token is pure GC pressure when the consumer mostly
-    branches on the token's kind. [skim] returns an immediate constant
-    instead: numbers are classified int-vs-float in place (evaluate one
-    with {!number_of_last}), string contents stay in the source (recover
-    them with {!last_string_start} / {!string_of_last}), and the token's
-    start offset is latched on the lexer ({!tok_start}, {!tok_pos}).
-    Scanning, budgets, and malformed-input errors are shared with {!next},
-    so a skim loop fails at exactly the byte a materializing lex would. *)
+    The walks lex millions of tokens per shard; returning a token with a
+    payload plus a position record per token is pure GC pressure when the
+    consumer mostly branches on the token's kind. [skim] returns an
+    immediate constant instead: numbers are classified int-vs-float in
+    place (evaluate one with {!number_of_last}), string contents stay in
+    the source (recover them with {!last_string_start} /
+    {!string_of_last}), and the token's start offset is latched on the
+    lexer ({!tok_start}, {!tok_pos}). Every malformed-input error and the
+    string budget are raised by [skim] itself; the accessors never fail. *)
 
 type skim_tok =
   | S_lbrace
@@ -85,10 +60,9 @@ type skim_tok =
   | S_eof
 
 val skim : t -> skim_tok
-(** Next token as an unallocated constant. Must not be called with a
-    {!peek}ed token pending (raises [Invalid_argument]); the streaming
-    engines own their lexer and never peek.
-    @raise Lex_error on malformed input, as {!next} would. *)
+(** Next token as an unallocated constant.
+    @raise Lex_error on malformed input.
+    @raise Limit_error on a string over [max_string_bytes]. *)
 
 type key_match =
   | No_key  (** the next token is not that key; only whitespace consumed *)
@@ -104,12 +78,10 @@ val skim_key : t -> string -> key_match
     closing quote at once): {!tok_start} and the string span are latched
     as {!skim} latches them. A key longer than [max_string_bytes] never
     matches, so the {!skim} the caller falls back on raises the canonical
-    {!Limit_error}. Raises [Invalid_argument] with a {!peek}ed token
-    pending, as {!skim} does. *)
+    {!Limit_error}. *)
 
 val skim_name : skim_tok -> string
-(** Human-readable description, matching {!token_name} on the
-    corresponding token. *)
+(** Human-readable token description for error messages. *)
 
 val tok_start : t -> int
 (** Byte offset where the last {!skim}med token starts. *)
@@ -130,15 +102,13 @@ val last_string_escaped : t -> bool
 
 val string_of_last : t -> string
 (** Decoded contents of the last [S_string] token: a direct substring when
-    the span is escape-free, otherwise a re-lex through the canonical
-    unescaper. *)
+    the span is escape-free, otherwise its escapes decoded (the skim has
+    checked them). *)
 
 val number_of_last : t -> Number.parsed
 (** Value of the number token {!skim} just returned ([S_int] or
-    [S_float]), called before the next {!skim}: what {!next}'s
-    [Number_tok] carries for the same literal, from the same evaluator
-    (an integer evaluated in place, anything else through
-    {!Number.parse}). *)
+    [S_float]), called before the next {!skim}: a plain integer evaluated
+    in place, anything else through {!Number.parse}. *)
 
 val source : t -> string
 (** The document being lexed (for span-based consumers). *)

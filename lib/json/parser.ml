@@ -112,89 +112,125 @@ let apply_dup_policy policy fields_rev last_pos =
           end)
         fields
 
-let parse_value options lx =
-  (* resource accounting: nodes and bytes are counted per document, so the
-     caller resets them simply by calling [parse_value] again *)
-  let nodes = ref 0 in
-  let start_offset = (Lexer.position lx).Lexer.offset in
-  let spend_node pos =
-    incr nodes;
-    match options.max_nodes with
-    | Some limit when !nodes > limit ->
-        fail ~kind:(Budget_exceeded Nodes_exceeded) pos
-          (Printf.sprintf "document exceeds %d nodes" limit)
-    | _ -> ()
-  in
-  let check_bytes pos =
-    match options.max_doc_bytes with
-    | Some limit when pos.Lexer.offset - start_offset > limit ->
-        fail ~kind:(Budget_exceeded Bytes_exceeded) pos
-          (Printf.sprintf "document exceeds %d bytes" limit)
-    | _ -> ()
-  in
-  let rec value depth =
-    if depth > options.max_depth then
-      fail ~kind:(Budget_exceeded Depth_exceeded) (Lexer.position lx)
-        "maximum nesting depth exceeded";
-    let tok, pos = Lexer.next lx in
-    spend_node pos;
-    check_bytes pos;
-    match tok with
-    | Lexer.Null_tok -> Value.Null
-    | Lexer.True -> Value.Bool true
-    | Lexer.False -> Value.Bool false
-    | Lexer.Number_tok (Number.Int_lit n) -> Value.Int n
-    | Lexer.Number_tok (Number.Float_lit f) -> Value.Float f
-    | Lexer.String_tok s -> Value.String s
-    | Lexer.Lbracket -> array depth pos
-    | Lexer.Lbrace -> object_ depth pos
-    | (Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof) as t ->
-        fail pos (Printf.sprintf "expected a value, got %s" (Lexer.token_name t))
-  and array depth _open_pos =
-    match Lexer.peek lx with
-    | Lexer.Rbracket, _ ->
-        ignore (Lexer.next lx);
-        Value.Array []
-    | _ ->
-        let rec elements acc =
-          let v = value (depth + 1) in
-          let tok, pos = Lexer.next lx in
-          match tok with
-          | Lexer.Comma -> elements (v :: acc)
-          | Lexer.Rbracket -> List.rev (v :: acc)
-          | t -> fail pos (Printf.sprintf "expected ',' or ']', got %s" (Lexer.token_name t))
-        in
-        Value.Array (elements [])
-  and object_ depth _open_pos =
-    match Lexer.peek lx with
-    | Lexer.Rbrace, _ ->
-        ignore (Lexer.next lx);
-        Value.Object []
-    | _ ->
-        let rec fields acc =
-          let tok, pos = Lexer.next lx in
-          match tok with
-          | Lexer.String_tok key -> (
-              let tok, pos = Lexer.next lx in
-              match tok with
-              | Lexer.Colon -> (
-                  let v = value (depth + 1) in
-                  let tok, pos = Lexer.next lx in
-                  match tok with
-                  | Lexer.Comma -> fields ((key, v) :: acc)
-                  | Lexer.Rbrace -> ((key, v) :: acc, pos)
-                  | t ->
-                      fail pos
-                        (Printf.sprintf "expected ',' or '}', got %s" (Lexer.token_name t)))
-              | t -> fail pos (Printf.sprintf "expected ':', got %s" (Lexer.token_name t)))
-          | t -> fail pos (Printf.sprintf "expected a field name, got %s" (Lexer.token_name t))
-        in
-        let fields_rev, close_pos = fields [] in
-        Value.Object (apply_dup_policy options.dup_keys fields_rev close_pos)
-  in
-  let v = value 0 in
-  check_bytes (Lexer.position lx);
-  (v, !nodes)
+(* --- the document cursor ---------------------------------------------------
+
+   One document's lexer, its options (the limits) and its counts. The
+   tree walk below and every streaming walk ([Shape]'s recording and
+   skipping walks, [Compile]'s passes) read their tokens through it, so the
+   node, byte and depth accounting and the grammar errors exist once.
+
+   Every walk reads a value the same way: the depth check, then its first
+   token, then that token's node and byte spends; except an array's first
+   element, whose token is read (to see whether it is [']']) before its
+   checks ([check_value]). *)
+
+type cursor = {
+  lx : Lexer.t;
+  start : int;
+  options : options;
+  mutable nodes : int;
+  mutable tokens : int;
+  mutable skipped : int;
+}
+
+let cursor options src ~pos =
+  { lx = Lexer.create ~pos ?max_string_bytes:options.max_string_bytes src;
+    start = pos; options; nodes = 0; tokens = 0; skipped = 0 }
+
+let next c =
+  c.tokens <- c.tokens + 1;
+  Lexer.skim c.lx
+
+let spend_node c =
+  c.nodes <- c.nodes + 1;
+  match c.options.max_nodes with
+  | Some limit when c.nodes > limit ->
+      fail ~kind:(Budget_exceeded Nodes_exceeded) (Lexer.tok_pos c.lx)
+        (Printf.sprintf "document exceeds %d nodes" limit)
+  | _ -> ()
+
+(* Byte budget against the last token's start — positions are built lazily,
+   only if the check fails. *)
+let check_bytes_tok c =
+  match c.options.max_doc_bytes with
+  | Some limit when Lexer.tok_start c.lx - c.start > limit ->
+      fail ~kind:(Budget_exceeded Bytes_exceeded) (Lexer.tok_pos c.lx)
+        (Printf.sprintf "document exceeds %d bytes" limit)
+  | _ -> ()
+
+let check_bytes_end c =
+  match c.options.max_doc_bytes with
+  | Some limit when Lexer.offset c.lx - c.start > limit ->
+      fail ~kind:(Budget_exceeded Bytes_exceeded) (Lexer.position c.lx)
+        (Printf.sprintf "document exceeds %d bytes" limit)
+  | _ -> ()
+
+let check_depth c depth =
+  if depth > c.options.max_depth then
+    fail ~kind:(Budget_exceeded Depth_exceeded) (Lexer.position c.lx)
+      "maximum nesting depth exceeded"
+
+let check_value c depth =
+  check_depth c depth;
+  spend_node c;
+  check_bytes_tok c
+
+let unexpected c what t =
+  fail (Lexer.tok_pos c.lx) (Printf.sprintf "expected %s, got %s" what (Lexer.skim_name t))
+
+(* --- the tree walk --------------------------------------------------------- *)
+
+let rec read c depth =
+  check_depth c depth;
+  let tok = next c in
+  spend_node c;
+  check_bytes_tok c;
+  read_tok c tok depth
+
+and read_tok c tok depth =
+  match tok with
+  | Lexer.S_null -> Value.Null
+  | Lexer.S_true -> Value.Bool true
+  | Lexer.S_false -> Value.Bool false
+  | Lexer.S_int | Lexer.S_float -> (
+      match Lexer.number_of_last c.lx with
+      | Number.Int_lit n -> Value.Int n
+      | Number.Float_lit f -> Value.Float f)
+  | Lexer.S_string -> Value.String (Lexer.string_of_last c.lx)
+  | Lexer.S_lbracket -> (
+      match next c with
+      | Lexer.S_rbracket -> Value.Array []
+      | tok ->
+          check_value c (depth + 1);
+          let first = read_tok c tok (depth + 1) in
+          Value.Array (elements c depth [ first ]))
+  | Lexer.S_lbrace -> (
+      match next c with
+      | Lexer.S_rbrace -> Value.Object []
+      | tok -> members c depth tok [])
+  | Lexer.S_rbrace | Lexer.S_rbracket | Lexer.S_colon | Lexer.S_comma | Lexer.S_eof ->
+      unexpected c "a value" tok
+
+and elements c depth acc =
+  match next c with
+  | Lexer.S_comma -> elements c depth (read c (depth + 1) :: acc)
+  | Lexer.S_rbracket -> List.rev acc
+  | t -> unexpected c "',' or ']'" t
+
+and members c depth tok acc =
+  match tok with
+  | Lexer.S_string -> (
+      let key = Lexer.string_of_last c.lx in
+      match next c with
+      | Lexer.S_colon -> (
+          let acc = (key, read c (depth + 1)) :: acc in
+          match next c with
+          | Lexer.S_comma -> members c depth (next c) acc
+          | Lexer.S_rbrace ->
+              Value.Object (apply_dup_policy c.options.dup_keys acc (Lexer.tok_pos c.lx))
+          | t -> unexpected c "',' or '}'" t)
+      | t -> unexpected c "':'" t)
+  | t -> unexpected c "a field name" t
 
 (* Per-document observability: emitted by every entry point below on the
    [telemetry] sink (default {!Telemetry.nop}, one branch per call).
@@ -245,28 +281,24 @@ let run lx f =
           message = "nesting too deep (stack overflow)";
           kind = Budget_exceeded Depth_exceeded }
 
-let lexer_of ?pos options src =
-  Lexer.create ?pos ?max_string_bytes:options.max_string_bytes src
-
 let with_error_telemetry tele result =
   (match result with Error e -> emit_error tele e | Ok _ -> ());
   result
 
 let parse ?(options = default_options) ?(telemetry = Telemetry.nop) src =
-  let lx = lexer_of options src in
+  let c = cursor options src ~pos:0 in
   with_error_telemetry telemetry
-    (run lx (fun () ->
-         let start = (Lexer.position lx).Lexer.offset in
-         let v, nodes = parse_value options lx in
+    (run c.lx (fun () ->
+         let v = read c 0 in
+         check_bytes_end c;
          if not options.allow_trailing then begin
-           match Lexer.next lx with
-           | Lexer.Eof, _ -> ()
-           | t, pos ->
-               fail pos (Printf.sprintf "trailing input: %s" (Lexer.token_name t))
+           match next c with
+           | Lexer.S_eof -> ()
+           | t ->
+               fail (Lexer.tok_pos c.lx)
+                 (Printf.sprintf "trailing input: %s" (Lexer.skim_name t))
          end;
-         emit_doc telemetry options
-           ~bytes:((Lexer.position lx).Lexer.offset - start)
-           ~nodes;
+         emit_doc telemetry options ~bytes:(Lexer.offset c.lx) ~nodes:c.nodes;
          v))
 
 let parse_exn ?options src =
@@ -274,29 +306,50 @@ let parse_exn ?options src =
   | Ok v -> v
   | Error e -> failwith (string_of_error e)
 
+(* One lexer over the whole text, so positions are absolute; each document
+   is accounted from its first byte, as [parse_substring] accounts it. *)
 let parse_many ?(options = default_options) ?(telemetry = Telemetry.nop) src =
-  let lx = lexer_of options src in
+  let whole = cursor options src ~pos:0 in
   with_error_telemetry telemetry
-    (run lx (fun () ->
+    (run whole.lx (fun () ->
          let rec go acc =
-           match Lexer.peek lx with
-           | Lexer.Eof, _ -> List.rev acc
-           | _ ->
-               let start = (Lexer.position lx).Lexer.offset in
-               let v, nodes = parse_value options lx in
-               emit_doc telemetry options
-                 ~bytes:((Lexer.position lx).Lexer.offset - start)
-                 ~nodes;
+           match Lexer.skim whole.lx with
+           | Lexer.S_eof -> List.rev acc
+           | tok ->
+               let c = { whole with start = Lexer.tok_start whole.lx; nodes = 0 } in
+               check_value c 0;
+               let v = read_tok c tok 0 in
+               check_bytes_end c;
+               emit_doc telemetry options ~bytes:(Lexer.offset c.lx - c.start)
+                 ~nodes:c.nodes;
                go (v :: acc)
          in
          go []))
 
 let parse_substring ?(options = default_options) ?(telemetry = Telemetry.nop) src
     ~pos =
-  let lx = lexer_of ~pos options src in
+  let c = cursor options src ~pos in
   with_error_telemetry telemetry
-    (run lx (fun () ->
-         let v, nodes = parse_value options lx in
-         let stop = (Lexer.position lx).Lexer.offset in
-         emit_doc telemetry options ~bytes:(stop - pos) ~nodes;
+    (run c.lx (fun () ->
+         let v = read c 0 in
+         check_bytes_end c;
+         let stop = Lexer.offset c.lx in
+         emit_doc telemetry options ~bytes:(stop - pos) ~nodes:c.nodes;
          (v, stop)))
+
+let fold_documents ?options src ~init ~f =
+  let n = String.length src in
+  let rec skip_ws i =
+    if i < n && (src.[i] = ' ' || src.[i] = '\t' || src.[i] = '\n' || src.[i] = '\r')
+    then skip_ws (i + 1)
+    else i
+  in
+  let rec go acc pos =
+    let pos = skip_ws pos in
+    if pos >= n then Ok acc
+    else
+      match parse_substring ?options src ~pos with
+      | Ok (v, stop) -> go (f acc v) stop
+      | Error e -> Error e
+  in
+  go init 0

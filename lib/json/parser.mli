@@ -3,7 +3,13 @@
     RFC 8259 compliant: any value may appear at the top level, strings are
     unescaped, numbers follow the strict grammar. Behaviour knobs that real
     deployments disagree on — duplicate keys, nesting limits, trailing
-    garbage — are explicit {!options}. *)
+    garbage — are explicit {!options}.
+
+    The parser walks {!Lexer.skim} tokens on a document {!cursor}, which
+    carries the node, byte and depth accounting and the grammar errors;
+    every streaming walk ({!Shape}, and through it inference and
+    validation) reads its tokens through the same cursor, so a walk that
+    succeeds has accepted exactly what this parser accepts. *)
 
 type dup_policy =
   | Keep_first   (** ignore later bindings of a repeated key *)
@@ -67,8 +73,10 @@ val parse_many :
   ?options:options -> ?telemetry:Telemetry.sink -> string ->
   (Value.t list, error) result
 (** Parse a whitespace/newline-separated stream of documents (NDJSON and
-    concatenated JSON both work). Telemetry as for {!parse}, one
-    observation per document. *)
+    concatenated JSON both work). Each document's bytes, for
+    [max_doc_bytes] and telemetry, run from its first byte to its last, as
+    {!parse_substring} counts them; positions are absolute in the text.
+    Telemetry as for {!parse}, one observation per document. *)
 
 val parse_substring :
   ?options:options -> ?telemetry:Telemetry.sink -> string -> pos:int ->
@@ -76,10 +84,18 @@ val parse_substring :
 (** Parse one value starting at byte [pos]; returns the value and the offset
     one past its last byte. Used by the lazy/speculative parsers. *)
 
+val fold_documents :
+  ?options:options -> string -> init:'a -> f:('a -> Value.t -> 'a) ->
+  ('a, error) result
+(** Fold over an NDJSON / concatenated-JSON collection one parsed document
+    at a time ({!parse_substring} from each document's first byte, so
+    positions are document-relative): constant memory in the number of
+    documents. *)
+
 (** {1 Building blocks for alternative executors}
 
     The streaming engines ({!Inference.Streaming},
-    [Jsonschema.Compile.run_stream]) re-implement the token walk but must
+    [Jsonschema.Compile.run_stream]) walk the tokens their own way but must
     fail, account, and report {e exactly} like this parser. These exports
     let them share the authoritative pieces instead of copying them. *)
 
@@ -92,6 +108,59 @@ val apply_dup_policy :
     order; the position is where a [Reject] error is reported (the closing
     brace). Polymorphic in the payload so token-level engines can apply the
     same semantics to types instead of values. *)
+
+(** {2 The document cursor} *)
+
+type cursor = {
+  lx : Lexer.t;
+  start : int;  (** the document's first byte, for [max_doc_bytes] *)
+  options : options;
+  mutable nodes : int;  (** nodes spent, as [parse.nodes] counts them *)
+  mutable tokens : int;  (** tokens read through {!next} *)
+  mutable skipped : int;
+      (** bytes a walk stepped over without reading its tokens through
+          {!next} ({!Shape.skip}) *)
+}
+(** A cursor over one document: its lexer, its limits and its counts. *)
+
+val cursor : options -> string -> pos:int -> cursor
+(** Start a cursor on the document at byte [pos]. *)
+
+val next : cursor -> Lexer.skim_tok
+(** {!Lexer.skim}, counted in [tokens]. *)
+
+val spend_node : cursor -> unit
+(** Count one node; past [max_nodes], fail at the last token. *)
+
+val check_bytes_tok : cursor -> unit
+(** Fail if the last token starts past [max_doc_bytes]. *)
+
+val check_bytes_end : cursor -> unit
+(** Fail if the current offset is past [max_doc_bytes]: after a document's
+    last token. *)
+
+val check_depth : cursor -> int -> unit
+(** Fail if the depth is past [max_depth], at the current offset. *)
+
+val check_value : cursor -> int -> unit
+(** {!check_depth}, {!spend_node} and {!check_bytes_tok}: the checks of a
+    value whose first token is read already, an array's first element (its
+    token is read to see whether it closes the array). Any other value is
+    checked for depth before its token is read, as {!read} does. *)
+
+val unexpected : cursor -> string -> Lexer.skim_tok -> 'b
+(** [unexpected c what t] fails with ["expected <what>, got <t>"] at the
+    last token. *)
+
+(** {2 The tree walk} *)
+
+val read : cursor -> int -> Value.t
+(** Read one value at the given depth: every token counted, every check
+    run, duplicate keys resolved by the cursor's policy. *)
+
+val read_tok : cursor -> Lexer.skim_tok -> int -> Value.t
+(** {!read} for a value whose first token is already read, counted and
+    checked. *)
 
 val run : Lexer.t -> (unit -> 'a) -> ('a, error) result
 (** Run a parsing thunk, mapping lexer and parser exceptions (including

@@ -12,11 +12,10 @@
      shape (a hit count for inference, a verdict for validation), which
      hands each entry's shape back to its owner as the entry leaves.
 
-   The budgeted walk helpers below are line-by-line mirrors of
-   [Parser.parse_value]'s accounting: same node and byte spends at the same
-   token positions, same depth checks, same grammar errors. A walk that
-   succeeds has therefore seen exactly the document the tree parser would
-   have accepted. *)
+   The walks below read their tokens through [Parser]'s cursor and run its
+   node, byte and depth checks in the order its tree walk runs them, with
+   its grammar errors. A walk that succeeds has therefore seen exactly the
+   document the tree parser would have accepted. *)
 
 module L = Lexer
 module P = Parser
@@ -115,6 +114,7 @@ type 'a t = {
   mutable keys : string array;
   mutable nkeys : int;
   mutable shape_hash : int;
+  mutable integral : bool; (* record an integral float as 'g' *)
   (* the cache; [table] is allocated on first insertion *)
   drop : shape -> 'a -> unit;
   mutable table : 'a entry list array;
@@ -127,7 +127,7 @@ type 'a t = {
 let create ?(drop = fun _ _ -> ()) () =
   { slots = Array.make 128 none; count = 0; reuse = 0; root = new_key "" 0;
     codes = Bytes.create 256; ncodes = 0; keys = Array.make 64 ""; nkeys = 0;
-    shape_hash = 0; drop; table = [||]; entries = 0; caching = true; hits = 0;
+    shape_hash = 0; integral = false; drop; table = [||]; entries = 0; caching = true; hits = 0;
     misses = 0 }
 
 let reuse sc = sc.reuse
@@ -326,71 +326,13 @@ let add sc ~ctx v =
     end
   end
 
-(* --- the grammar-and-budget walk -----------------------------------------
+(* --- the walk ---------------------------------------------------------------- *)
 
-   A walk is a cursor over one document: its lexer, its limits and its
-   counts, in one flat record. It holds no shape buffer: the recording
-   functions take the buffer as an argument, so a buffer can keep one
-   document's recorded shape while another walk reads the document. *)
-
-type walk = {
-  lx : L.t;
-  start : int;
-  max_depth : int;
-  max_nodes : int option;
-  max_doc_bytes : int option;
-  integral : bool;
-  mutable nodes : int;
-  mutable tokens : int;
-  mutable skipped : int;
-}
-
-let walk ?(integral = false) (options : P.options) src ~pos =
-  { lx = L.create ~pos ?max_string_bytes:options.P.max_string_bytes src;
-    start = pos; max_depth = options.P.max_depth;
-    max_nodes = options.P.max_nodes; max_doc_bytes = options.P.max_doc_bytes;
-    integral; nodes = 0; tokens = 0; skipped = 0 }
-
-let restart sc =
+let restart ?(integral = false) sc =
   sc.ncodes <- 0;
   sc.nkeys <- 0;
-  sc.shape_hash <- 0
-
-let next w =
-  w.tokens <- w.tokens + 1;
-  L.skim w.lx
-
-let spend_node w =
-  w.nodes <- w.nodes + 1;
-  match w.max_nodes with
-  | Some limit when w.nodes > limit ->
-      P.fail ~kind:(P.Budget_exceeded P.Nodes_exceeded) (L.tok_pos w.lx)
-        (Printf.sprintf "document exceeds %d nodes" limit)
-  | _ -> ()
-
-(* Byte budget against the last token's start — positions are built lazily,
-   only if the check fails. *)
-let check_bytes_tok w =
-  match w.max_doc_bytes with
-  | Some limit when L.tok_start w.lx - w.start > limit ->
-      P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.tok_pos w.lx)
-        (Printf.sprintf "document exceeds %d bytes" limit)
-  | _ -> ()
-
-let check_bytes_end w =
-  match w.max_doc_bytes with
-  | Some limit when L.offset w.lx - w.start > limit ->
-      P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.position w.lx)
-        (Printf.sprintf "document exceeds %d bytes" limit)
-  | _ -> ()
-
-let check_depth w depth =
-  if depth > w.max_depth then
-    P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position w.lx)
-      "maximum nesting depth exceeded"
-
-let unexpected w what t =
-  P.fail (L.tok_pos w.lx) (Printf.sprintf "expected %s, got %s" what (L.skim_name t))
+  sc.shape_hash <- 0;
+  sc.integral <- integral
 
 (* --- reading member keys ---------------------------------------------------
 
@@ -404,20 +346,20 @@ let unexpected w what t =
    the cache has switched itself off, shapes do not repeat and neither do
    key orders: the walk neither consults nor learns predictions. *)
 
-let colon w = match next w with L.S_colon -> () | t -> unexpected w "':'" t
+let colon w = match P.next w with L.S_colon -> () | t -> P.unexpected w "':'" t
 
 let guessed sc w g =
   g.plain
   &&
-  match L.skim_key w.lx g.name with
+  match L.skim_key w.P.lx g.name with
   | L.No_key -> false
   | L.Key_colon ->
-      w.tokens <- w.tokens + 2;
+      w.P.tokens <- w.P.tokens + 2;
       sc.reuse <- sc.reuse + 1;
       push_key sc g;
       true
   | L.Key ->
-      w.tokens <- w.tokens + 1;
+      w.P.tokens <- w.P.tokens + 1;
       sc.reuse <- sc.reuse + 1;
       push_key sc g;
       colon w;
@@ -425,7 +367,7 @@ let guessed sc w g =
 
 (* the string token just skimmed, interned and recorded, and its colon *)
 let read_key sc w =
-  let lx = w.lx in
+  let lx = w.P.lx in
   let k =
     if L.last_string_escaped lx then intern_string sc (L.string_of_last lx)
     else intern_span sc (L.source lx) (L.last_string_start lx) (L.last_string_stop lx)
@@ -444,7 +386,7 @@ let first_key sc w parent =
     k
   end
   else
-    match next w with
+    match P.next w with
     | L.S_rbrace -> none
     | L.S_string ->
         let k = read_key sc w in
@@ -453,7 +395,7 @@ let first_key sc w parent =
           parent.first1 <- k
         end;
         k
-    | t -> unexpected w "a field name" t
+    | t -> P.unexpected w "a field name" t
 
 let next_key sc w prev =
   let on = sc.caching in
@@ -465,7 +407,7 @@ let next_key sc w prev =
     k
   end
   else
-    match next w with
+    match P.next w with
     | L.S_string ->
         let k = read_key sc w in
         if on && k.plain && k != prev.next1 then begin
@@ -473,7 +415,7 @@ let next_key sc w prev =
           prev.next1 <- k
         end;
         k
-    | t -> unexpected w "a field name" t
+    | t -> P.unexpected w "a field name" t
 
 (* Whether the float literal just skimmed denotes an integral double, as
    [Float.is_integer] of its parsed value. Without an exponent the literal
@@ -507,15 +449,15 @@ let integral_float lx =
     | Number.Float_lit f -> Float.is_integer f
     | Number.Int_lit _ -> false
 
-let float_code w = if w.integral && integral_float w.lx then 'g' else 'f'
+let float_code sc w = if sc.integral && integral_float w.P.lx then 'g' else 'f'
 
 (* --- recording every token: value, array, elements, object, fields ------- *)
 
 let rec record sc w parent depth =
-  check_depth w depth;
-  let tok = next w in
-  spend_node w;
-  check_bytes_tok w;
+  P.check_depth w depth;
+  let tok = P.next w in
+  P.spend_node w;
+  P.check_bytes_tok w;
   record_tok sc w parent tok depth
 
 and record_tok sc w parent tok depth =
@@ -523,7 +465,7 @@ and record_tok sc w parent tok depth =
   | L.S_null -> push_code sc 'n'
   | L.S_true | L.S_false -> push_code sc 'b'
   | L.S_int -> push_code sc 'i'
-  | L.S_float -> push_code sc (float_code w)
+  | L.S_float -> push_code sc (float_code sc w)
   | L.S_string -> push_code sc 's'
   | L.S_lbracket ->
       push_code sc '[';
@@ -532,28 +474,24 @@ and record_tok sc w parent tok depth =
       push_code sc '{';
       record_object sc w parent depth
   | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
-      unexpected w "a value" tok
+      P.unexpected w "a value" tok
 
+(* the elements' objects take the array's parent *)
 and record_array sc w parent depth =
-  (* [parse_value] peeks for ']', lexing the first element's token before
-     its depth check; reading the token first reproduces that failure
-     order exactly. The elements' objects take the array's parent. *)
-  match next w with
+  match P.next w with
   | L.S_rbracket -> push_code sc ']'
   | tok ->
-      check_depth w (depth + 1);
-      spend_node w;
-      check_bytes_tok w;
+      P.check_value w (depth + 1);
       record_tok sc w parent tok (depth + 1);
       record_elements sc w parent depth
 
 and record_elements sc w parent depth =
-  match next w with
+  match P.next w with
   | L.S_comma ->
       record sc w parent (depth + 1);
       record_elements sc w parent depth
   | L.S_rbracket -> push_code sc ']'
-  | t -> unexpected w "',' or ']'" t
+  | t -> P.unexpected w "',' or ']'" t
 
 and record_object sc w parent depth =
   let k = first_key sc w parent in
@@ -561,18 +499,18 @@ and record_object sc w parent depth =
 
 and record_members sc w depth k =
   record sc w k (depth + 1);
-  match next w with
+  match P.next w with
   | L.S_comma -> record_members sc w depth (next_key sc w k)
   | L.S_rbrace -> push_code sc '}'
-  | t -> unexpected w "',' or '}'" t
+  | t -> P.unexpected w "',' or '}'" t
 
 (* --- skipping: the same checks, nothing recorded, no tokens counted ------ *)
 
 let rec skim_value w depth =
-  check_depth w depth;
-  let tok = L.skim w.lx in
-  spend_node w;
-  check_bytes_tok w;
+  P.check_depth w depth;
+  let tok = L.skim w.P.lx in
+  P.spend_node w;
+  P.check_bytes_tok w;
   skim_tok w tok depth
 
 and skim_tok w tok depth =
@@ -581,53 +519,49 @@ and skim_tok w tok depth =
   | L.S_lbracket -> skim_array w depth
   | L.S_lbrace -> skim_object w depth
   | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
-      unexpected w "a value" tok
+      P.unexpected w "a value" tok
 
 and skim_array w depth =
-  match L.skim w.lx with
+  match L.skim w.P.lx with
   | L.S_rbracket -> ()
   | tok ->
-      check_depth w (depth + 1);
-      spend_node w;
-      check_bytes_tok w;
+      P.check_value w (depth + 1);
       skim_tok w tok (depth + 1);
       skim_elements w depth
 
 and skim_elements w depth =
-  match L.skim w.lx with
+  match L.skim w.P.lx with
   | L.S_comma ->
       skim_value w (depth + 1);
       skim_elements w depth
   | L.S_rbracket -> ()
-  | t -> unexpected w "',' or ']'" t
+  | t -> P.unexpected w "',' or ']'" t
 
 and skim_object w depth =
-  match L.skim w.lx with
+  match L.skim w.P.lx with
   | L.S_rbrace -> ()
   | tok -> skim_fields w depth tok
 
 and skim_fields w depth tok =
   match tok with
   | L.S_string -> (
-      match L.skim w.lx with
+      match L.skim w.P.lx with
       | L.S_colon -> (
           skim_value w (depth + 1);
-          match L.skim w.lx with
-          | L.S_comma -> skim_fields w depth (L.skim w.lx)
+          match L.skim w.P.lx with
+          | L.S_comma -> skim_fields w depth (L.skim w.P.lx)
           | L.S_rbrace -> ()
-          | t -> unexpected w "',' or '}'" t)
-      | t -> unexpected w "':'" t)
-  | t -> unexpected w "a field name" t
+          | t -> P.unexpected w "',' or '}'" t)
+      | t -> P.unexpected w "':'" t)
+  | t -> P.unexpected w "a field name" t
 
 let skip w depth =
-  let before = L.offset w.lx in
+  let before = L.offset w.P.lx in
   skim_value w depth;
-  w.skipped <- w.skipped + (L.offset w.lx - before)
+  w.P.skipped <- w.P.skipped + (L.offset w.P.lx - before)
 
 let skip_tok w tok depth =
-  let before = L.offset w.lx in
-  check_depth w depth;
-  spend_node w;
-  check_bytes_tok w;
+  let before = L.offset w.P.lx in
+  P.check_value w depth;
   skim_tok w tok depth;
-  w.skipped <- w.skipped + (L.offset w.lx - before)
+  w.P.skipped <- w.P.skipped + (L.offset w.P.lx - before)

@@ -16,16 +16,14 @@
     accumulator when the entry leaves (see [drop] at {!create}), and a
     verdict for validation. Not thread-safe — one per domain.
 
-    The walk helpers mirror {!Parser.parse_value}'s accounting exactly
-    (node and byte budgets spent at the same token positions, the same
-    depth checks, the same grammar), so a walk that succeeds has accepted
-    exactly what the tree parser accepts. They are the one copy of that
-    accounting outside the parser: the inference typer, the validator's
-    shape pass and its pruned walk all read their tokens through them, and
-    the two recording walks read member keys through {!first_key} and
-    {!next_key}, which count a key read by prediction as the skim counts
-    it. Their failures are the parser's {!Parser.Parse_error} and lexer
-    exceptions; run a walk under {!Parser.run}. *)
+    The walks read their tokens through the tree parser's
+    {!Parser.cursor} and run its node, byte and depth checks and its
+    grammar errors, in the order {!Parser.read} runs them, so a walk that
+    succeeds has accepted exactly what the tree parser accepts. The two
+    recording walks (the inference typer's and the validator's shape pass)
+    read member keys through {!first_key} and {!next_key}, which count a
+    key read by prediction as the skim counts it. Their failures are the
+    parser's and the lexer's; run a walk under {!Parser.run}. *)
 
 type 'a t
 
@@ -110,44 +108,19 @@ val recorded : 'a t -> shape
 
 (** {1 Walking one document}
 
-    A {!walk} is a cursor over one document: its lexer, its limits and its
-    counts. It holds no shape buffer; the recording functions take the
-    buffer as an argument, so a buffer keeps the shape it recorded while
-    another walk reads the same document (the validator's walk after a
-    cache miss). *)
+    A walk reads one document on a {!Parser.cursor}. The cursor holds no
+    shape buffer; the recording functions take the buffer as an argument,
+    so a buffer keeps the shape it recorded while another walk reads the
+    same document (the validator's walk after a cache miss). *)
 
-type walk = {
-  lx : Lexer.t;
-  start : int;
-  max_depth : int;
-  max_nodes : int option;
-  max_doc_bytes : int option;
-  integral : bool;
-      (** record a float as ['g'] when [Float.is_integer] holds of its
-          value *)
-  mutable nodes : int;  (** nodes spent, as [parse.nodes] counts them *)
-  mutable tokens : int;  (** tokens read through {!next} *)
-  mutable skipped : int;  (** bytes stepped over by {!skip} / {!skip_tok} *)
-}
-
-val walk : ?integral:bool -> Parser.options -> string -> pos:int -> walk
-(** Start a walk of the document at byte [pos]. *)
-
-val restart : 'a t -> unit
-(** Clear the recorded shape, before recording the next document's. *)
-
-val next : walk -> Lexer.skim_tok
-(** {!Lexer.skim}, counted in [tokens]. *)
-
-val spend_node : walk -> unit
-val check_bytes_tok : walk -> unit
-val check_bytes_end : walk -> unit
-val check_depth : walk -> int -> unit
-val unexpected : walk -> string -> Lexer.skim_tok -> 'b
+val restart : ?integral:bool -> 'a t -> unit
+(** Clear the recorded shape, before recording the next document's. With
+    [integral] (default [false]), that document's floats are recorded as
+    ['g'] when [Float.is_integer] holds of their value. *)
 
 val push_code : 'a t -> char -> unit
 
-val first_key : 'a t -> walk -> key -> key
+val first_key : 'a t -> Parser.cursor -> key -> key
 (** Just past an object's ['{'], read its first member's key and colon,
     record the key and return its entry, or {!closed} if ['}'] ends the
     object. The argument is the parent: the key whose value the object
@@ -158,25 +131,25 @@ val first_key : 'a t -> walk -> key -> key
     parent's first prediction if it is plain. Errors are the skim's:
     ["expected a field name"], ["expected ':'"], a lexer error. *)
 
-val next_key : 'a t -> walk -> key -> key
+val next_key : 'a t -> Parser.cursor -> key -> key
 (** {!first_key} for a member after a [','], predicted from the previous
     member's key (the argument), where ['}'] is an error. *)
 
-val record : 'a t -> walk -> key -> int -> unit
+val record : 'a t -> Parser.cursor -> key -> int -> unit
 (** Read and record one value at the given depth, every token counted. The
     key is its parent: the member key whose value it is, or {!root}; an
     array passes its parent on to its elements. *)
 
-val record_tok : 'a t -> walk -> key -> Lexer.skim_tok -> int -> unit
+val record_tok : 'a t -> Parser.cursor -> key -> Lexer.skim_tok -> int -> unit
 (** {!record} for a value whose first token is already read, counted and
     budget-checked. *)
 
-val skip : walk -> int -> unit
+val skip : Parser.cursor -> int -> unit
 (** Check one value at the given depth exactly as {!record} would, but
     record nothing and count none of its tokens; its bytes, from the
-    current offset to its end, go to [skipped]. *)
+    current offset to its end, go to the cursor's [skipped]. *)
 
-val skip_tok : walk -> Lexer.skim_tok -> int -> unit
+val skip_tok : Parser.cursor -> Lexer.skim_tok -> int -> unit
 (** {!skip} for a value whose first token is already read (and not
     counted): the depth, node and byte checks run here, and [skipped]
     counts from the end of that token. *)

@@ -1037,132 +1037,111 @@ let misses_c = Telemetry.counter "stream.shape.misses"
 
 module S = Json.Shape
 module L = Json.Lexer
+module P = Json.Parser
 
 (* The telemetry of a document the cursor accepted: the parser's
    per-document family, the tokens it read and the bytes it skipped.
    Returns the offset one past the document. *)
 let emit_walk telemetry options w ~pos =
-  let stop = L.offset w.S.lx in
-  Json.Parser.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.S.nodes;
+  let stop = L.offset w.P.lx in
+  P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes:w.P.nodes;
   if Telemetry.is_recording telemetry then begin
-    Telemetry.add telemetry tokens_c w.S.tokens;
-    Telemetry.add telemetry skipped_bytes_c w.S.skipped
+    Telemetry.add telemetry tokens_c w.P.tokens;
+    Telemetry.add telemetry skipped_bytes_c w.P.skipped
   end;
   stop
 
-(* Walk one document on [Json.Shape]'s cursor, materializing only what the
-   access tree demands and planting placeholders elsewhere, for the
-   ordinary plan to run on. The cursor's helpers carry the tree
-   parser's accounting (node and byte spends, depth checks, grammar), and
-   the walk reads, counts and skips the tokens the shape pass below reads,
-   counts and skips. A payload is read from its token's span only where
-   the access tree reads it: a string's contents under [a_str], a number's
-   value wherever its position is walked. The pruning soundness invariant
-   (see {!access}) makes the verdicts, error lists and [validate.kw.*]
-   counters those of the tree parser's document. *)
+(* Walk one document on the tree parser's cursor, materializing only what
+   the access tree demands and planting placeholders elsewhere, for the
+   ordinary plan to run on. An [A_full] subtree, and every scalar but an
+   unread string, is read by the tree parser's own walk ([Parser.read]);
+   the rest runs the cursor's checks in the order that walk runs them, and
+   reads, counts and skips the tokens the shape pass below reads, counts
+   and skips. A string's contents are read only under [a_str]. The pruning
+   soundness invariant (see {!access}) makes the verdicts, error lists and
+   [validate.kw.*] counters those of the tree parser's document. *)
 
 let blank = Json.Value.String ""
 
-(* the access of a member or an element of a walked value (an [A_skip]
-   value is never walked) *)
-let member_access a k =
-  match a with A_node na -> key_access na k | A_full | A_skip -> A_full
-
-let element_access a i =
-  match a with A_node na -> elem_access na i | A_full | A_skip -> A_full
-
-let rec pruned_value dup w a depth =
+let rec pruned_value w a depth =
   match a with
   | A_skip ->
       S.skip w depth;
       Json.Value.Null
-  | A_full | A_node _ ->
-      S.check_depth w depth;
-      let tok = S.next w in
-      S.spend_node w;
-      S.check_bytes_tok w;
-      pruned_tok dup w a tok depth
+  | A_full -> P.read w depth
+  | A_node na ->
+      P.check_depth w depth;
+      let tok = P.next w in
+      P.spend_node w;
+      P.check_bytes_tok w;
+      pruned_tok w na tok depth
 
-and pruned_tok dup w a tok depth =
+and pruned_tok w na tok depth =
   match tok with
-  | L.S_null -> Json.Value.Null
-  | L.S_true -> Json.Value.Bool true
-  | L.S_false -> Json.Value.Bool false
-  | L.S_int | L.S_float -> (
-      match L.number_of_last w.S.lx with
-      | Json.Number.Int_lit n -> Json.Value.Int n
-      | Json.Number.Float_lit f -> Json.Value.Float f)
-  | L.S_string -> (
-      match a with
-      | A_node { a_str = false; _ } -> blank
-      | A_node _ | A_full | A_skip -> Json.Value.String (L.string_of_last w.S.lx))
-  | L.S_lbracket -> pruned_array dup w a depth
-  | L.S_lbrace -> pruned_object dup w a depth
-  | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
-      S.unexpected w "a value" tok
+  | L.S_string when not na.a_str -> blank
+  | L.S_lbracket -> pruned_array w na depth
+  | L.S_lbrace -> pruned_object w na depth
+  | tok -> P.read_tok w tok depth
 
-and pruned_array dup w a depth =
+and pruned_array w na depth =
   (* the first element's token is read before its access is known, and
      counted only when that element is walked *)
-  match L.skim w.S.lx with
+  match L.skim w.P.lx with
   | L.S_rbracket ->
-      w.S.tokens <- w.S.tokens + 1;
+      w.P.tokens <- w.P.tokens + 1;
       Json.Value.Array []
   | tok ->
       let first =
-        match element_access a 0 with
+        match elem_access na 0 with
         | A_skip ->
             S.skip_tok w tok (depth + 1);
             Json.Value.Null
-        | a' ->
-            w.S.tokens <- w.S.tokens + 1;
-            S.check_depth w (depth + 1);
-            S.spend_node w;
-            S.check_bytes_tok w;
-            pruned_tok dup w a' tok (depth + 1)
+        | a -> (
+            w.P.tokens <- w.P.tokens + 1;
+            P.check_value w (depth + 1);
+            match a with
+            | A_node na' -> pruned_tok w na' tok (depth + 1)
+            | A_full | A_skip -> P.read_tok w tok (depth + 1))
       in
-      Json.Value.Array (pruned_elements dup w a 1 depth [ first ])
+      Json.Value.Array (pruned_elements w na 1 depth [ first ])
 
-and pruned_elements dup w a i depth acc =
-  match S.next w with
+and pruned_elements w na i depth acc =
+  match P.next w with
   | L.S_comma ->
-      let v = pruned_value dup w (element_access a i) (depth + 1) in
-      pruned_elements dup w a (i + 1) depth (v :: acc)
+      let v = pruned_value w (elem_access na i) (depth + 1) in
+      pruned_elements w na (i + 1) depth (v :: acc)
   | L.S_rbracket -> List.rev acc
-  | t -> S.unexpected w "',' or ']'" t
+  | t -> P.unexpected w "',' or ']'" t
 
-and pruned_object dup w a depth =
-  match S.next w with
+and pruned_object w na depth =
+  match P.next w with
   | L.S_rbrace -> Json.Value.Object []
-  | tok -> pruned_fields dup w a depth tok []
+  | tok -> pruned_fields w na depth tok []
 
-and pruned_fields dup w a depth tok acc =
+and pruned_fields w na depth tok acc =
   match tok with
   | L.S_string -> (
-      let key = L.string_of_last w.S.lx in
-      match S.next w with
+      let key = L.string_of_last w.P.lx in
+      match P.next w with
       | L.S_colon -> (
-          let v = pruned_value dup w (member_access a key) (depth + 1) in
-          let acc = (key, v) :: acc in
-          match S.next w with
-          | L.S_comma -> pruned_fields dup w a depth (S.next w) acc
+          let acc = (key, pruned_value w (key_access na key) (depth + 1)) :: acc in
+          match P.next w with
+          | L.S_comma -> pruned_fields w na depth (P.next w) acc
           | L.S_rbrace ->
-              Json.Value.Object
-                (Json.Parser.apply_dup_policy dup acc (L.tok_pos w.S.lx))
-          | t -> S.unexpected w "',' or '}'" t)
-      | t -> S.unexpected w "':'" t)
-  | t -> S.unexpected w "a field name" t
+              Json.Value.Object (P.apply_dup_policy w.P.options.P.dup_keys acc (L.tok_pos w.P.lx))
+          | t -> P.unexpected w "',' or '}'" t)
+      | t -> P.unexpected w "':'" t)
+  | t -> P.unexpected w "a field name" t
 
 (* The skim checks no duplicate keys, so under [Reject] the walk reads the
    whole document and [apply_dup_policy] rejects at each object. *)
 let walk_pruned ~options ~telemetry access src ~pos =
-  let dup = options.Json.Parser.dup_keys in
-  let access = if dup = Json.Parser.Reject then A_full else access in
-  let w = S.walk options src ~pos in
+  let access = if options.P.dup_keys = P.Reject then A_full else access in
+  let w = P.cursor options src ~pos in
   match
-    Json.Parser.run w.S.lx (fun () ->
-        let v = pruned_value dup w access 0 in
-        S.check_bytes_end w;
+    P.run w.P.lx (fun () ->
+        let v = pruned_value w access 0 in
+        P.check_bytes_end w;
         v)
   with
   | Ok v -> Ok (v, emit_walk telemetry options w ~pos)
@@ -1184,7 +1163,7 @@ let walk_and_run ~config ~options ~telemetry plan src ~pos =
 
    For a shape-decided plan, two documents of one shape get one verdict, one
    error list and one set of keyword counters. The shape is recorded by one
-   pass on a [Json.Shape] cursor that follows the plan's access tree as
+   pass on the tree parser's cursor that follows the plan's access tree as
    [walk_pruned] does: a subtree the plan ignores is skipped and recorded as
    the single code 'x', everything else is recorded code by code, so the
    pass reads, counts and skips exactly the tokens [walk_pruned] reads,
@@ -1204,10 +1183,10 @@ let rec shape_value sh w a parent depth =
       S.push_code sh 'x'
   | A_full -> S.record sh w parent depth
   | A_node na ->
-      S.check_depth w depth;
-      let tok = S.next w in
-      S.spend_node w;
-      S.check_bytes_tok w;
+      P.check_depth w depth;
+      let tok = P.next w in
+      P.spend_node w;
+      P.check_bytes_tok w;
       shape_tok sh w na parent tok depth
 
 and shape_tok sh w na parent tok depth =
@@ -1223,9 +1202,9 @@ and shape_tok sh w na parent tok depth =
 and shape_array sh w na parent depth =
   (* the first element's token is counted only when that element is
      recorded, as [pruned_array] counts it *)
-  match L.skim w.S.lx with
+  match L.skim w.P.lx with
   | L.S_rbracket ->
-      w.S.tokens <- w.S.tokens + 1;
+      w.P.tokens <- w.P.tokens + 1;
       S.push_code sh ']'
   | tok ->
       (match elem_access na 0 with
@@ -1233,22 +1212,20 @@ and shape_array sh w na parent depth =
            S.skip_tok w tok (depth + 1);
            S.push_code sh 'x'
        | a -> (
-           w.S.tokens <- w.S.tokens + 1;
-           S.check_depth w (depth + 1);
-           S.spend_node w;
-           S.check_bytes_tok w;
+           w.P.tokens <- w.P.tokens + 1;
+           P.check_value w (depth + 1);
            match a with
            | A_node na' -> shape_tok sh w na' parent tok (depth + 1)
            | A_full | A_skip -> S.record_tok sh w parent tok (depth + 1)));
       shape_elements sh w na parent 1 depth
 
 and shape_elements sh w na parent i depth =
-  match S.next w with
+  match P.next w with
   | L.S_comma ->
       shape_value sh w (elem_access na i) parent (depth + 1);
       shape_elements sh w na parent (i + 1) depth
   | L.S_rbracket -> S.push_code sh ']'
-  | t -> S.unexpected w "',' or ']'" t
+  | t -> P.unexpected w "',' or ']'" t
 
 and shape_object sh w na parent depth =
   let k = S.first_key sh w parent in
@@ -1256,10 +1233,10 @@ and shape_object sh w na parent depth =
 
 and shape_members sh w na depth k =
   shape_value sh w (hashed_key_access na (S.key_name k) (S.key_hash k)) k (depth + 1);
-  match S.next w with
+  match P.next w with
   | L.S_comma -> shape_members sh w na depth (S.next_key sh w k)
   | L.S_rbrace -> S.push_code sh '}'
-  | t -> S.unexpected w "',' or '}'" t
+  | t -> P.unexpected w "',' or '}'" t
 
 (* What one run of the plan produced: its verdict and, under a recording
    sink, the counters and gauges it emitted ([validate.kw.*],
@@ -1301,12 +1278,12 @@ let run_captured ~config plan v =
 
 let run_by_shape sc ~config ~options ~telemetry plan src ~pos =
   let sh = sc.shapes in
-  S.restart sh;
-  let w = S.walk ~integral:plan.integral options src ~pos in
+  S.restart ~integral:plan.integral sh;
+  let w = P.cursor options src ~pos in
   match
-    Json.Parser.run w.S.lx (fun () ->
+    P.run w.P.lx (fun () ->
         shape_value sh w plan.access (S.root sh) 0;
-        S.check_bytes_end w)
+        P.check_bytes_end w)
   with
   | Error _ -> tree_fallback ~config ~options ~telemetry plan src ~pos
   | Ok () -> (

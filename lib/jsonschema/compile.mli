@@ -57,13 +57,13 @@ val run_stream :
     tails past [items] tuple bounds with no [additionalItems], string
     payloads with no string-content keyword — are validated and skipped at
     token level ({!Json.Shape.skip}) without allocation. The walk reads
-    {!Json.Lexer.skim} tokens through {!Json.Shape}'s cursor, which carries
-    the parser's node, byte and depth accounting, and takes a string or
-    number payload from its token's span only where the plan reads it.
-    Under the [Reject]
-    duplicate-key policy it walks the whole document (so
-    [stream.skipped_bytes] stays 0), since only a walked object is checked
-    for repeated keys.
+    {!Json.Lexer.skim} tokens through the tree parser's
+    {!Json.Parser.cursor}, which carries its node, byte and depth
+    accounting, hands every fully read subtree to the tree walk
+    ({!Json.Parser.read}), and takes a string's contents from its token's
+    span only where the plan reads them. Under the [Reject] duplicate-key
+    policy it walks the whole document (so [stream.skipped_bytes] stays
+    0), since only a walked object is checked for repeated keys.
 
     With a [scratch], a plan whose keywords read only kinds, keys and
     counts ([type], the object and array structure keywords, boolean

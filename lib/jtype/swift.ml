@@ -78,11 +78,17 @@ let rec render name (t : Types.t) : string * string list =
           (expr ^ "?", decls)
       | _ ->
           (* each branch is rendered once: its expression serves both its
-             case and its decode attempt *)
+             case and its decode attempt. Branches of one kind (the record
+             branches of a label union) are numbered after the first:
+             [object], [object1], ... *)
+          let seen = Hashtbl.create 8 in
           let cases, nested =
             List.fold_left
               (fun (cases, nested) branch ->
-                let cname = case_name branch in
+                let kind = case_name branch in
+                let n = Option.value (Hashtbl.find_opt seen kind) ~default:0 in
+                Hashtbl.replace seen kind (n + 1);
+                let cname = if n = 0 then kind else kind ^ string_of_int n in
                 let expr, decls = render (name ^ capitalize cname) branch in
                 ((cname, expr) :: cases, List.rev_append decls nested))
               ([], []) rest

@@ -105,6 +105,9 @@ let declaration ~name t =
         let _, named = lift (capitalize name) t in
         (match named with Some _ -> None | None -> Some (type_expr t))
     | _ ->
+        (* the root becomes [type Root = ...]: no lifted record may take
+           that name *)
+        Hashtbl.add fresh_names (capitalize name) ();
         let _, named = lift (capitalize name) t in
         (match named with
          | Some n -> Some n

@@ -84,10 +84,10 @@ let tokenize src =
          i := !i + two
      | '"' ->
          let lx = Json.Lexer.create ~pos:!i src in
-         (match Json.Lexer.next lx with
-          | Json.Lexer.String_tok s, _ ->
-              emit (Str_lit s);
-              i := (Json.Lexer.position lx).Json.Lexer.offset
+         (match Json.Lexer.skim lx with
+          | Json.Lexer.S_string ->
+              emit (Str_lit (Json.Lexer.string_of_last lx));
+              i := Json.Lexer.offset lx
           | _ -> fail "bad string literal")
      | '0' .. '9' ->
          let start = !i in

@@ -42,17 +42,6 @@ let test_parametric_soundness_on_corpora () =
         [ Jtype.Merge.Kind; Jtype.Merge.Label ])
     corpora
 
-let test_ndjson_streaming_matches () =
-  let st = Datagen.rng ~seed:3 in
-  let docs = Datagen.open_data st 50 in
-  let text = Datagen.to_ndjson docs in
-  match Inference.Parametric.infer_ndjson ~equiv:Jtype.Merge.Kind text with
-  | Ok t ->
-      Alcotest.check ty "streaming = batch"
-        (Inference.Parametric.infer ~equiv:Jtype.Merge.Kind docs)
-        t
-  | Error e -> Alcotest.fail (Json.Parser.string_of_error e)
-
 let test_counting_matches_sizes () =
   let st = Datagen.rng ~seed:7 in
   let docs = Datagen.tweets st 80 in
@@ -456,7 +445,6 @@ let () =
     [ ("parametric",
        [ Alcotest.test_case "partitioning invariance" `Quick test_partitioning_invariance;
          Alcotest.test_case "soundness on corpora" `Quick test_parametric_soundness_on_corpora;
-         Alcotest.test_case "ndjson streaming" `Quick test_ndjson_streaming_matches;
          Alcotest.test_case "counting" `Quick test_counting_matches_sizes ]);
       ("spark",
        [ Alcotest.test_case "widening" `Quick test_spark_widening;

@@ -258,6 +258,27 @@ let test_parse_many () =
   | Ok vs -> Alcotest.(check int) "three docs" 3 (List.length vs)
   | Error e -> Alcotest.fail (Json.Parser.string_of_error e)
 
+(* Each document of [parse_many] is accounted from its first byte, as
+   [parse_substring] accounts it: a one-token document is held to
+   [max_doc_bytes], and [parse.bytes] counts every byte of every
+   document. *)
+let test_parse_many_bytes () =
+  let options = { Json.Parser.default_options with max_doc_bytes = Some 4 } in
+  let src = {|"twenty-two bytes ..."|} in
+  let expect = Error "line 1, column 23: document exceeds 4 bytes" in
+  let got p = Result.map (fun _ -> ()) (p ~options src) |> Result.map_error Json.Parser.string_of_error in
+  Alcotest.(check (result unit string)) "parse" expect
+    (got (fun ~options src -> Json.Parser.parse ~options src));
+  Alcotest.(check (result unit string)) "parse_many" expect
+    (got (fun ~options src -> Json.Parser.parse_many ~options src));
+  let bytes src =
+    let sink = Telemetry.create () in
+    ignore (Json.Parser.parse_many ~telemetry:sink src);
+    List.assoc "parse.bytes" (Telemetry.snapshot sink).Telemetry.counters
+  in
+  Alcotest.(check int) "bytes of [1,2] [3,4]" 10 (bytes "[1,2] [3,4]");
+  Alcotest.(check int) "bytes after leading space" 5 (bytes "  [1,2]\n")
+
 let test_parse_substring () =
   let src = "   {\"a\": [1,2]} trailing" in
   match Json.Parser.parse_substring src ~pos:0 with
@@ -408,64 +429,20 @@ let test_jsonpath () =
     "$.store.book[0][*]..price"
     Json.Jsonpath.(to_string (parse_exn "$.store.book[0][*]..price"))
 
-(* --- Stream ---------------------------------------------------------- *)
-
-let event = Alcotest.testable Json.Stream.pp_event Json.Stream.event_equal
-
-let drain src =
-  let r = Json.Stream.reader src in
-  let rec go acc =
-    match Json.Stream.read r with
-    | Ok None -> List.rev acc
-    | Ok (Some ev) -> go (ev :: acc)
-    | Error e -> Alcotest.fail (Json.Parser.string_of_error e)
-  in
-  go []
-
-let test_stream_events () =
-  let open Json.Stream in
-  Alcotest.(check (list event)) "object events"
-    [ Start_object; Field_name "a"; Scalar (Json.Value.Int 1); Field_name "b";
-      Start_array; Scalar (Json.Value.Bool true); End_array; End_object ]
-    (drain {|{"a": 1, "b": [true]}|});
-  Alcotest.(check (list event)) "scalar root" [ Scalar Json.Value.Null ] (drain "null");
-  Alcotest.(check (list event)) "empty containers"
-    [ Start_array; Start_object; End_object; Start_array; End_array; End_array ]
-    (drain "[{} , []]")
+(* --- Document streams -------------------------------------------------- *)
 
 let test_stream_errors () =
-  let bad src =
-    let r = Json.Stream.reader src in
-    let rec go () =
-      match Json.Stream.read r with
-      | Ok None -> Alcotest.fail (Printf.sprintf "%S should fail" src)
-      | Ok (Some _) -> go ()
-      | Error _ -> ()
-    in
-    go ()
-  in
-  List.iter bad [ "[1,]"; "{\"a\"}"; "{\"a\":1,}"; "[1 2]"; "{1:2}" ]
-
-let test_stream_value_roundtrip () =
-  let check src =
-    let v = parse src in
-    match Json.Stream.value_of_events (Json.Stream.events_of_value v) with
-    | Ok v' -> Alcotest.check value src v v'
-    | Error msg -> Alcotest.fail msg
-  in
-  List.iter check
-    [ "null"; "[1,[2,[3]]]"; {|{"a":{"b":{"c":[]}},"d":[{"e":1}]}|}; "{}"; {|"s"|} ]
-
-let test_stream_reader_matches_tree () =
-  let src = {|{"a": [1, {"b": null}], "c": "x"}|} in
-  match Json.Stream.value_of_events (drain src) with
-  | Ok v -> Alcotest.check value "reader == tree parser" (parse src) v
-  | Error msg -> Alcotest.fail msg
+  List.iter
+    (fun src ->
+      match Json.Parser.fold_documents src ~init:() ~f:(fun () _ -> ()) with
+      | Ok () -> Alcotest.fail (Printf.sprintf "%S should fail" src)
+      | Error _ -> ())
+    [ "[1,]"; "{\"a\"}"; "{\"a\":1,}"; "[1 2]"; "{1:2}" ]
 
 let test_fold_documents () =
   let src = "{\"n\":1}\n{\"n\":2}  {\"n\":3}\n" in
   match
-    Json.Stream.fold_documents src ~init:0 ~f:(fun acc v ->
+    Json.Parser.fold_documents src ~init:0 ~f:(fun acc v ->
         acc + Json.Value.(to_int_exn (member_exn "n" v)))
   with
   | Ok total -> Alcotest.(check int) "sum over documents" 6 total
@@ -559,12 +536,6 @@ let prop_pretty_parse_roundtrip =
   QCheck2.Test.make ~name:"pretty |> parse = id" ~count:200 gen_value (fun v ->
       Json.Value.equal_strict v (parse (Json.Printer.to_string_pretty v)))
 
-let prop_events_roundtrip =
-  QCheck2.Test.make ~name:"events |> rebuild = id" ~count:500 gen_value (fun v ->
-      match Json.Stream.value_of_events (Json.Stream.events_of_value v) with
-      | Ok v' -> Json.Value.equal_strict v v'
-      | Error _ -> false)
-
 let prop_sort_keys_idempotent =
   QCheck2.Test.make ~name:"sort_keys idempotent" ~count:300 gen_value (fun v ->
       let s = Json.Value.sort_keys v in
@@ -611,10 +582,11 @@ let test_skim_allocation_free () =
       Alcotest.(check (float 0.0)) "minor words per skim loop" (w1 -. w0) (w2 -. w1))
     [ None; Some 4096 ]
 
-(* Number tokens: both token APIs read a number literal as [Number.parse]
-   reads it. [next]'s [Number_tok] is its value, or its error message at
-   the literal's first byte; [skim] classifies it as [S_int] or [S_float]
-   (or raises that error), and [number_of_last] then gives its value. The
+(* Number tokens: [skim] reads a number literal as [Number.parse] reads it,
+   as the reference parser's [next] does: [next]'s [Number_tok] is its
+   value, or its error message at the literal's first byte; [skim]
+   classifies it as [S_int] or [S_float] (or raises that error), and
+   [number_of_last] then gives its value. The
    literals cover the grammar's edges: up to 20 digits, leading zeros,
    [-0], fractions, signed exponents, overflow and truncated forms. *)
 let gen_number_literal : string QCheck2.Gen.t =
@@ -665,11 +637,12 @@ let prop_number_tokens =
       let expected = Json.Number.parse lit in
       let at_one (p : L.position) = p.L.offset = 1 && p.L.line = 1 && p.L.column = 2 in
       let next_agrees =
-        let lx = L.create src in
-        ignore (L.next lx);
-        match (L.next lx, expected) with
-        | (L.Number_tok p, pos), Ok p' ->
-            at_one pos && same_number p p' && fst (L.next lx) = L.Rbracket
+        let module R = Reference_parser in
+        let lx = R.create src in
+        ignore (R.next lx);
+        match (R.next lx, expected) with
+        | (R.Number_tok p, pos), Ok p' ->
+            at_one pos && same_number p p' && fst (R.next lx) = R.Rbracket
         | _ -> false
         | exception L.Lex_error (pos, msg) -> (
             at_one pos && match expected with Error m -> m = msg | Ok _ -> false)
@@ -846,6 +819,156 @@ let test_fnv_allocation_free () =
   in
   Alcotest.(check (float 0.0)) "minor words" (words "x") (words big)
 
+(* --- the tree parser against the reference ------------------------------
+
+   [Json.Parser]'s tree walk on [Lexer.skim] against [Reference_parser], the
+   parser it replaced: generated documents (escapes, surrogates, repeated
+   keys, number edge cases, newlines), corrupted copies of them and
+   trailing input, under every duplicate-key policy and budgets down to
+   0-3. [parse], [parse_substring] (from 0, the first byte or anywhere) and
+   [parse_many] must agree with the reference on the value (floats by
+   bits), the stop offset, the error (message, position and kind), and the
+   per-document [parse.docs], [parse.bytes] and [parse.nodes]. *)
+
+let gen_doc_text : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let ws = frequency [ (6, return ""); (2, return " "); (1, oneofl [ "\n"; "\t\r\n  " ]) ] in
+  let piece =
+    frequency
+      [ (6, map (String.make 1) (char_range 'a' 'z'));
+        (3, oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\n|}; {|\t|}; {|\u00e9|}; {|\u0041|};
+                     {|\ud83d\ude00|}; "\xc3\xa9"; "\xf0\x9f\x98\x80" ]);
+        (1, oneofl [ {|\ud83d|}; {|\udc00|}; {|\ud83d\u0041|}; {|\x|}; {|\u12|}; {|\uzz00|};
+                     "\001"; "\n" ]) ]
+  in
+  let str = map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (list_size (int_range 0 5) piece) in
+  let number =
+    oneofl
+      [ "0"; "-0"; "7"; "-12"; "1.5"; "-0.25"; "1e3"; "2E-2"; "1.0"; "3.0e2"; "1e400"; "1e-400";
+        "12345678901234567890"; "9223372036854775808"; "01"; "1."; "-"; "1e"; ".5" ]
+  in
+  let scalar =
+    frequency
+      [ (1, oneofl [ "null"; "true"; "false"; "tru"; "nul" ]); (2, number); (2, str) ]
+  in
+  let key = oneofl [ {|"a"|}; {|"b"|}; {|"\u0061"|}; {|"c\n"|}; {|"ab"|} ] in
+  let value =
+    sized @@ fix (fun self n ->
+        if n <= 0 then scalar
+        else
+          let sub = self (n / 3) in
+          let sep = map2 (fun a b -> a ^ "," ^ b) ws ws in
+          let joined g =
+            let* items = list_size (int_range 0 4) g in
+            let* sep = sep in
+            return (String.concat sep items)
+          in
+          frequency
+            [ (3, scalar);
+              (1, map2 (fun body w -> "[" ^ w ^ body ^ "]") (joined sub) ws);
+              ( 1,
+                map2 (fun body w -> "{" ^ w ^ body ^ "}")
+                  (joined (map3 (fun k w v -> k ^ w ^ ":" ^ v) key ws sub))
+                  ws ) ])
+  in
+  let doc = map3 (fun a v b -> a ^ v ^ b) ws value ws in
+  let corrupt src =
+    let* edits =
+      list_size (int_range 1 3)
+        (triple nat (int_range 0 2) (oneofl [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; '1'; ' '; '\n' ]))
+    in
+    return
+      (List.fold_left
+         (fun s (pos, kind, c) ->
+           let n = String.length s in
+           if n = 0 then String.make 1 c
+           else
+             let pos = pos mod n in
+             match kind with
+             | 0 -> String.mapi (fun i ch -> if i = pos then c else ch) s
+             | 1 -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+             | _ -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos))
+         src edits)
+  in
+  let* d = doc in
+  frequency
+    [ (4, return d);
+      (3, corrupt d);
+      (2, map (fun t -> d ^ t) (oneofl [ " 1"; "\n{\"a\":1}"; "]"; " x"; "\n\n[2] [3]"; "," ]));
+      (1, map2 (fun a b -> a ^ "\n" ^ b) doc doc) ]
+
+let gen_parse_options : Json.Parser.options QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let small = int_range 0 3 in
+  let cap big = frequency [ (2, return None); (2, map Option.some small); (1, return (Some big)) ] in
+  let* dup_keys =
+    oneofl Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ]
+  in
+  let* max_depth = frequency [ (2, small); (1, return 512) ] in
+  let* allow_trailing = bool in
+  let* max_doc_bytes = cap 24 in
+  let* max_nodes = cap 8 in
+  let* max_string_bytes = frequency [ (3, return None); (1, map Option.some small) ] in
+  return
+    { Json.Parser.dup_keys; max_depth; allow_trailing; max_doc_bytes; max_nodes;
+      max_string_bytes }
+
+let rec same_json (a : Json.Value.t) (b : Json.Value.t) =
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Array xs, Array ys -> List.equal same_json xs ys
+  | Object xs, Object ys ->
+      List.equal (fun (k, x) (k', y) -> String.equal k k' && same_json x y) xs ys
+  | (Null | Bool _ | Int _ | String _), _ -> a = b
+  | (Float _ | Array _ | Object _), _ -> false
+
+(* the result and the [parse.*] counters of one entry point *)
+let with_counters f =
+  let sink = Telemetry.create () in
+  let r = f sink in
+  let counters = (Telemetry.snapshot sink).Telemetry.counters in
+  let get k = Option.value (List.assoc_opt k counters) ~default:0 in
+  (r, (get "parse.docs", get "parse.bytes", get "parse.nodes"))
+
+let totals docs =
+  (List.length docs, List.fold_left (fun a (b, _) -> a + b) 0 docs,
+   List.fold_left (fun a (_, n) -> a + n) 0 docs)
+
+let same_outcome same (r, counters) (r', docs) =
+  counters = totals docs
+  &&
+  match (r, r') with
+  | Ok x, Ok y -> same x y
+  | Error (e : Json.Parser.error), Error e' -> e = e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_reference =
+  QCheck2.Test.make ~name:"parser = reference parser" ~count:3000
+    ~print:(fun (src, _, pos) -> Printf.sprintf "%S from %d" src pos)
+    QCheck2.Gen.(
+      let* src = gen_doc_text in
+      let* options = gen_parse_options in
+      let* pos = int_range 0 (String.length src) in
+      return (src, options, pos))
+    (fun (src, options, pos) ->
+      let module R = Reference_parser in
+      let first = ref 0 in
+      while !first < String.length src && String.contains " \t\r\n" src.[!first] do incr first done;
+      same_outcome same_json
+        (with_counters (fun telemetry -> Json.Parser.parse ~options ~telemetry src))
+        (R.parse options src)
+      && same_outcome (List.equal same_json)
+           (with_counters (fun telemetry -> Json.Parser.parse_many ~options ~telemetry src))
+           (R.parse_many options src)
+      && List.for_all
+           (fun pos ->
+             same_outcome
+               (fun (v, stop) (v', stop') -> stop = stop' && same_json v v')
+               (with_counters (fun telemetry ->
+                    Json.Parser.parse_substring ~options ~telemetry src ~pos))
+               (R.parse_substring options src ~pos))
+           [ 0; !first; pos ])
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "json"
@@ -869,6 +992,8 @@ let () =
          Alcotest.test_case "budgets" `Quick test_budgets;
          Alcotest.test_case "budgets off by default" `Quick test_budget_unlimited_by_default;
          Alcotest.test_case "parse_many" `Quick test_parse_many;
+         Alcotest.test_case "parse_many bytes" `Quick test_parse_many_bytes;
+         QCheck_alcotest.to_alcotest prop_reference;
          Alcotest.test_case "parse_substring" `Quick test_parse_substring ]);
       ("printer",
        [ Alcotest.test_case "roundtrips" `Quick test_print_roundtrips;
@@ -890,14 +1015,11 @@ let () =
        [ Alcotest.test_case "FNV-1a 64 vectors" `Quick test_fnv_vectors;
          Alcotest.test_case "allocation-free" `Quick test_fnv_allocation_free ]);
       ("stream",
-       [ Alcotest.test_case "events" `Quick test_stream_events;
-         Alcotest.test_case "errors" `Quick test_stream_errors;
-         Alcotest.test_case "value<->events" `Quick test_stream_value_roundtrip;
-         Alcotest.test_case "reader matches tree" `Quick test_stream_reader_matches_tree;
+       [ Alcotest.test_case "errors" `Quick test_stream_errors;
          Alcotest.test_case "fold_documents" `Quick test_fold_documents ]);
       ("properties",
        q [ prop_print_parse_roundtrip; prop_pretty_parse_roundtrip;
-           prop_events_roundtrip; prop_sort_keys_idempotent;
+           prop_sort_keys_idempotent;
            prop_equal_reflexive_compare_total; prop_paths_count_bounded;
            prop_printer_length ]);
     ]

@@ -251,20 +251,17 @@ let test_swift_union_enum () =
     (Swift.declaration ~name:"nick" t2)
 
 (* A union of many record branches, as label equivalence infers one per
-   label set: TypeScript names them Root, Root1, ... (the first branch's
-   field "1" lifts its record as Root1, which the next branch's suffix must
-   skip), and Swift renders each branch of the nested union once for both
-   its case and its decode attempt. Pinned byte for byte to guard the
-   linear rewrite of both renderers.
+   label set: TypeScript names them Root1, Root2, ... (the root's own name
+   is reserved for [type Root = ...], and the first branch's field "1"
+   lifts its record as Root11, skipping the taken Root1), and Swift
+   renders each branch of the nested union once for both its case and its
+   decode attempt, numbering repeated kinds ([object], [object1], ...).
+   Pinned byte for byte to guard the linear rewrite of both renderers.
 
-   The pins record the renderers' output as it already was, and that
-   output is known to be invalid code: TypeScript declares both
-   [interface Root] and [type Root = ... | Root | ...]; Swift repeats
-   [struct RootObject] and [case object(RootObject)] once per record
-   branch, names the record under field "1" [struct 1] ([let 1: 1]), and
-   emits [typealias Root = Root?] next to [enum Root]. A renderer fix must
-   update these pins on purpose (ROADMAP, carry-over "valid TypeScript and
-   Swift for wide unions"). *)
+   Still invalid Swift, and pinned as it is (ROADMAP, carry-over "valid
+   TypeScript and Swift for wide unions"): the record under field "1" is
+   named [struct 1] ([let 1: 1]), and [typealias Root = Root?] sits next
+   to [enum Root]. *)
 let test_printers_wide_union () =
   let r = Types.rec_ and f = Types.field in
   let t =
@@ -278,12 +275,12 @@ let test_printers_wide_union () =
       @ List.init 2 (fun i -> r [ f (Printf.sprintf "x%d" i) Types.str ]))
   in
   Alcotest.(check string) "typescript"
-    {|interface Root1 {
+    {|interface Root11 {
   c: boolean;
 }
 
-interface Root {
-  "1": Root1;
+interface Root1 {
+  "1": Root11;
 }
 
 interface RootK1 {
@@ -315,7 +312,7 @@ interface Root6 {
   x1: string;
 }
 
-type Root = null | number | Root | Root2 | Root3 | Root4 | Root5 | Root6;|}
+type Root = null | number | Root1 | Root2 | Root3 | Root4 | Root5 | Root6;|}
     (Typescript.declaration ~name:"root" t);
   Alcotest.(check string) "swift"
     {|enum Root: Codable {
@@ -325,7 +322,7 @@ type Root = null | number | Root | Root2 | Root3 | Root4 | Root5 | Root6;|}
         }
         let 1: 1
     }
-    struct RootObject: Codable {
+    struct RootObject1: Codable {
         enum K1: Codable {
             struct K1Object: Codable {
                 let d: Int
@@ -343,38 +340,38 @@ type Root = null | number | Root | Root2 | Root3 | Root4 | Root5 | Root6;|}
         }
         let k1: K1
     }
-    struct RootObject: Codable {
+    struct RootObject2: Codable {
         struct K2Element: Codable {
             let e: NSNull
         }
         let k2: [K2Element]
     }
-    struct RootObject: Codable {
+    struct RootObject3: Codable {
         let k3: Int
         let k4: Bool?
     }
-    struct RootObject: Codable {
+    struct RootObject4: Codable {
         let x0: String
     }
-    struct RootObject: Codable {
+    struct RootObject5: Codable {
         let x1: String
     }
     case int(Int)
     case object(RootObject)
-    case object(RootObject)
-    case object(RootObject)
-    case object(RootObject)
-    case object(RootObject)
-    case object(RootObject)
+    case object1(RootObject1)
+    case object2(RootObject2)
+    case object3(RootObject3)
+    case object4(RootObject4)
+    case object5(RootObject5)
     init(from decoder: Decoder) throws {
         let container = try decoder.singleValueContainer()
         if let v = try? container.decode(Int.self) { self = .int(v); return }
         if let v = try? container.decode(RootObject.self) { self = .object(v); return }
-        if let v = try? container.decode(RootObject.self) { self = .object(v); return }
-        if let v = try? container.decode(RootObject.self) { self = .object(v); return }
-        if let v = try? container.decode(RootObject.self) { self = .object(v); return }
-        if let v = try? container.decode(RootObject.self) { self = .object(v); return }
-        if let v = try? container.decode(RootObject.self) { self = .object(v); return }
+        if let v = try? container.decode(RootObject1.self) { self = .object1(v); return }
+        if let v = try? container.decode(RootObject2.self) { self = .object2(v); return }
+        if let v = try? container.decode(RootObject3.self) { self = .object3(v); return }
+        if let v = try? container.decode(RootObject4.self) { self = .object4(v); return }
+        if let v = try? container.decode(RootObject5.self) { self = .object5(v); return }
         throw DecodingError.typeMismatch(
             Root.self,
             .init(codingPath: decoder.codingPath, debugDescription: "no case matched"))

@@ -82,16 +82,8 @@ let prop_parser_total =
 let prop_stream_total =
   QCheck2.Test.make ~name:"stream reader never raises" ~count:(count 1000) gen_corrupted
     (fun src ->
-      let r = Json.Stream.reader src in
-      let rec drain n =
-        if n > 100000 then true (* would be a hang; bound it *)
-        else
-          match Json.Stream.read r with
-          | Ok None -> true
-          | Ok (Some _) -> drain (n + 1)
-          | Error _ -> true
-      in
-      drain 0)
+      match Json.Parser.fold_documents src ~init:0 ~f:(fun n _ -> n + 1) with
+      | Ok _ | Error _ -> true)
 
 let prop_parse_many_total =
   QCheck2.Test.make ~name:"parse_many never raises" ~count:(count 500) gen_corrupted

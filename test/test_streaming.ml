@@ -3,10 +3,10 @@
    validation — must be byte-identical to the [`Tree] executable spec.
    Same inferred types (all five artifacts), same verdicts and error
    lists, same dead-letter coordinates, same reports, for any jobs count,
-   both equivalences, on clean and corrupted input alike. Plus the
-   chunk-boundary audit for [Stream.fold_documents_chunked]:
-   multi-byte UTF-8 and surrogate-pair escapes split across refills,
-   down to one-byte chunks. *)
+   both equivalences, on clean and corrupted input alike. Plus a
+   chunk-boundary audit of the tree parser and the streaming typer read
+   through refills: multi-byte UTF-8 and surrogate-pair escapes split
+   across chunks, down to one-byte chunks. *)
 
 open Core
 
@@ -319,7 +319,7 @@ let test_validate_conformance_corpus () =
     files;
   Alcotest.(check bool) "non-trivial corpus" true (!groups >= 40)
 
-(* --- chunk boundaries (Stream.fold_documents_chunked) ------------------ *)
+(* --- chunk boundaries ---------------------------------------------------- *)
 
 let chunked_refill text size =
   let pos = ref 0 in
@@ -332,6 +332,54 @@ let chunked_refill text size =
       Some s
     end
 
+let skim_ws s i =
+  let n = String.length s in
+  let j = ref i in
+  while !j < n && (s.[!j] = ' ' || s.[!j] = '\t' || s.[!j] = '\n' || s.[!j] = '\r')
+  do incr j done;
+  !j
+
+(* The documents of [text], read through chunks of [size] bytes by [parse]
+   (one document at [pos], and the offset past it). A document is accepted
+   only when it ends strictly before the buffered frontier, or at eof: one
+   that touches the frontier (a bare number) could go on in the next chunk.
+   Any failure before eof may be a document cut by the frontier (an
+   unterminated string, a split escape or UTF-8 sequence), so the buffer
+   grows and the document is read again; a failure at eof is reported,
+   its offset made absolute. Positions are document-relative, as
+   [parse_substring] from each document's first byte gives them. *)
+let chunked_docs parse text size =
+  let refill = chunked_refill text size in
+  let data = ref "" in
+  let consumed = ref 0 in
+  let rebase (e : Json.Parser.error) =
+    let p = e.Json.Parser.position in
+    { e with
+      Json.Parser.position = { p with Json.Lexer.offset = p.Json.Lexer.offset + !consumed } }
+  in
+  let rec step acc ~eof =
+    let s = !data in
+    let n = String.length s in
+    let pos = skim_ws s 0 in
+    if pos >= n then if eof then Ok acc else grow acc
+    else
+      match parse s ~pos with
+      | Ok (doc, stop) when stop < n || eof ->
+          consumed := !consumed + stop;
+          data := String.sub s stop (n - stop);
+          step (doc :: acc) ~eof
+      | Ok _ -> grow acc
+      | Error e when eof -> Error (rebase e)
+      | Error _ -> grow acc
+  and grow acc =
+    match refill () with
+    | None -> step acc ~eof:true
+    | Some chunk ->
+        if chunk <> "" then data := !data ^ chunk;
+        step acc ~eof:false
+  in
+  step [] ~eof:false
+
 let fold_fingerprint r =
   match r with
   | Ok docs ->
@@ -341,12 +389,11 @@ let fold_fingerprint r =
 
 let run_chunked text size =
   fold_fingerprint
-    (Json.Stream.fold_documents_chunked (chunked_refill text size) ~init:[]
-       ~f:(fun acc v -> v :: acc))
+    (chunked_docs (fun s ~pos -> Json.Parser.parse_substring s ~pos) text size)
 
 let run_whole text =
   fold_fingerprint
-    (Json.Stream.fold_documents text ~init:[] ~f:(fun acc v -> v :: acc))
+    (Json.Parser.fold_documents text ~init:[] ~f:(fun acc v -> v :: acc))
 
 (* multi-byte UTF-8 (2-, 3- and 4-byte sequences) and \uXXXX escapes
    including a surrogate pair; any chunk size may split any of them *)
@@ -392,20 +439,11 @@ let test_chunked_error_boundaries () =
 
 (* The fused engine's lexer latches escape-free string payloads as raw
    spans on the lexer state instead of materializing them ([Lexer.skim] /
-   [last_string_start]). Feed [Streaming.infer_tokens] through the refill
-   discipline of [Stream.fold_documents_chunked] — accept a document only
-   when it ends strictly before the buffered frontier (or at eof), grow
-   and re-lex on anything else — so every retry re-skims a string whose
-   span crossed the previous frontier. The per-document report (type and
-   counting) must be byte-identical to whole-buffer inference for every
-   chunk size, down to 1 byte. *)
-let skim_ws s i =
-  let n = String.length s in
-  let j = ref i in
-  while !j < n && (s.[!j] = ' ' || s.[!j] = '\t' || s.[!j] = '\n' || s.[!j] = '\r')
-  do incr j done;
-  !j
-
+   [last_string_start]). Feed [Streaming.infer_tokens] through
+   [chunked_docs], so every retry re-skims a string whose span crossed the
+   previous frontier. The per-document report (type and counting) must be
+   byte-identical to whole-buffer inference for every chunk size, down to
+   1 byte. *)
 let infer_report r =
   match r with
   | Ok docs ->
@@ -436,36 +474,10 @@ let infer_whole ~equiv text =
 
 let infer_chunked ~equiv text size =
   let scr = Inference.Streaming.scratch () in
-  let refill = chunked_refill text size in
-  let data = ref "" in
-  let consumed = ref 0 in
-  let rebase (e : Json.Parser.error) =
-    let p = e.Json.Parser.position in
-    { e with
-      Json.Parser.position = { p with Json.Lexer.offset = p.Json.Lexer.offset + !consumed } }
-  in
-  let rec step acc ~eof =
-    let s = !data in
-    let n = String.length s in
-    let pos = skim_ws s 0 in
-    if pos >= n then if eof then Ok acc else grow acc
-    else
-      match Inference.Streaming.infer_tokens ~scratch:scr ~equiv s ~pos with
-      | Ok (doc, stop) when stop < n || eof ->
-          consumed := !consumed + stop;
-          data := String.sub s stop (n - stop);
-          step (doc :: acc) ~eof
-      | Ok _ -> grow acc
-      | Error e when eof -> Error (rebase e)
-      | Error _ -> grow acc
-  and grow acc =
-    match refill () with
-    | None -> step acc ~eof:true
-    | Some chunk ->
-        if chunk <> "" then data := !data ^ chunk;
-        step acc ~eof:false
-  in
-  infer_report (step [] ~eof:false)
+  infer_report
+    (chunked_docs
+       (fun s ~pos -> Inference.Streaming.infer_tokens ~scratch:scr ~equiv s ~pos)
+       text size)
 
 (* long escape-free spans (the latched fast path), escapes forcing the slow
    path, multi-byte UTF-8 inside spans, and a string-heavy record — every
